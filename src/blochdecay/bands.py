@@ -26,21 +26,25 @@ class EigensolverError(RuntimeError):
     """Tridiagonal eigensolver failed to converge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeParams:
-    """Dimensionless lattice depth v0 = V/E_rec and force f0 = F d_L/E_rec."""
+    """Dimensionless lattice depth v0 = V/E_rec and force f0 = F d_L/E_rec.
+
+    f0 may be an array of forces at one depth (bloch_period is then one too);
+    every element is validated.  Instances compare by identity.
+    """
 
     v0: float
-    f0: float
+    f0: float | np.ndarray
 
     def __post_init__(self):
         if not (math.isfinite(self.v0) and self.v0 >= 0):
             raise ValueError(f"lattice depth must be finite and >= 0, got v0={self.v0}")
-        if not (math.isfinite(self.f0) and self.f0 > 0):
+        if not np.all(np.isfinite(self.f0) & (self.f0 > 0)):
             raise ValueError(f"force must be finite and > 0, got f0={self.f0}")
 
     @property
-    def bloch_period(self) -> float:
+    def bloch_period(self) -> float | np.ndarray:
         """T_B = 2 pi / f0 in units of hbar/E_rec."""
         return 2.0 * math.pi / self.f0
 
@@ -97,14 +101,18 @@ def build_bloch_hamiltonian(params: LatticeParams, k: float,
                             off_diagonal=off_diagonal)
 
 
-def _lowest_eigenvalues(h: BlochHamiltonian, n_bands: int) -> np.ndarray:
+def lowest_eigenpairs(h: BlochHamiltonian, n: int, vectors: bool = False):
+    """Lowest n eigenvalues of h in ascending order.
+
+    With vectors=True returns (eigenvalues, eigenvectors as columns).
+    Raises EigensolverError when LAPACK fails.
+    """
     try:
-        w = scipy.linalg.eigh_tridiagonal(
-            h.diagonal, h.off_diagonal, select="i",
-            select_range=(0, n_bands - 1))[0]
+        return scipy.linalg.eigh_tridiagonal(
+            h.diagonal, h.off_diagonal, eigvals_only=not vectors, select="i",
+            select_range=(0, n - 1))
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise EigensolverError(f"eigensolver failed at k={h.k}: {exc}") from exc
-    return np.sort(w)
 
 
 def band_energies(params: LatticeParams, n_bands: int = 3,
@@ -123,7 +131,7 @@ def band_energies(params: LatticeParams, n_bands: int = 3,
     energies = np.empty((grid_size, n_bands))
     for i, k in enumerate(k_grid):
         h = build_bloch_hamiltonian(params, k, cutoff)
-        energies[i] = _lowest_eigenvalues(h, n_bands)
+        energies[i] = lowest_eigenpairs(h, n_bands)
     return BandTable(k_grid=k_grid, energies=energies)
 
 

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +115,6 @@ _SPECS: dict[str, list[tuple]] = {
         ("n-points", int, 200, "grid points per depth"),
         ("grid", int, 512, "band-structure grid for the mean gap"),
         ("cutoff", int, 32, "plane-wave cutoff for the mean gap"),
-        ("workers", int, 0, "parallel workers (0 = all cores)"),
         ("out", str, "scaling.csv", "output CSV path"),
     ],
     "ret": _COMMON + [
@@ -126,7 +125,6 @@ _SPECS: dict[str, list[tuple]] = {
         ("j-max", int, 2, "highest resonance order to predict"),
         ("grid", int, 512, "band-structure grid for the mean gap"),
         ("cutoff", int, 32, "plane-wave cutoff for the mean gap"),
-        ("workers", int, 0, "parallel workers (0 = all cores)"),
         ("out", str, "ret.csv", "output CSV path"),
     ],
 }
@@ -191,9 +189,11 @@ def _merge_options(command: str, args: argparse.Namespace,
     merged.update(given)
     if command == "run":
         try:
-            _parse_window(merged["fit_window"])
+            lo, hi = _parse_window(merged["fit_window"])
         except ValueError:
             parser.error(f"bad --fit-window {merged['fit_window']!r}, expected LO:HI")
+        if not 0 <= lo < hi:  # a fit needs two plateaus; HI is clamped later
+            parser.error(f"bad --fit-window {merged['fit_window']!r}, need 0 <= LO < HI")
     return merged
 
 
@@ -206,18 +206,6 @@ def _clamp_window(window: tuple[int, int], n: int) -> tuple[int, int]:
     hi = min(window[1], n - 1)
     lo = min(window[0], max(0, hi - 1))
     return lo, hi
-
-
-def _n_workers(requested: int) -> int:
-    return requested if requested > 0 else (os.cpu_count() or 1)
-
-
-def _map_ordered(fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +294,21 @@ def cmd_run(opts: dict) -> int:
     return 0
 
 
-def _scaling_point(task) -> tuple:
-    v0, f0, gap = task
-    try:
-        params = LatticeParams(v0, f0)
-        ing = StepIngredients.from_lattice(params, mean_gap=gap)
-        z = z_exact(spectral_decompose(step_operator(ing)))
-        return (v0, f0, ing.phi, z - 1.0, "")
-    except Exception as exc:  # per-point failure: recorded, sweep continues
-        return (v0, f0, math.nan, math.nan, str(exc))
+def _sweep(params: LatticeParams, gap: float, quantity):
+    """Phase and quantity(spectrum) of the step model over the forces of params.
+
+    Degenerate points get nan in both and one stderr line each.
+    """
+    with np.errstate(over="ignore"):  # a phase that overflows is an invalid force
+        if not math.isfinite(-2.0 * math.pi * gap / params.f0.min(initial=math.inf)):
+            raise StageError(f"parameters: f0={params.f0.min()} too small at v0={params.v0}: "
+                             "the phase per cycle overflows", stage="parameters")
+    ing = StepIngredients.from_lattice(params, mean_gap=gap)
+    sd = spectral_decompose(step_operator(ing))
+    for f0 in params.f0[sd.degenerate]:
+        print(f"point v0={params.v0} f0={f0} failed: eigenvalue moduli coincide",
+              file=sys.stderr)
+    return np.where(sd.degenerate, np.nan, ing.phi), quantity(sd)
 
 
 def cmd_scaling(opts: dict) -> int:
@@ -324,57 +318,40 @@ def cmd_scaling(opts: dict) -> int:
     except ValueError as exc:
         raise StageError(f"parameters: bad depth list {opts['v0']!r}: {exc}",
                          stage="parameters")
-    if opts["f0_min"] <= 0 or opts["f0_max"] < opts["f0_min"]:
-        raise StageError("parameters: need 0 < f0-min <= f0-max", stage="parameters")
+    if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
+        raise StageError("parameters: need n-points >= 0 and 0 < f0-min <= f0-max < inf",
+                         stage="parameters")
     f0_grid = np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
-    tasks = []
-    for v0 in v0_list:
-        gap = _stage("band-structure", mean_band_gap, LatticeParams(v0, 1.0),
+    depths = [_stage("parameters", LatticeParams, v0, f0_grid) for v0 in v0_list]
+    columns = []
+    for params in depths:
+        gap = _stage("band-structure", mean_band_gap, params,
                      grid_size=opts["grid"], cutoff=opts["cutoff"])
-        tasks.extend((v0, float(f0), gap) for f0 in f0_grid)
-    results = _stage("sweep", _map_ordered, _scaling_point, tasks,
-                     _n_workers(opts["workers"]))
-    for v0, f0, _, _, err in results:
-        if err:
-            print(f"point v0={v0} f0={f0} failed: {err}", file=sys.stderr)
-    target = _stage("write", _write_csv, opts["out"], runspec, "v0,f0,phi,Z_minus_1",
-                    ((v0, f0, phi, zm1) for v0, f0, phi, zm1, _ in results))
+        phi, z = _stage("sweep", _sweep, params, gap, z_exact)
+        columns.append((params.v0, phi, z - 1.0))
+    rows = (row for v0, phi, zm1 in columns
+            for row in zip(repeat(v0), f0_grid.tolist(), phi.tolist(), zm1.tolist()))
+    target = _stage("write", _write_csv, opts["out"], runspec, "v0,f0,phi,Z_minus_1", rows)
     print(f"wrote {target}")
     return 0
-
-
-def _ret_point(task) -> tuple:
-    v0, f0, gap = task
-    try:
-        params = LatticeParams(v0, f0)
-        ing = StepIngredients.from_lattice(params, mean_gap=gap)
-        g = gamma_asymptotic(spectral_decompose(step_operator(ing)))
-        return (f0, g, "")
-    except Exception as exc:
-        return (f0, math.nan, str(exc))
 
 
 def cmd_ret(opts: dict) -> int:
     runspec = _runspec_json("ret", opts)
     if opts["n_points"] < 0 or (opts["n_points"] > 0 and
-                                (opts["f0_min"] <= 0 or opts["f0_max"] < opts["f0_min"])):
-        raise StageError("parameters: need 0 < f0-min <= f0-max", stage="parameters")
-    params0 = _stage("parameters", LatticeParams, opts["v0"], 1.0)
-    gap = _stage("band-structure", mean_band_gap, params0,
-                 grid_size=opts["grid"], cutoff=opts["cutoff"])
-    predicted = ret_resonances(params0, gap, opts["j_max"])
+                                not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf):
+        raise StageError("parameters: need 0 < f0-min <= f0-max < inf", stage="parameters")
+    if opts["j_max"] < 1:
+        raise StageError(f"parameters: need j-max >= 1, got {opts['j_max']}",
+                         stage="parameters")
     f0_grid = np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
-    tasks = [(opts["v0"], float(f0), gap) for f0 in f0_grid]
-    results = _stage("sweep", _map_ordered, _ret_point, tasks,
-                     _n_workers(opts["workers"]))
-    for f0, _, err in results:
-        if err:
-            print(f"point f0={f0} failed: {err}", file=sys.stderr)
-    gammas = np.array([g for _, g, _ in results])
-    is_max = np.zeros(len(results), dtype=int)
-    for i in range(1, len(results) - 1):
-        if gammas[i] > gammas[i - 1] and gammas[i] > gammas[i + 1]:
-            is_max[i] = 1
+    params = _stage("parameters", LatticeParams, opts["v0"], f0_grid)
+    gap = _stage("band-structure", mean_band_gap, params,
+                 grid_size=opts["grid"], cutoff=opts["cutoff"])
+    predicted = ret_resonances(params, gap, opts["j_max"])
+    _, gammas = _stage("sweep", _sweep, params, gap, gamma_asymptotic)
+    is_max = np.zeros(len(gammas), dtype=int)
+    is_max[1:-1] = (gammas[1:-1] > gammas[:-2]) & (gammas[1:-1] > gammas[2:])
     step = f0_grid[1] - f0_grid[0] if len(f0_grid) > 1 else math.nan
     comments = [f"mean_gap {_fmt(float(gap))}", f"grid_step {_fmt(float(step))}"]
     max_positions = f0_grid[is_max.astype(bool)]
@@ -388,8 +365,7 @@ def cmd_ret(opts: dict) -> int:
             f"resonance j={j} predicted_f0={_fmt(float(pred))} "
             f"nearest_max_f0={_fmt(nearest)} within_one_step={hit}")
     target = _stage("write", _write_csv, opts["out"], runspec, "f0,gamma,local_max",
-                    ((f0, g, m) for (f0, g, _), m in zip(results, is_max)),
-                    comments=comments)
+                    zip(f0_grid.tolist(), gammas.tolist(), is_max), comments=comments)
     print(f"wrote {target}")
     for line in comments:
         print(line)

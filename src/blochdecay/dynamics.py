@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bands import LatticeParams, build_bloch_hamiltonian
+from .bands import LatticeParams, build_bloch_hamiltonian, lowest_eigenpairs
 
 # Yoshida composition weights for the fourth-order splitting.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -228,8 +228,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
 
     if params.v0 > 0:
         h0 = build_bloch_hamiltonian(params, k0, cfg.cutoff)
-        _, vec = scipy.linalg.eigh_tridiagonal(
-            h0.diagonal, h0.off_diagonal, select="i", select_range=(0, 0))
+        _, vec = lowest_eigenpairs(h0, 1, vectors=True)
         psi = vec[:, 0].astype(complex)
     else:
         psi = np.zeros(dim, complex)
@@ -279,11 +278,7 @@ def band_projections(state: HoustonState, params: LatticeParams,
     if n_bands < 1 or n_bands > state.cutoff:
         raise ValueError(f"need 1 <= n_bands <= cutoff={state.cutoff}, got {n_bands}")
     h = build_bloch_hamiltonian(params, state.quasimomentum, state.cutoff)
-    try:
-        _, vec = scipy.linalg.eigh_tridiagonal(
-            h.diagonal, h.off_diagonal, select="i", select_range=(0, n_bands - 1))
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise RuntimeError(f"band projection failed at k={h.k}: {exc}") from exc
+    _, vec = lowest_eigenpairs(h, n_bands, vectors=True)
     return np.abs(vec.conj().T @ state.amplitudes) ** 2
 
 

@@ -14,6 +14,10 @@ so U = R(s12) . diag(1, s23 e^{i phi}).  U is contractive with singular
 values {1, s23}; iterating it yields the stepped survival probability
 P_n, the asymptotic decay rate gamma = -ln |e1|^2, and the intercept Z
 of the back-extrapolated exponential envelope.
+
+The chain from_lattice -> step_operator -> spectral_decompose -> z_exact /
+gamma_asymptotic broadcasts over an array of forces at one depth: a sweep
+is one call, and a scalar force is the 0-d case of the same code.
 """
 
 from __future__ import annotations
@@ -53,24 +57,24 @@ def lz_transition_time(alpha: float, delta: float) -> float:
     return 2.0 * delta / alpha * math.asin(math.sqrt(p))
 
 
-def p_lz_12(params: LatticeParams) -> float:
+def p_lz_12(params: LatticeParams) -> float | np.ndarray:
     """Zener jump probability out of band 1 at the zone-edge crossing.
 
     exp(-pi^2 v0^2 / (32 f0)): the sweep rate is set by the force, the
     half-gap by v0/4.  Goes to 1 at zero depth (free particle never
     Bragg-reflects) and to 0 in the adiabatic limit f0 -> 0.
     """
-    return math.exp(-math.pi ** 2 * params.v0 ** 2 / (32.0 * params.f0))
+    return np.exp(-math.pi ** 2 * params.v0 ** 2 / (32.0 * params.f0))
 
 
-def p_lz_23(params: LatticeParams) -> float:
+def p_lz_23(params: LatticeParams) -> float | np.ndarray:
     """Zener jump probability from band 2 to band 3 at the zone-center crossing.
 
     exp(-pi^2 v0^4 / (2^14 f0)); the band-2/3 half-gap is v0^2/64 (second
     order in the lattice coupling).  The band-2 survival amplitude per
     cycle is s23 = sqrt(1 - p_lz_23).
     """
-    return math.exp(-math.pi ** 2 * params.v0 ** 4 / (16384.0 * params.f0))
+    return np.exp(-math.pi ** 2 * params.v0 ** 4 / (16384.0 * params.f0))
 
 
 @dataclass(frozen=True)
@@ -79,25 +83,26 @@ class StepIngredients:
 
     s12 is the amplitude to remain in band 1 across the edge crossing
     (the adiabatic branch), s23 the amplitude for band 2 to survive
-    against loss to band 3, phi the interband phase per cycle.
+    against loss to band 3, phi the interband phase per cycle.  Each may
+    be a scalar or an array; every element is validated.
     """
 
-    s12: float
-    s23: float
-    phi: float
+    s12: float | np.ndarray
+    s23: float | np.ndarray
+    phi: float | np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.s12) and 0.0 <= self.s12 <= 1.0):
+        if not np.all((self.s12 >= 0.0) & (self.s12 <= 1.0)):
             raise ValueError(f"need 0 <= s12 <= 1, got {self.s12}")
-        if not (math.isfinite(self.s23) and 0.0 <= self.s23 <= 1.0):
+        if not np.all((self.s23 >= 0.0) & (self.s23 <= 1.0)):
             raise ValueError(f"need 0 <= s23 <= 1, got {self.s23}")
-        if not math.isfinite(self.phi):
+        if not np.all(np.isfinite(self.phi)):
             raise ValueError(f"phase must be finite, got {self.phi}")
 
     @property
-    def p12(self) -> float:
+    def p12(self) -> float | np.ndarray:
         """Interband transition amplitude, sqrt(1 - s12^2) by construction."""
-        return math.sqrt(max(0.0, 1.0 - self.s12 ** 2))
+        return np.sqrt(np.maximum(0.0, 1.0 - self.s12 ** 2))
 
     @classmethod
     def from_lattice(cls, params: LatticeParams, mean_gap: float | None = None,
@@ -110,15 +115,11 @@ class StepIngredients:
         mean_gap is computed from the band structure when not supplied.
         """
         if mean_gap is None:
-            kwargs = {}
-            if grid_size is not None:
-                kwargs["grid_size"] = grid_size
-            if cutoff is not None:
-                kwargs["cutoff"] = cutoff
-            mean_gap = mean_band_gap(params, **kwargs)
+            sizes = {"grid_size": grid_size, "cutoff": cutoff}
+            mean_gap = mean_band_gap(params, **{k: v for k, v in sizes.items() if v is not None})
         return cls(
-            s12=math.sqrt(max(0.0, 1.0 - p_lz_12(params))),
-            s23=math.sqrt(max(0.0, 1.0 - p_lz_23(params))),
+            s12=np.sqrt(np.maximum(0.0, 1.0 - p_lz_12(params))),
+            s23=np.sqrt(np.maximum(0.0, 1.0 - p_lz_23(params))),
             phi=bloch_phase(params, mean_gap),
         )
 
@@ -136,7 +137,10 @@ class SpectralData:
     """Eigensystem of the step operator, |e1| >= |e2|, eigenvectors normalized.
 
     The eigenvectors are in general non-orthogonal; c1, c2 expand the
-    initial band-1 state as (1, 0) = c1 psi1 + c2 psi2.
+    initial band-1 state as (1, 0) = c1 psi1 + c2 psi2.  For a batch of
+    operators every field gains the batch shape as its leading axes;
+    degenerate flags the points whose asymptotics are undefined, and all
+    their other fields are nan.
     """
 
     e1: complex
@@ -145,6 +149,7 @@ class SpectralData:
     psi2: np.ndarray
     c1: complex
     c2: complex
+    degenerate: bool | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,14 +206,18 @@ class RenormFit:
 
 
 def step_operator(ing: StepIngredients) -> StepOperator:
-    """Assemble U = R(s12) diag(1, s23 e^{i phi}).
+    """Assemble U = R(s12) diag(1, s23 e^{i phi}), shape (..., 2, 2).
 
     The order of the two factors is immaterial for the iteration started
     in band 1, since the diagonal factor acts trivially on (1, 0).
     """
-    w = complex(math.cos(ing.phi), math.sin(ing.phi))
-    m = np.array([[ing.s12, -ing.p12 * ing.s23 * w],
-                  [ing.p12, ing.s12 * ing.s23 * w]], dtype=complex)
+    w = np.cos(ing.phi) + 1j * np.sin(ing.phi)
+    shape = np.broadcast_shapes(np.shape(ing.s12), np.shape(ing.s23), np.shape(w))
+    m = np.empty(shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = ing.s12
+    m[..., 0, 1] = -ing.p12 * ing.s23 * w
+    m[..., 1, 0] = ing.p12
+    m[..., 1, 1] = ing.s12 * ing.s23 * w
     return StepOperator(matrix=m, ingredients=ing)
 
 
@@ -235,26 +244,36 @@ def evolve_steps(u: StepOperator, n_steps: int, t_bloch: float = 1.0) -> Surviva
 def spectral_decompose(u: StepOperator) -> SpectralData:
     """Eigenvalues ordered by modulus and the expansion of the initial state.
 
-    Raises DegenerateSpectrumError when |e1| and |e2| coincide within
-    1e-12: the asymptotic rate and Z are undefined there.
+    |e1| and |e2| coinciding within 1e-12 leaves the asymptotic rate and Z
+    undefined: a single operator raises DegenerateSpectrumError, a batch
+    flags the point in SpectralData.degenerate.
     """
     lam, vec = np.linalg.eig(u.matrix)
-    order = np.argsort(-np.abs(lam))
-    lam = lam[order]
-    vec = vec[:, order]
-    if abs(abs(lam[0]) - abs(lam[1])) < MODULUS_TIE_TOL:
+    order = np.argsort(-np.abs(lam), axis=-1)
+    lam = np.take_along_axis(lam, order, axis=-1)
+    vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
+    mod = np.abs(lam)
+    degenerate = np.abs(mod[..., 0] - mod[..., 1]) < MODULUS_TIE_TOL
+    if degenerate.ndim == 0 and degenerate:
         raise DegenerateSpectrumError(
-            f"eigenvalue moduli coincide: |e1|={abs(lam[0])!r}, |e2|={abs(lam[1])!r}")
-    vec = vec / np.linalg.norm(vec, axis=0)
-    c = np.linalg.solve(vec, np.array([1.0, 0.0], dtype=complex))
-    return SpectralData(e1=complex(lam[0]), e2=complex(lam[1]),
-                        psi1=vec[:, 0], psi2=vec[:, 1],
-                        c1=complex(c[0]), c2=complex(c[1]))
+            f"eigenvalue moduli coincide: |e1|={mod[0]}, |e2|={mod[1]}")
+    vec = vec / np.linalg.norm(vec, axis=-2, keepdims=True)
+    # A tie may come with parallel eigenvectors (v0 = 0 is nilpotent); give
+    # flagged points an invertible basis so the batched solve cannot fail.
+    vec[degenerate] = np.eye(2)
+    # (2, 1) right-hand sides: NumPy 1.x does not broadcast a 1-D one
+    c = np.linalg.solve(vec, np.broadcast_to([[1.0], [0.0]], vec.shape[:-1] + (1,)))[..., 0]
+    lam[degenerate] = c[degenerate] = vec[degenerate] = np.nan
+    # [()] turns the 0-d results of a single operator into scalars
+    return SpectralData(e1=lam[..., 0][()], e2=lam[..., 1][()],
+                        psi1=vec[..., 0], psi2=vec[..., 1],
+                        c1=c[..., 0][()], c2=c[..., 1][()],
+                        degenerate=degenerate)
 
 
-def gamma_asymptotic(sd: SpectralData) -> float:
+def gamma_asymptotic(sd: SpectralData) -> float | np.ndarray:
     """Asymptotic decay rate per Bloch cycle, -ln |e1|^2."""
-    return -2.0 * math.log(abs(sd.e1))
+    return -2.0 * np.log(np.abs(sd.e1))
 
 
 def gamma_sequence(series: SurvivalSeries) -> tuple[np.ndarray, bool]:
@@ -271,13 +290,13 @@ def gamma_sequence(series: SurvivalSeries) -> tuple[np.ndarray, bool]:
     return rates, truncated
 
 
-def z_exact(sd: SpectralData) -> float:
+def z_exact(sd: SpectralData) -> float | np.ndarray:
     """Renormalization parameter Z = |c1|^2 |<1|psi1>|^2.
 
     The squared overlap between the initial state and the dominant-mode
     back-extrapolation c1 psi1; may fall on either side of 1.
     """
-    return abs(sd.c1) ** 2 * abs(sd.psi1[0]) ** 2
+    return np.abs(sd.c1) ** 2 * np.abs(sd.psi1[..., 0]) ** 2
 
 
 def z_first_order(ing: StepIngredients) -> float:

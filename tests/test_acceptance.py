@@ -147,7 +147,7 @@ def test_criterion_8_scaling_plot(tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "scaling.csv"
     assert cli_main(["scaling", "--v0", "1,2,3,4", "--f0-min", "0.5",
-                     "--f0-max", "4.0", "--n-points", "200", "--workers", "1",
+                     "--f0-max", "4.0", "--n-points", "200",
                      "--out", str(out)]) == 0
     body = [ln for ln in out.read_text().strip().split("\n") if not ln.startswith("#")]
     rows = np.array([[float(x) for x in ln.split(",")] for ln in body[1:]])
@@ -184,7 +184,7 @@ def test_criterion_8_scaling_plot(tmp_path):
 def test_criterion_9_ret_resonance_positions(tmp_path):
     out = tmp_path / "ret.csv"
     assert cli_main(["ret", "--v0", "1", "--f0-min", "0.8", "--f0-max", "2.6",
-                     "--n-points", "14", "--j-max", "2", "--workers", "1",
+                     "--n-points", "14", "--j-max", "2",
                      "--out", str(out)]) == 0
     comments = [ln for ln in out.read_text().split("\n") if ln.startswith("#")]
     hits = {j: any(f"j={j} " in c and "within_one_step=True" in c for c in comments)

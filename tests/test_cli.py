@@ -77,7 +77,7 @@ def test_scaling_sweep_and_determinism(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
     args = ["scaling", "--v0", "1", "--f0-min", "0.9", "--f0-max", "2.4",
-            "--n-points", "40", "--grid", "128", "--workers", "1"]
+            "--n-points", "40", "--grid", "128"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     a = out1.read_text().split("\n", 1)[1]
@@ -90,20 +90,10 @@ def test_scaling_sweep_and_determinism(tmp_path):
     assert rows[:, 3].min() < 0 < rows[:, 3].max()
 
 
-def test_scaling_parallel_workers_match_serial(tmp_path):
-    serial = tmp_path / "ser.csv"
-    par = tmp_path / "par.csv"
-    args = ["scaling", "--v0", "1,2", "--f0-min", "1.0", "--f0-max", "2.0",
-            "--n-points", "10", "--grid", "64"]
-    assert main(args + ["--workers", "1", "--out", str(serial)]) == 0
-    assert main(args + ["--workers", "2", "--out", str(par)]) == 0
-    assert serial.read_text().split("\n", 1)[1] == par.read_text().split("\n", 1)[1]
-
-
 def test_ret_resonance_report(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["ret", "--v0", "1", "--f0-min", "0.8", "--f0-max", "2.6",
-                 "--n-points", "14", "--workers", "1", "--out", str(out)]) == 0
+                 "--n-points", "14", "--out", str(out)]) == 0
     comments, header, rows = read_csv(out)
     assert header == ["f0", "gamma", "local_max"]
     assert any("within_one_step=True" in c and "j=1" in c for c in comments)
@@ -151,14 +141,21 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bands", "--v0", "0", "--config", str(cfg)])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--v0", "1", "--f0", "0.4", "--fit-window", "junk"])
-    assert exc.value.code == 2
+    for window in ("junk", "5:2", "-1:3", "3:3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--v0", "1", "--f0", "0.4", "--fit-window", window])
+        assert exc.value.code == 2
     # semantic parameter errors also count as invalid arguments
     assert main(["run", "--v0", "-1", "--f0", "0.4",
                  "--out-prefix", str(tmp_path / "x")]) == 2
     assert main(["scaling", "--v0", "1", "--f0-min", "-2",
                  "--out", str(tmp_path / "s.csv")]) == 2
+    capsys.readouterr()
+    for argv in (["scaling", "--v0", "-1"], ["scaling", "--v0", "1,nan"],
+                 ["ret", "--j-max", "0"], ["scaling", "--v0", "1", "--f0-min", "1e-310"],
+                 ["ret", "--v0", "1", "--f0-min", "1e-310"]):
+        assert main(argv + ["--grid", "32", "--out", str(tmp_path / "s.csv")]) == 2
+        assert "error: parameters:" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from blochdecay import (HoustonState, LatticeParams, NormDriftError,
-                        SolverConfig, band_projections, band_survival,
-                        evolve_lattice, lz_probability, lz_two_level_ode,
-                        trace_rows)
+from blochdecay import (EigensolverError, HoustonState, LatticeParams,
+                        NormDriftError, SolverConfig, band_projections,
+                        band_survival, evolve_lattice, lz_probability,
+                        lz_two_level_ode, trace_rows)
 
 
 def span_for(alpha, delta):
@@ -125,6 +126,15 @@ def test_projections_complete_and_consistent(trace_v1, paper_params):
     all_bands = band_projections(state, paper_params, n_bands=state.cutoff)
     assert float(all_bands.sum()) == pytest.approx(state.norm ** 2, abs=1e-10)
     assert band_survival(state, paper_params) == pytest.approx(all_bands[0], abs=1e-15)
+
+
+def test_eigensolver_failure_maps_to_eigensolver_error(trace_v1, paper_params,
+                                                       monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+    with pytest.raises(EigensolverError, match="no convergence"):
+        band_projections(trace_v1[0], paper_params)
 
 
 def test_gauge_fold_invariance(paper_params):

@@ -199,6 +199,53 @@ def test_degenerate_spectrum_raises():
         spectral_decompose(make_op(0.0, 0.5, 0.7))
 
 
+def test_broadcast_chain_matches_scalar_calls():
+    rng = np.random.default_rng(29)
+    n = 300
+    s12 = rng.uniform(0.3, 0.98, n)
+    s12[::25] = 0.0  # degenerate: both moduli equal sqrt(s23)
+    s23 = rng.uniform(0.0, 0.3, n)
+    phi = rng.uniform(-8 * np.pi, 0.0, n)
+    sd = spectral_decompose(step_operator(StepIngredients(s12, s23, phi)))
+    z, gamma = z_exact(sd), gamma_asymptotic(sd)
+    assert z.shape == gamma.shape == (n,)
+    assert np.array_equal(sd.degenerate, s12 == 0.0)
+    for i in range(n):
+        op = make_op(s12[i], s23[i], phi[i])
+        if sd.degenerate[i]:
+            assert np.isnan(z[i]) and np.isnan(gamma[i])
+            with pytest.raises(DegenerateSpectrumError):
+                spectral_decompose(op)
+            continue
+        one = spectral_decompose(op)
+        assert abs(z[i] - z_exact(one)) <= 1e-12
+        assert abs(gamma[i] - gamma_asymptotic(one)) <= 1e-12
+
+
+def test_broadcast_over_forces_and_scalar_results(mean_gap_v1):
+    f0 = np.linspace(0.3, 4.0, 57)
+    ing = StepIngredients.from_lattice(LatticeParams(1.0, f0), mean_gap=mean_gap_v1)
+    z = z_exact(spectral_decompose(step_operator(ing)))
+    for i in (0, 20, 56):
+        one = StepIngredients.from_lattice(LatticeParams(1.0, f0[i]), mean_gap=mean_gap_v1)
+        assert ing.phi[i] == one.phi
+        sd = spectral_decompose(step_operator(one))
+        # scalar inputs give scalars, not 0-d arrays (fit.json serializes them)
+        for x in (one.s12, one.s23, sd.e1, sd.c1, z_exact(sd), gamma_asymptotic(sd)):
+            assert np.isscalar(x)
+        assert abs(z[i] - z_exact(sd)) <= 1e-12
+    with pytest.raises(ValueError):
+        LatticeParams(1.0, np.array([1.0, float("nan")]))
+    with pytest.raises(ValueError):
+        LatticeParams(1.0, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        StepIngredients(np.array([0.5, 1.2]), 0.1, 0.0)
+    with pytest.raises(ValueError):
+        StepIngredients(0.5, np.array([0.1, -0.1]), 0.0)
+    with pytest.raises(ValueError):
+        StepIngredients(0.5, 0.1, np.array([0.0, float("inf")]))
+
+
 # ------------------------------------------------------------- gamma and Z
 
 def test_gamma_pure_cascade():
