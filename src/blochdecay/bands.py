@@ -115,6 +115,14 @@ def lowest_eigenpairs(h: BlochHamiltonian, n: int, vectors: bool = False):
         raise EigensolverError(f"eigensolver failed at k={h.k}: {exc}") from exc
 
 
+def check_band_grid(n_bands: int, grid_size: int, cutoff: int) -> None:
+    """Raise ValueError unless band_energies can tabulate n_bands on this grid."""
+    if n_bands < 1 or n_bands > cutoff:
+        raise ValueError(f"need 1 <= n_bands <= cutoff, got n_bands={n_bands}, cutoff={cutoff}")
+    if grid_size < 16:
+        raise ValueError(f"grid_size >= 16 required, got {grid_size}")
+
+
 def band_energies(params: LatticeParams, n_bands: int = 3,
                   grid_size: int = DEFAULT_GRID_SIZE,
                   cutoff: int = DEFAULT_CUTOFF) -> BandTable:
@@ -123,10 +131,7 @@ def band_energies(params: LatticeParams, n_bands: int = 3,
     Bands are indexed by sorted eigenvalue order at each k; the bands of
     the cosine lattice do not cross, so sorting is a valid labeling.
     """
-    if n_bands < 1 or n_bands > cutoff:
-        raise ValueError(f"need 1 <= n_bands <= cutoff, got n_bands={n_bands}, cutoff={cutoff}")
-    if grid_size < 16:
-        raise ValueError(f"grid_size >= 16 required, got {grid_size}")
+    check_band_grid(n_bands, grid_size, cutoff)
     k_grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
     energies = np.empty((grid_size, n_bands))
     for i, k in enumerate(k_grid):

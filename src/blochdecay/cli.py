@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import LatticeParams, band_energies, mean_band_gap
-from .dynamics import SolverConfig, evolve_lattice, trace_rows
-from .fitting import compare_models, extract_plateaus, fit_exponential
+from .bands import LatticeParams, band_energies, check_band_grid, mean_band_gap
+from .dynamics import SolverConfig, evolve_lattice, step_grid, trace_rows
+from .fitting import MIN_CYCLES, compare_models, extract_plateaus, fit_exponential
 from .stepmodel import (DegenerateSpectrumError, StepIngredients, evolve_steps,
                         gamma_asymptotic, renorm_fit, ret_resonances,
                         spectral_decompose, step_operator, z_exact,
@@ -215,6 +215,7 @@ def _clamp_window(window: tuple[int, int], n: int) -> tuple[int, int]:
 def cmd_bands(opts: dict) -> int:
     runspec = _runspec_json("bands", opts)
     params = _stage("parameters", LatticeParams, opts["v0"], 1.0)
+    _stage("parameters", check_band_grid, opts["n_bands"], opts["grid"], opts["cutoff"])
     table = _stage("band-structure", band_energies, params,
                    n_bands=opts["n_bands"], grid_size=opts["grid"],
                    cutoff=opts["cutoff"])
@@ -234,6 +235,11 @@ def cmd_run(opts: dict) -> int:
     params = _stage("parameters", LatticeParams, opts["v0"], opts["f0"])
     cfg = _stage("parameters", SolverConfig, cutoff=opts["cutoff"],
                  dt=opts["dt"], n_cycles=opts["cycles"])
+    _stage("parameters", step_grid, params, cfg, opts["k0"])
+    _stage("parameters", check_band_grid, 2, opts["grid"], opts["band_cutoff"])
+    if opts["cycles"] < MIN_CYCLES:
+        raise StageError(f"parameters: need cycles >= {MIN_CYCLES} to extract plateaus, "
+                         f"got {opts['cycles']}", stage="parameters")
     gap = _stage("band-structure", mean_band_gap, params,
                  grid_size=opts["grid"], cutoff=opts["band_cutoff"])
     ing = _stage("step-ingredients", StepIngredients.from_lattice, params,
@@ -323,6 +329,7 @@ def cmd_scaling(opts: dict) -> int:
                          stage="parameters")
     f0_grid = np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
     depths = [_stage("parameters", LatticeParams, v0, f0_grid) for v0 in v0_list]
+    _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"])
     columns = []
     for params in depths:
         gap = _stage("band-structure", mean_band_gap, params,
@@ -346,6 +353,7 @@ def cmd_ret(opts: dict) -> int:
                          stage="parameters")
     f0_grid = np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
     params = _stage("parameters", LatticeParams, opts["v0"], f0_grid)
+    _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"])
     gap = _stage("band-structure", mean_band_gap, params,
                  grid_size=opts["grid"], cutoff=opts["cutoff"])
     predicted = ret_resonances(params, gap, opts["j_max"])

@@ -19,6 +19,15 @@ dependence integrates in closed form, the coupling part is constant with
 a precomputed exponential, so every step is a product of exact unitaries:
 norm is conserved to roundoff and the only possible probability loss is
 the (monitored) drop of an edge mode at a fold.
+
+The hamiltonian repeats every Bloch period, and the fold falls on the same
+step of every cycle, so one cycle is a fixed linear map M on the 2c+1
+amplitudes (the Floquet, or Wannier-Stark resonance, picture).
+evolve_lattice therefore makes two passes over one cycle with the same
+step kernel: the first carries the identity through it, which gives M;
+the second carries the starts of all cycles, psi0, M psi0, ..., together
+and copies out the samples.  That costs about one dim^3 build plus one
+dim^2 N pass, instead of N stepwise cycles.
 """
 
 from __future__ import annotations
@@ -186,6 +195,45 @@ def _coupling_exponentials(v0: float, dim: int, dt: float):
     return expt(_W1 * dt), expt(_W0 * dt)
 
 
+def step_grid(params: LatticeParams, cfg: SolverConfig,
+              k0: float = 0.0) -> tuple[float, int]:
+    """Checked (k0, m) of the solver: 2m steps of T_B / (2m) <= cfg.dt per cycle.
+
+    k0 = 1 comes back as -1, the same Bloch state labeled from the left
+    zone edge.  Raises ValueError when k0 lies outside B or cfg.dt gives
+    fewer than MIN_SAMPLES_PER_CYCLE steps per cycle.
+    """
+    if not (math.isfinite(k0) and abs(k0) <= 1.0):
+        raise ValueError(f"initial quasimomentum outside B: k0={k0}")
+    m = int(math.ceil(params.bloch_period / 2.0 / cfg.dt))
+    if 2 * m < MIN_SAMPLES_PER_CYCLE:
+        raise ValueError(
+            f"dt={cfg.dt} gives {2 * m} steps per cycle; need >= {MIN_SAMPLES_PER_CYCLE}")
+    return (-1.0 if k0 == 1.0 else k0), m
+
+
+def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray,
+          fold: bool) -> np.ndarray:
+    """One Yoshida step of the columns of x with the kinetic phases ph (4, dim).
+
+    With fold, the step ends on the zone edge: k -> k - 2 with the mode
+    labels shifted by one, and the discarded edge amplitude is left to the
+    norm monitor.
+    """
+    e = np.exp(-1j * ph)[:, :, None]
+    x = e[0] * x
+    x = b_long @ x
+    x *= e[1]
+    x = b_back @ x
+    x *= e[2]
+    x = b_long @ x
+    x *= e[3]
+    if fold:
+        x[1:] = x[:-1]
+        x[0] = 0.0
+    return x
+
+
 def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
                    k0: float = 0.0) -> list[HoustonState]:
     """Propagate the band-1 Bloch state at k0 through cfg.n_cycles Bloch periods.
@@ -194,18 +242,16 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
     step.  Raises NormDriftError when the per-cycle norm change exceeds
     cfg.tolerance (the usual cause is a cutoff too small to hold the
     escaped population for the requested number of cycles).
+
+    Two passes over one cycle: the first steps the identity to the cycle
+    map M; then the cycle starts M^n psi0 give the per-cycle norm monitor;
+    the second pass steps all cycle starts as one block and copies column
+    n out at every sampled step of cycle n.  Times, fold counts and
+    quasimomenta are those of a stepwise loop over all cycles; amplitudes
+    agree with it to roundoff.
     """
-    if not (math.isfinite(k0) and abs(k0) <= 1.0):
-        raise ValueError(f"initial quasimomentum outside B: k0={k0}")
-    if k0 == 1.0:
-        k0 = -1.0  # same Bloch state, labeled from the left zone edge
-    t_bloch = params.bloch_period
-    half = t_bloch / 2.0
-    m = int(math.ceil(half / cfg.dt))
-    dt = half / m
-    if 2 * m < MIN_SAMPLES_PER_CYCLE:
-        raise ValueError(
-            f"dt={cfg.dt} gives {2 * m} steps per cycle; need >= {MIN_SAMPLES_PER_CYCLE}")
+    k0, m = step_grid(params, cfg, k0)
+    dt = params.bloch_period / 2.0 / m
     stride = max(1, (2 * m) // MIN_SAMPLES_PER_CYCLE)
     dim = 2 * cfg.cutoff + 1
     n_modes = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=float)
@@ -234,41 +280,46 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
         psi = np.zeros(dim, complex)
         psi[int(np.argmin((k0 + 2.0 * n_modes) ** 2))] = 1.0
 
-    states = [HoustonState(amplitudes=psi.copy(), k0=k0, time=0.0,
-                           n_folds=0, quasimomentum=k0)]
-    n_steps = 2 * m * cfg.n_cycles
-    folds = 0
+    # The fold ends the first step of the cycle that reaches k >= 1.
+    fold = next(o for o in range(1, 2 * m + 1) if k0 + o / m >= 1.0)
+    cycle_map = np.eye(dim, dtype=complex)
+    for o in range(1, 2 * m + 1):
+        cycle_map = _step(cycle_map, phases[o - 1], b_long, b_back, o == fold)
+
+    starts = np.empty((dim, cfg.n_cycles), complex)
+    starts[:, 0] = start = psi
     norm_prev = 1.0
-    for j in range(n_steps):
-        ph = phases[j % (2 * m)]
-        psi = np.exp(-1j * ph[0]) * psi
-        psi = b_long @ psi
-        psi = np.exp(-1j * ph[1]) * psi
-        psi = b_back @ psi
-        psi = np.exp(-1j * ph[2]) * psi
-        psi = b_long @ psi
-        psi = np.exp(-1j * ph[3]) * psi
-        s = j + 1
-        k_now = k0 + s / m - 2.0 * folds
-        if k_now >= 1.0:
-            # zone-edge fold: k -> k - 2 with mode labels shifted by one;
-            # the discarded edge amplitude is counted by the norm monitor.
-            psi[1:] = psi[:-1]
-            psi[0] = 0.0
-            folds += 1
-            k_now -= 2.0
-        if s % (2 * m) == 0:
-            norm_now = float(np.linalg.norm(psi))
-            if abs(norm_now - norm_prev) > cfg.tolerance:
-                raise NormDriftError(
-                    f"norm changed by {abs(norm_now - norm_prev):.2e} in cycle "
-                    f"{s // (2 * m)} (tolerance {cfg.tolerance}); increase the "
-                    f"cutoff or reduce dt")
-            norm_prev = norm_now
-        if s % stride == 0 or s == n_steps:
-            states.append(HoustonState(amplitudes=psi.copy(), k0=k0,
-                                       time=s * dt, n_folds=folds,
-                                       quasimomentum=k_now))
+    for n in range(1, cfg.n_cycles + 1):
+        start = cycle_map @ start
+        norm_now = float(np.linalg.norm(start))
+        if abs(norm_now - norm_prev) > cfg.tolerance:
+            raise NormDriftError(
+                f"norm changed by {abs(norm_now - norm_prev):.2e} in cycle "
+                f"{n} (tolerance {cfg.tolerance}); increase the "
+                f"cutoff or reduce dt")
+        norm_prev = norm_now
+        if n < cfg.n_cycles:
+            starts[:, n] = start
+
+    # Sampled global steps s = 2mn + o, grouped by their offset o in 1..2m.
+    n_steps = 2 * m * cfg.n_cycles
+    sampled = list(range(stride, n_steps + 1, stride))
+    if sampled[-1] != n_steps:
+        sampled.append(n_steps)
+    by_offset: dict[int, list[tuple[int, int, int]]] = {}
+    for slot, s in enumerate(sampled, start=1):
+        n, o = divmod(s - 1, 2 * m)
+        by_offset.setdefault(o + 1, []).append((slot, n, s))
+    states = [HoustonState(amplitudes=psi.copy(), k0=k0, time=0.0,
+                           n_folds=0, quasimomentum=k0)] + [None] * len(sampled)
+    block = starts
+    for o in range(1, 2 * m + 1):
+        block = _step(block, phases[o - 1], b_long, b_back, o == fold)
+        for slot, n, s in by_offset.get(o, ()):
+            folds = n + (o >= fold)
+            states[slot] = HoustonState(amplitudes=block[:, n].copy(), k0=k0,
+                                        time=s * dt, n_folds=folds,
+                                        quasimomentum=k0 + s / m - 2.0 * folds)
     return states
 
 

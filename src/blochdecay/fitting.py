@@ -19,6 +19,7 @@ from .stepmodel import SurvivalSeries
 
 DEFAULT_WINDOW_START = 6
 DEFAULT_WINDOW_END = 14
+MIN_CYCLES = 3
 
 
 class TraceTooShortError(ValueError):
@@ -85,9 +86,9 @@ def extract_plateaus(trace, params: LatticeParams | None = None) -> PlateauSerie
     times = np.array([st.time for st in states])
     t_max = float(times[-1])
     n_cycles = t_max / t_bloch
-    if n_cycles < 3 - 1e-9:
+    if n_cycles < MIN_CYCLES - 1e-9:
         raise TraceTooShortError(
-            f"trace covers {n_cycles:.2f} Bloch cycles, need >= 3")
+            f"trace covers {n_cycles:.2f} Bloch cycles, need >= {MIN_CYCLES}")
     if (len(states) - 1) / n_cycles < 63.999:
         raise TraceTooShortError(
             f"trace has {(len(states) - 1) / n_cycles:.1f} samples per cycle, need >= 64")

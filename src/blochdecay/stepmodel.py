@@ -57,6 +57,14 @@ def lz_transition_time(alpha: float, delta: float) -> float:
     return 2.0 * delta / alpha * math.asin(math.sqrt(p))
 
 
+def _lz_exponent_12(params: LatticeParams) -> float | np.ndarray:
+    return math.pi ** 2 * params.v0 ** 2 / (32.0 * params.f0)
+
+
+def _lz_exponent_23(params: LatticeParams) -> float | np.ndarray:
+    return math.pi ** 2 * params.v0 ** 4 / (16384.0 * params.f0)
+
+
 def p_lz_12(params: LatticeParams) -> float | np.ndarray:
     """Zener jump probability out of band 1 at the zone-edge crossing.
 
@@ -64,7 +72,7 @@ def p_lz_12(params: LatticeParams) -> float | np.ndarray:
     half-gap by v0/4.  Goes to 1 at zero depth (free particle never
     Bragg-reflects) and to 0 in the adiabatic limit f0 -> 0.
     """
-    return np.exp(-math.pi ** 2 * params.v0 ** 2 / (32.0 * params.f0))
+    return np.exp(-_lz_exponent_12(params))
 
 
 def p_lz_23(params: LatticeParams) -> float | np.ndarray:
@@ -74,7 +82,7 @@ def p_lz_23(params: LatticeParams) -> float | np.ndarray:
     order in the lattice coupling).  The band-2 survival amplitude per
     cycle is s23 = sqrt(1 - p_lz_23).
     """
-    return np.exp(-math.pi ** 2 * params.v0 ** 4 / (16384.0 * params.f0))
+    return np.exp(-_lz_exponent_23(params))
 
 
 @dataclass(frozen=True)
@@ -112,14 +120,16 @@ class StepIngredients:
 
         Surviving band 1 means following the adiabatic branch through the
         edge crossing, so s12^2 = 1 - p_lz_12; likewise s23^2 = 1 - p_lz_23.
+        Both are formed as -expm1(-x) from the Zener exponent x, which keeps
+        full precision at shallow depth, where p is close to 1.
         mean_gap is computed from the band structure when not supplied.
         """
         if mean_gap is None:
             sizes = {"grid_size": grid_size, "cutoff": cutoff}
             mean_gap = mean_band_gap(params, **{k: v for k, v in sizes.items() if v is not None})
         return cls(
-            s12=np.sqrt(np.maximum(0.0, 1.0 - p_lz_12(params))),
-            s23=np.sqrt(np.maximum(0.0, 1.0 - p_lz_23(params))),
+            s12=np.sqrt(-np.expm1(-_lz_exponent_12(params))),
+            s23=np.sqrt(-np.expm1(-_lz_exponent_23(params))),
             phi=bloch_phase(params, mean_gap),
         )
 

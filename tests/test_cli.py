@@ -156,6 +156,15 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
                  ["ret", "--v0", "1", "--f0-min", "1e-310"]):
         assert main(argv + ["--grid", "32", "--out", str(tmp_path / "s.csv")]) == 2
         assert "error: parameters:" in capsys.readouterr().err
+    for argv in (["run", "--v0", "1", "--f0", "0.4", "--dt", "1"],
+                 ["run", "--v0", "1", "--f0", "50"],
+                 ["run", "--v0", "1", "--f0", "0.4", "--k0", "2"],
+                 ["run", "--v0", "1", "--f0", "0.4", "--cycles", "2"],
+                 ["run", "--v0", "1", "--f0", "0.4", "--grid", "8"],
+                 ["bands", "--v0", "1", "--n-bands", "40"]):
+        out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "p")]
+        assert main(argv + out) == 2
+        assert "error: parameters:" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         NormDriftError, SolverConfig, band_projections,
                         band_survival, evolve_lattice, lz_probability,
                         lz_two_level_ode, trace_rows)
+from blochdecay.dynamics import (_W0, _W1, MIN_SAMPLES_PER_CYCLE,
+                                 _coupling_exponentials, step_grid)
 
 
 def span_for(alpha, delta):
@@ -58,6 +61,78 @@ def test_sweep_norm_drift_error_advises_smaller_dt():
 
 
 # --------------------------------------------------------- lattice evolution
+
+def stepwise_oracle(params, cfg, k0, psi):
+    """Reference: every step of every cycle in turn, from the initial state psi."""
+    k0, m = step_grid(params, cfg, k0)
+    dt = params.bloch_period / 2.0 / m
+    stride = max(1, (2 * m) // MIN_SAMPLES_PER_CYCLE)
+    n_modes = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=float)
+    c = params.f0 / math.pi
+    b_long, b_back = _coupling_exponentials(params.v0, len(psi), dt)
+    seg = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2]) * dt
+    bounds = np.concatenate([[0.0], np.cumsum(seg)])
+    k_start = k0 + np.arange(2 * m) / m
+    k_start -= 2.0 * np.floor((k_start + 1.0) / 2.0)
+    x = k_start[:, None, None] + 2.0 * n_modes + (c * bounds)[:, None]
+    phases = (x[:, 1:] ** 3 - x[:, :-1] ** 3) / (3.0 * c)
+    states = [HoustonState(psi.copy(), k0, 0.0, 0, k0)]
+    n_steps = 2 * m * cfg.n_cycles
+    folds, norm_prev = 0, 1.0
+    for j in range(n_steps):
+        ph = phases[j % (2 * m)]
+        psi = b_long @ (np.exp(-1j * ph[0]) * psi)
+        psi = b_back @ (np.exp(-1j * ph[1]) * psi)
+        psi = b_long @ (np.exp(-1j * ph[2]) * psi)
+        psi = np.exp(-1j * ph[3]) * psi
+        s = j + 1
+        k_now = k0 + s / m - 2.0 * folds
+        if k_now >= 1.0:
+            psi[1:] = psi[:-1]
+            psi[0] = 0.0
+            folds += 1
+            k_now -= 2.0
+        if s % (2 * m) == 0:
+            norm_now = float(np.linalg.norm(psi))
+            if abs(norm_now - norm_prev) > cfg.tolerance:
+                raise NormDriftError(f"norm changed in cycle {s // (2 * m)} ")
+            norm_prev = norm_now
+        if s % stride == 0 or s == n_steps:
+            states.append(HoustonState(psi.copy(), k0, s * dt, folds, k_now))
+    return states
+
+
+# dt = 0.13 gives stride 2 with samples on the fold steps; the stepwise
+# oracle takes ~1 s for 10 cycles at dt = 0.01, so two cases cover that.
+PARITY_CASES = [(k0, v0, dt, cycles) for k0 in (0.0, 0.37, -1.0, 1.0) for v0 in (0.0, 1.0)
+                for dt, cycles in ((0.13, 1), (0.13, 10), (0.01, 1))]
+PARITY_CASES += [(0.37, 1.0, 0.01, 10), (-1.0, 1.0, 0.01, 10)]
+
+
+@pytest.mark.parametrize("k0, v0, dt, cycles", PARITY_CASES)
+def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles):
+    params = LatticeParams(v0, 0.383)
+    # the escaped population moves one mode outwards per cycle
+    cfg = SolverConfig(cutoff=8 if cycles == 1 else 20, dt=dt, n_cycles=cycles)
+    states = evolve_lattice(params, cfg, k0=k0)
+    expected = stepwise_oracle(params, cfg, k0, states[0].amplitudes)
+    assert len(states) == len(expected)
+    for got, want in zip(states, expected):
+        assert (got.time, got.n_folds, got.quasimomentum) == (
+            want.time, want.n_folds, want.quasimomentum)
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-11
+
+
+def test_norm_drift_error_in_same_cycle_as_stepwise_oracle():
+    params = LatticeParams(1.0, 0.383)
+    cfg = SolverConfig(cutoff=8, n_cycles=20, dt=0.01)
+    psi = evolve_lattice(params, SolverConfig(cutoff=8, n_cycles=1))[0].amplitudes
+    cycle = re.compile(r"in cycle (\d+) ")
+    with pytest.raises(NormDriftError) as want:
+        stepwise_oracle(params, cfg, 0.0, psi)
+    with pytest.raises(NormDriftError) as got:
+        evolve_lattice(params, cfg)
+    assert cycle.search(str(got.value))[1] == cycle.search(str(want.value))[1]
 
 def test_free_lattice_collapses_at_first_crossing():
     params = LatticeParams(0.0, 0.383)

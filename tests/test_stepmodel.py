@@ -87,6 +87,13 @@ def test_from_lattice_survival_split(paper_params, mean_gap_v1, ingredients_v1):
     assert ingredients_v1.phi == bloch_phase(paper_params, mean_gap_v1)
 
 
+def test_shallow_survival_amplitude_keeps_full_precision():
+    # p_lz_23 = exp(-x) with x ~ 1e-5 here: 1 - p would cancel five digits
+    ing = StepIngredients.from_lattice(LatticeParams(0.5, 3.9), mean_gap=1.0)
+    x = math.pi ** 2 * 0.5 ** 4 / (16384.0 * 3.9)
+    assert ing.s23 ** 2 == pytest.approx(-math.expm1(-x), rel=1e-14, abs=0.0)
+
+
 # ------------------------------------------------------------ step operator
 
 def test_step_operator_no_transition_limit():
