@@ -20,6 +20,7 @@ import scipy.linalg
 
 DEFAULT_CUTOFF = 32
 DEFAULT_GRID_SIZE = 512
+MIN_CUTOFF = 4
 
 
 class EigensolverError(RuntimeError):
@@ -58,13 +59,6 @@ class BlochHamiltonian:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
 
-    def dense(self) -> np.ndarray:
-        h = np.diag(self.diagonal)
-        idx = np.arange(2 * self.cutoff)
-        h[idx, idx + 1] = self.off_diagonal
-        h[idx + 1, idx] = self.off_diagonal
-        return h
-
 
 @dataclass(frozen=True, eq=False)
 class BandTable:
@@ -92,8 +86,8 @@ def build_bloch_hamiltonian(params: LatticeParams, k: float,
         raise ValueError(f"quasimomentum must be finite, got k={k}")
     if abs(k) > 1.0:
         raise ValueError(f"quasimomentum outside the Brillouin zone: k={k}")
-    if cutoff < 4:
-        raise ValueError(f"cutoff >= 4 required for a usable basis, got {cutoff}")
+    if cutoff < MIN_CUTOFF:
+        raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
     n = np.arange(-cutoff, cutoff + 1)
     diagonal = (k + 2.0 * n) ** 2
     off_diagonal = np.full(2 * cutoff, params.v0 / 4.0)
@@ -117,6 +111,8 @@ def lowest_eigenpairs(h: BlochHamiltonian, n: int, vectors: bool = False):
 
 def check_band_grid(n_bands: int, grid_size: int, cutoff: int) -> None:
     """Raise ValueError unless band_energies can tabulate n_bands on this grid."""
+    if cutoff < MIN_CUTOFF:
+        raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
     if n_bands < 1 or n_bands > cutoff:
         raise ValueError(f"need 1 <= n_bands <= cutoff, got n_bands={n_bands}, cutoff={cutoff}")
     if grid_size < 16:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .bands import LatticeParams, band_energies, check_band_grid, mean_band_gap
 from .dynamics import SolverConfig, evolve_lattice, step_grid, trace_rows
-from .fitting import MIN_CYCLES, compare_models, extract_plateaus, fit_exponential
+from .fitting import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, MIN_CYCLES,
+                      compare_models, extract_plateaus, fit_exponential)
 from .stepmodel import (DegenerateSpectrumError, StepIngredients, evolve_steps,
                         gamma_asymptotic, renorm_fit, ret_resonances,
                         spectral_decompose, step_operator, z_exact,
@@ -105,7 +106,8 @@ _SPECS: dict[str, list[tuple]] = {
         ("k0", float, 0.0, "initial quasimomentum"),
         ("grid", int, 512, "band-structure grid for the mean gap"),
         ("band-cutoff", int, 32, "plane-wave cutoff for the mean gap"),
-        ("fit-window", str, "6:14", "plateau window LO:HI for the exponential fit"),
+        ("fit-window", str, f"{DEFAULT_WINDOW_START}:{DEFAULT_WINDOW_END}",
+         "plateau window LO:HI for the exponential fit"),
         ("out-prefix", str, "run", "prefix for the four output artifacts"),
     ],
     "scaling": _COMMON + [

@@ -1,11 +1,12 @@
 """Exact single-particle dynamics.
 
-Two solvers live here:
+Two solvers live here, on one step kernel:
 
   * lz_two_level_ode -- the textbook two-level sweep, H(t) with diagonal
-    -+ alpha t and constant coupling delta, integrated with fixed-step
-    RK4 from the lower instantaneous eigenstate.  Validates the closed
-    form exp(-pi delta^2 / alpha) for the asymptotic jump probability.
+    -+ alpha t and constant coupling delta, from the lower instantaneous
+    eigenstate.  It is the dimension-2 case of the lattice's step, so the
+    closed form exp(-pi delta^2 / alpha) for the asymptotic jump
+    probability checks the integrator the lattice solver runs.
 
   * evolve_lattice -- a Bloch state in the accelerated lattice, expanded
     over plane waves exp(i (k(tau) + 2n) pi x / d_L) with the drifting
@@ -38,11 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bands import LatticeParams, build_bloch_hamiltonian, lowest_eigenpairs
+from .bands import MIN_CUTOFF, LatticeParams, build_bloch_hamiltonian, lowest_eigenpairs
 
 # Yoshida composition weights for the fourth-order splitting.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
+# Widths of the four kinetic segments of one step, in units of the step.
+_SEGMENTS = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2])
+# Steps per batched call in the two-level sweep; bounds its stack of 2x2
+# step unitaries to 1 MB however long the sweep.
+_SWEEP_CHUNK = 2 ** 14
 
 MIN_SAMPLES_PER_CYCLE = 64
 
@@ -61,8 +67,8 @@ class SolverConfig:
     n_cycles: int = 10
 
     def __post_init__(self):
-        if self.cutoff < 4:
-            raise ValueError(f"cutoff >= 4 required, got {self.cutoff}")
+        if self.cutoff < MIN_CUTOFF:
+            raise ValueError(f"cutoff >= {MIN_CUTOFF} required, got {self.cutoff}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -94,11 +100,6 @@ class HoustonState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def folded_k(self, params: LatticeParams) -> float:
-        """Quasimomentum in B; recomputed from k0 as a consistency cross-check."""
-        k = self.k0 + params.f0 * self.time / math.pi - 2 * self.n_folds
-        return ((k + 1.0) % 2.0) - 1.0
-
 
 def _adiabatic_pair(alpha: float, delta: float, t: float):
     """Normalized (lower, upper) eigenvectors of [[-alpha t, delta], [delta, alpha t]]."""
@@ -123,6 +124,7 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     projects onto the upper eigenstate at t_span[1].  The span must be
     symmetric and wide enough that the residual eigenbasis dressing at
     the edges is negligible: |t_edge| >= 20 max(delta/alpha, 1/sqrt(alpha)).
+    A dt above 0.5 / hypot(alpha t_edge, delta) is refused up front.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"sweep rate must be > 0, got alpha={alpha}")
@@ -141,43 +143,39 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
         raise ValueError(
             f"span too short for asymptotic preparation: need |t_edge| >= {t_required}, got {t1}")
 
-    (l1, l2), _ = _adiabatic_pair(alpha, delta, t0)
-    a1 = complex(l1)
-    a2 = complex(l2)
+    edge_rate = math.hypot(alpha * t1, delta)
+    if edge_rate * dt > 0.5:
+        raise ValueError(
+            f"dt={dt} too coarse: {edge_rate * dt:.3g} rad per step at the span edge "
+            f"(> 0.5); reduce dt below {0.5 / edge_rate:.3g}")
+
     n = int(math.ceil(width / dt))
     h = width / n
-    h2 = h / 2.0
-    h6 = h / 6.0
-    mi = -1j
-    t = t0
-    for _ in range(n):
-        ta = t
-        tb = t + h2
-        tc = t + h
-        k1a = mi * (-alpha * ta * a1 + delta * a2)
-        k1b = mi * (delta * a1 + alpha * ta * a2)
-        u1 = a1 + h2 * k1a
-        u2 = a2 + h2 * k1b
-        k2a = mi * (-alpha * tb * u1 + delta * u2)
-        k2b = mi * (delta * u1 + alpha * tb * u2)
-        u1 = a1 + h2 * k2a
-        u2 = a2 + h2 * k2b
-        k3a = mi * (-alpha * tb * u1 + delta * u2)
-        k3b = mi * (delta * u1 + alpha * tb * u2)
-        u1 = a1 + h * k3a
-        u2 = a2 + h * k3b
-        k4a = mi * (-alpha * tc * u1 + delta * u2)
-        k4b = mi * (delta * u1 + alpha * tc * u2)
-        a1 += h6 * (k1a + 2.0 * (k2a + k3a) + k4a)
-        a2 += h6 * (k1b + 2.0 * (k2b + k3b) + k4b)
-        t = tc
-    norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
-    if abs(norm - 1.0) > 1e-6:
-        raise NormDriftError(
-            f"norm drifted by {abs(norm - 1.0):.2e} (> 1e-06); reduce dt below {dt}")
+    b_long, b_back = _coupling_exponentials(4.0 * delta, 2, h)  # entries v0/4 = delta
+    u = np.eye(2, dtype=complex)
+    for j in range(0, n, _SWEEP_CHUNK):
+        t = t0 + h * np.arange(j, min(n, j + _SWEEP_CHUNK))
+        # one step of each 2x2 identity gives every step's unitary
+        steps = _step(np.broadcast_to(np.eye(2), (len(t), 2, 2)), _sweep_phases(alpha, t, h),
+                      b_long, b_back, False)
+        while len(steps) > 1:  # ordered pairwise product; an odd last step waits a round
+            steps = np.concatenate([steps[1::2] @ steps[:-1:2],
+                                    steps[len(steps) - len(steps) % 2:]])
+        u = steps[0] @ u
+    (l1, l2), _ = _adiabatic_pair(alpha, delta, t0)
     _, (u1r, u2r) = _adiabatic_pair(alpha, delta, t1)
-    amp = u1r * a1 + u2r * a2
-    return abs(amp) ** 2
+    return float(abs(np.array([u1r, u2r]) @ u @ np.array([l1, l2])) ** 2)
+
+
+def _sweep_phases(alpha: float, t: np.ndarray, h: float) -> np.ndarray:
+    """Kinetic phases (4, len(t), 2) of the sweep's steps of width h from times t.
+
+    The diagonal -+alpha s integrates over a segment to -+alpha times its
+    length times its midpoint.
+    """
+    seg = _SEGMENTS * h
+    ph = alpha * seg[:, None] * (t + (np.cumsum(seg) - seg / 2.0)[:, None])
+    return np.stack([-ph, ph], axis=-1)
 
 
 def _coupling_exponentials(v0: float, dim: int, dt: float):
@@ -216,11 +214,12 @@ def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray,
           fold: bool) -> np.ndarray:
     """One Yoshida step of the columns of x with the kinetic phases ph (4, dim).
 
-    With fold, the step ends on the zone edge: k -> k - 2 with the mode
-    labels shifted by one, and the discarded edge amplitude is left to the
-    norm monitor.
+    ph may carry batch axes between the segment and mode axes, (4, ..., dim),
+    to step a stack of blocks x (..., dim, cols) at once.  With fold, the
+    step ends on the zone edge: k -> k - 2 with the mode labels shifted by
+    one, and the discarded edge amplitude is left to the norm monitor.
     """
-    e = np.exp(-1j * ph)[:, :, None]
+    e = np.exp(-1j * ph)[..., None]
     x = e[0] * x
     x = b_long @ x
     x *= e[1]
@@ -261,7 +260,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
 
     # Closed-form kinetic phases per periodic step index and Yoshida segment:
     # integral of (k_start + 2n + c s)^2 ds over the segment.
-    seg = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2]) * dt
+    seg = _SEGMENTS * dt
     bounds = np.concatenate([[0.0], np.cumsum(seg)])
     jj = np.arange(2 * m)
     k_start = k0 + jj / m

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import LatticeParams
-from .dynamics import HoustonState, band_survival
+from .dynamics import MIN_SAMPLES_PER_CYCLE, HoustonState, band_survival
 from .stepmodel import SurvivalSeries
 
 DEFAULT_WINDOW_START = 6
@@ -32,7 +32,6 @@ class PlateauSeries:
 
     values: np.ndarray
     t_bloch: float
-    source: str  # "full-solver" or "effective-model"
 
     def __len__(self) -> int:
         return len(self.values)
@@ -40,11 +39,6 @@ class PlateauSeries:
     @property
     def times(self) -> np.ndarray:
         return self.t_bloch * np.arange(len(self.values))
-
-    @property
-    def is_monotone(self) -> bool:
-        """Nonincreasing plateaus; interference can break this locally."""
-        return bool(np.all(np.diff(self.values) <= 0))
 
 
 @dataclass(frozen=True)
@@ -71,12 +65,12 @@ def extract_plateaus(trace, params: LatticeParams | None = None) -> PlateauSerie
 
     For a list of solver snapshots, picks the sample nearest each
     t = n T_B and projects onto the instantaneous lowest band; requires
-    at least 3 cycles of coverage with 64 samples per cycle.  A
-    SurvivalSeries is already plateau data and converts directly.
+    at least MIN_CYCLES cycles of coverage with MIN_SAMPLES_PER_CYCLE
+    samples per cycle.  A SurvivalSeries is already plateau data and
+    converts directly.
     """
     if isinstance(trace, SurvivalSeries):
-        return PlateauSeries(values=trace.probabilities.copy(),
-                             t_bloch=trace.t_bloch, source="effective-model")
+        return PlateauSeries(values=trace.probabilities.copy(), t_bloch=trace.t_bloch)
     if params is None:
         raise ValueError("params required to extract plateaus from a solver trace")
     states: list[HoustonState] = list(trace)
@@ -89,15 +83,16 @@ def extract_plateaus(trace, params: LatticeParams | None = None) -> PlateauSerie
     if n_cycles < MIN_CYCLES - 1e-9:
         raise TraceTooShortError(
             f"trace covers {n_cycles:.2f} Bloch cycles, need >= {MIN_CYCLES}")
-    if (len(states) - 1) / n_cycles < 63.999:
+    per_cycle = (len(states) - 1) / n_cycles
+    if per_cycle < MIN_SAMPLES_PER_CYCLE - 1e-3:  # n_cycles may exceed an integer by roundoff
         raise TraceTooShortError(
-            f"trace has {(len(states) - 1) / n_cycles:.1f} samples per cycle, need >= 64")
+            f"trace has {per_cycle:.1f} samples per cycle, need >= {MIN_SAMPLES_PER_CYCLE}")
     n_plateaus = int(math.floor(t_max / t_bloch + 1e-9)) + 1
     values = np.empty(n_plateaus)
     for n in range(n_plateaus):
         i = int(np.argmin(np.abs(times - n * t_bloch)))
         values[n] = band_survival(states[i], params)
-    return PlateauSeries(values=values, t_bloch=t_bloch, source="full-solver")
+    return PlateauSeries(values=values, t_bloch=t_bloch)
 
 
 def fit_exponential(series: PlateauSeries, window: tuple[int, int]) -> ExpFit:

@@ -45,18 +45,6 @@ def lz_probability(alpha: float, delta: float) -> float:
     return math.exp(-math.pi * delta ** 2 / alpha)
 
 
-def lz_transition_time(alpha: float, delta: float) -> float:
-    """Effective crossing duration, from sin^2(alpha T / (2 delta)) = P_jump.
-
-    Diagnostic only: the step map assumes this is negligible against the
-    Bloch period and never consumes it.
-    """
-    p = lz_probability(alpha, delta)
-    if delta == 0.0:
-        return 0.0
-    return 2.0 * delta / alpha * math.asin(math.sqrt(p))
-
-
 def _lz_exponent_12(params: LatticeParams) -> float | np.ndarray:
     return math.pi ** 2 * params.v0 ** 2 / (32.0 * params.f0)
 
@@ -180,10 +168,6 @@ class SurvivalSeries:
     def t_bloch(self) -> float:
         return 2.0 * float(self.step_times[0])
 
-    def to_json_dict(self) -> dict:
-        return {"probabilities": self.probabilities.tolist(),
-                "step_times": self.step_times.tolist()}
-
     def csv_rows(self):
         """Rows (n, t, P) for serialization."""
         for n, (t, p) in enumerate(zip(self.step_times, self.probabilities)):
@@ -200,19 +184,6 @@ class RenormFit:
     z_seq: np.ndarray
     converged: bool
     tol_achieved: float
-
-    def to_json_dict(self) -> dict:
-        return {"gamma": self.gamma, "z": self.z,
-                "gamma_seq": self.gamma_seq.tolist(),
-                "z_seq": self.z_seq.tolist(),
-                "converged": self.converged,
-                "tol_achieved": self.tol_achieved}
-
-    def csv_rows(self):
-        """Rows (n, gamma_n, Z_n); Z_0 is not defined and reported as nan."""
-        for n in range(len(self.gamma_seq)):
-            zn = self.z_seq[n - 1] if n >= 1 and n - 1 < len(self.z_seq) else math.nan
-            yield n, self.gamma_seq[n], zn
 
 
 def step_operator(ing: StepIngredients) -> StepOperator:

@@ -161,7 +161,11 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
                  ["run", "--v0", "1", "--f0", "0.4", "--k0", "2"],
                  ["run", "--v0", "1", "--f0", "0.4", "--cycles", "2"],
                  ["run", "--v0", "1", "--f0", "0.4", "--grid", "8"],
-                 ["bands", "--v0", "1", "--n-bands", "40"]):
+                 ["bands", "--v0", "1", "--n-bands", "40"],
+                 ["bands", "--v0", "1", "--cutoff", "3", "--n-bands", "2"],
+                 ["run", "--v0", "1", "--f0", "0.4", "--band-cutoff", "3"],
+                 ["scaling", "--v0", "1", "--cutoff", "3"],
+                 ["ret", "--cutoff", "3"]):
         out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "p")]
         assert main(argv + out) == 2
         assert "error: parameters:" in capsys.readouterr().err

@@ -15,8 +15,7 @@ from blochdecay import (LatticeParams, PlateauSeries, SolverConfig,
 
 def synthetic_series(z, gamma, t_bloch, n):
     t = t_bloch * np.arange(n + 1)
-    return PlateauSeries(values=z * np.exp(-gamma * t), t_bloch=t_bloch,
-                         source="effective-model")
+    return PlateauSeries(values=z * np.exp(-gamma * t), t_bloch=t_bloch)
 
 
 # ----------------------------------------------------------- extraction
@@ -24,7 +23,6 @@ def synthetic_series(z, gamma, t_bloch, n):
 def test_effective_series_passes_through(operator_v1, paper_params):
     series = evolve_steps(operator_v1, 8, t_bloch=paper_params.bloch_period)
     plate = extract_plateaus(series)
-    assert plate.source == "effective-model"
     assert np.array_equal(plate.values, series.probabilities)
     assert plate.t_bloch == pytest.approx(paper_params.bloch_period, rel=1e-12)
 
@@ -33,7 +31,6 @@ def test_plateau_count_matches_cycles(trace_v1, paper_params):
     plate = extract_plateaus(trace_v1, paper_params)
     assert len(plate) == 11  # n_cycles + 1
     assert plate.values[0] == pytest.approx(1.0, abs=1e-9)
-    assert plate.source == "full-solver"
 
 
 def test_trace_too_short_raises(paper_params):
@@ -54,14 +51,6 @@ def test_plateaus_insensitive_to_sampling_phase(trace_v1, paper_params):
             jittered = band_survival(trace_v1[int(np.argmin(np.abs(times - t)))],
                                      paper_params)
             assert abs(jittered - center) / center < 5e-3
-
-
-def test_monotone_flag():
-    good = synthetic_series(1.0, 0.1, 2.0, 6)
-    assert good.is_monotone
-    wiggly = PlateauSeries(values=np.array([1.0, 0.5, 0.6, 0.3]), t_bloch=1.0,
-                           source="effective-model")
-    assert not wiggly.is_monotone
 
 
 # ----------------------------------------------------------------- fitting
@@ -108,8 +97,7 @@ def test_fit_validates_window_and_values():
         fit_exponential(series, (5, 12))
     with pytest.raises(ValueError):
         fit_exponential(series, (4, 4))
-    bad = PlateauSeries(values=np.array([1.0, 0.0, 0.1]), t_bloch=1.0,
-                        source="effective-model")
+    bad = PlateauSeries(values=np.array([1.0, 0.0, 0.1]), t_bloch=1.0)
     with pytest.raises(ValueError):
         fit_exponential(bad, (0, 2))
 
@@ -147,7 +135,7 @@ def test_compare_window_max():
     a = synthetic_series(1.0, 0.1, 1.0, 6)
     values = a.values.copy()
     values[5] *= 1.5
-    b = PlateauSeries(values=values, t_bloch=1.0, source="effective-model")
+    b = PlateauSeries(values=values, t_bloch=1.0)
     devs, mx_all = compare_models(b, a)
     _, mx_head = compare_models(b, a, window=(0, 3))
     assert mx_all == pytest.approx(0.5, rel=1e-12)
