@@ -16,10 +16,10 @@ from .fitting import (ExpFit, PlateauSeries, TraceTooShortError,
                       compare_models, default_window, extract_plateaus,
                       fit_exponential)
 from .stepmodel import (DegenerateSpectrumError, RenormFit, SpectralData,
-                        StepIngredients, StepOperator, SurvivalSeries,
-                        evolve_steps, gamma_asymptotic, gamma_sequence,
-                        lz_probability, p_lz_12, p_lz_23, renorm_fit,
-                        ret_resonances, spectral_decompose, step_operator,
-                        z_exact, z_first_order, z_running_estimate)
+                        StepIngredients, SurvivalSeries, evolve_steps,
+                        gamma_asymptotic, gamma_sequence, lz_probability,
+                        p_lz_12, p_lz_23, renorm_fit, ret_resonances,
+                        spectral_decompose, step_operator, z_exact,
+                        z_first_order, z_running_estimate)
 
 __version__ = "0.1.0"

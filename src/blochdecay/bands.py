@@ -67,17 +67,6 @@ class BandTable:
     k_grid: np.ndarray
     energies: np.ndarray  # shape (grid_size, n_bands), ascending per row
 
-    @property
-    def n_bands(self) -> int:
-        return self.energies.shape[1]
-
-    def to_csv(self) -> str:
-        header = "k," + ",".join(f"E{b+1}" for b in range(self.n_bands))
-        lines = [header]
-        for k, row in zip(self.k_grid, self.energies):
-            lines.append(",".join(f"{x:.17g}" for x in (k, *row)))
-        return "\n".join(lines) + "\n"
-
 
 def build_bloch_hamiltonian(params: LatticeParams, k: float,
                             cutoff: int = DEFAULT_CUTOFF) -> BlochHamiltonian:

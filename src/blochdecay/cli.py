@@ -221,13 +221,9 @@ def cmd_bands(opts: dict) -> int:
     table = _stage("band-structure", band_energies, params,
                    n_bands=opts["n_bands"], grid_size=opts["grid"],
                    cutoff=opts["cutoff"])
-    def write_table():
-        target = _resolve_out(opts["out"])
-        with open(target, "w", newline="") as fh:
-            fh.write(f"# runspec {runspec}\n")
-            fh.write(table.to_csv())
-        return target
-    target = _stage("write", write_table)
+    header = "k," + ",".join(f"E{b + 1}" for b in range(opts["n_bands"]))
+    target = _stage("write", _write_csv, opts["out"], runspec, header,
+                    ((k, *row) for k, row in zip(table.k_grid, table.energies)))
     print(f"wrote {target}")
     return 0
 
@@ -250,8 +246,7 @@ def cmd_run(opts: dict) -> int:
     series = _stage("effective-model", evolve_steps, op, opts["cycles"],
                     t_bloch=params.bloch_period)
     try:
-        fit_eff = _stage("effective-model", renorm_fit, op, n_steps=opts["cycles"],
-                         t_bloch=params.bloch_period)
+        fit_eff = _stage("effective-model", renorm_fit, op, series)
     except StageError as exc:
         if not isinstance(exc.__cause__, DegenerateSpectrumError):
             raise
@@ -270,7 +265,8 @@ def cmd_run(opts: dict) -> int:
     t_csv = _stage("write", _write_csv, f"{prefix}_trace.csv", runspec,
                    "tau,P1,P2,Prest,norm", trace_rows(trace, params))
     s_csv = _stage("write", _write_csv, f"{prefix}_steps.csv", runspec, "n,t,P",
-                   series.csv_rows())
+                   ((n, t, p) for n, (t, p) in
+                    enumerate(zip(series.step_times, series.probabilities))))
     c_csv = _stage("write", _write_csv, f"{prefix}_compare.csv", runspec,
                    "n,P_full,P_eff,rel_dev",
                    ((n, pf, pe, d) for n, (pf, pe, d) in

@@ -51,6 +51,8 @@ _SEGMENTS = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2])
 _SWEEP_CHUNK = 2 ** 14
 
 MIN_SAMPLES_PER_CYCLE = 64
+# Largest change of the state norm allowed in one Bloch cycle.
+NORM_TOLERANCE = 1e-8
 
 
 class NormDriftError(RuntimeError):
@@ -63,7 +65,6 @@ class SolverConfig:
 
     cutoff: int = 16
     dt: float = 0.01
-    tolerance: float = 1e-8
     n_cycles: int = 10
 
     def __post_init__(self):
@@ -71,8 +72,6 @@ class SolverConfig:
             raise ValueError(f"cutoff >= {MIN_CUTOFF} required, got {self.cutoff}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.n_cycles < 1:
             raise ValueError(f"n_cycles >= 1 required, got {self.n_cycles}")
 
@@ -239,7 +238,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
 
     Returns snapshots sampled at least 64 times per cycle plus the final
     step.  Raises NormDriftError when the per-cycle norm change exceeds
-    cfg.tolerance (the usual cause is a cutoff too small to hold the
+    NORM_TOLERANCE (the usual cause is a cutoff too small to hold the
     escaped population for the requested number of cycles).
 
     Two passes over one cycle: the first steps the identity to the cycle
@@ -291,10 +290,10 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
     for n in range(1, cfg.n_cycles + 1):
         start = cycle_map @ start
         norm_now = float(np.linalg.norm(start))
-        if abs(norm_now - norm_prev) > cfg.tolerance:
+        if abs(norm_now - norm_prev) > NORM_TOLERANCE:
             raise NormDriftError(
                 f"norm changed by {abs(norm_now - norm_prev):.2e} in cycle "
-                f"{n} (tolerance {cfg.tolerance}); increase the "
+                f"{n} (tolerance {NORM_TOLERANCE}); increase the "
                 f"cutoff or reduce dt")
         norm_prev = norm_now
         if n < cfg.n_cycles:

@@ -101,9 +101,8 @@ class StepIngredients:
         return np.sqrt(np.maximum(0.0, 1.0 - self.s12 ** 2))
 
     @classmethod
-    def from_lattice(cls, params: LatticeParams, mean_gap: float | None = None,
-                     grid_size: int | None = None,
-                     cutoff: int | None = None) -> "StepIngredients":
+    def from_lattice(cls, params: LatticeParams,
+                     mean_gap: float | None = None) -> "StepIngredients":
         """Derive the step amplitudes from the lattice parameters.
 
         Surviving band 1 means following the adiabatic branch through the
@@ -113,21 +112,12 @@ class StepIngredients:
         mean_gap is computed from the band structure when not supplied.
         """
         if mean_gap is None:
-            sizes = {"grid_size": grid_size, "cutoff": cutoff}
-            mean_gap = mean_band_gap(params, **{k: v for k, v in sizes.items() if v is not None})
+            mean_gap = mean_band_gap(params)
         return cls(
             s12=np.sqrt(-np.expm1(-_lz_exponent_12(params))),
             s23=np.sqrt(-np.expm1(-_lz_exponent_23(params))),
             phi=bloch_phase(params, mean_gap),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class StepOperator:
-    """One-cycle non-unitary map on the (band-1, band-2) amplitudes."""
-
-    matrix: np.ndarray
-    ingredients: StepIngredients
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,29 +158,23 @@ class SurvivalSeries:
     def t_bloch(self) -> float:
         return 2.0 * float(self.step_times[0])
 
-    def csv_rows(self):
-        """Rows (n, t, P) for serialization."""
-        for n, (t, p) in enumerate(zip(self.step_times, self.probabilities)):
-            yield n, t, p
-
 
 @dataclass(frozen=True, eq=False)
 class RenormFit:
-    """Asymptotic per-cycle rate and renormalization with their running estimates."""
+    """Asymptotic per-cycle rate and renormalization, and how far Z_N has settled."""
 
     gamma: float
     z: float
-    gamma_seq: np.ndarray
-    z_seq: np.ndarray
     converged: bool
     tol_achieved: float
 
 
-def step_operator(ing: StepIngredients) -> StepOperator:
-    """Assemble U = R(s12) diag(1, s23 e^{i phi}), shape (..., 2, 2).
+def step_operator(ing: StepIngredients) -> np.ndarray:
+    """One-cycle map U = R(s12) diag(1, s23 e^{i phi}), a complex (..., 2, 2) array.
 
-    The order of the two factors is immaterial for the iteration started
-    in band 1, since the diagonal factor acts trivially on (1, 0).
+    U acts on the (band-1, band-2) amplitudes.  The order of the two
+    factors is immaterial for the iteration started in band 1, since the
+    diagonal factor acts trivially on (1, 0).
     """
     w = np.cos(ing.phi) + 1j * np.sin(ing.phi)
     shape = np.broadcast_shapes(np.shape(ing.s12), np.shape(ing.s23), np.shape(w))
@@ -199,10 +183,10 @@ def step_operator(ing: StepIngredients) -> StepOperator:
     m[..., 0, 1] = -ing.p12 * ing.s23 * w
     m[..., 1, 0] = ing.p12
     m[..., 1, 1] = ing.s12 * ing.s23 * w
-    return StepOperator(matrix=m, ingredients=ing)
+    return m
 
 
-def evolve_steps(u: StepOperator, n_steps: int, t_bloch: float = 1.0) -> SurvivalSeries:
+def evolve_steps(u: np.ndarray, n_steps: int, t_bloch: float = 1.0) -> SurvivalSeries:
     """Iterate the step map from band 1 and record P_n = |<1|U^n|1>|^2.
 
     Direct matrix-vector iteration, kept independent of the spectral
@@ -216,20 +200,20 @@ def evolve_steps(u: StepOperator, n_steps: int, t_bloch: float = 1.0) -> Surviva
     probs = np.empty(n_steps + 1)
     probs[0] = 1.0
     for n in range(1, n_steps + 1):
-        v = u.matrix @ v
+        v = u @ v
         probs[n] = abs(v[0]) ** 2
     times = t_bloch * (np.arange(n_steps + 1) + 0.5)
     return SurvivalSeries(probabilities=probs, step_times=times)
 
 
-def spectral_decompose(u: StepOperator) -> SpectralData:
+def spectral_decompose(u: np.ndarray) -> SpectralData:
     """Eigenvalues ordered by modulus and the expansion of the initial state.
 
     |e1| and |e2| coinciding within 1e-12 leaves the asymptotic rate and Z
     undefined: a single operator raises DegenerateSpectrumError, a batch
     flags the point in SpectralData.degenerate.
     """
-    lam, vec = np.linalg.eig(u.matrix)
+    lam, vec = np.linalg.eig(u)
     order = np.argsort(-np.abs(lam), axis=-1)
     lam = np.take_along_axis(lam, order, axis=-1)
     vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
@@ -320,22 +304,20 @@ def ret_resonances(params: LatticeParams, mean_gap: float, j_max: int) -> np.nda
     return mean_gap / np.arange(1, j_max + 1, dtype=float)
 
 
-def renorm_fit(u: StepOperator, n_steps: int = 20, t_bloch: float = 1.0,
-               z_tol: float = 1e-8) -> RenormFit:
-    """Assemble the spectral (gamma, Z) with their running sequences.
+def renorm_fit(u: np.ndarray, series: SurvivalSeries, z_tol: float = 1e-8) -> RenormFit:
+    """The spectral (gamma, Z) of u and how far Z_N has settled along series.
 
-    converged reflects |Z_N - Z_{N-1}| < z_tol at the last step; the
-    geometric convergence of Z_N makes the absolute-difference test safe.
+    series is the caller's evolve_steps(u, ...) output, so u is iterated once.
+
+    tol_achieved is |Z_N - Z_{N-1}| at the last N the series supports and
+    converged reflects tol_achieved < z_tol; the geometric convergence of
+    Z_N makes the absolute-difference test safe.
     """
-    series = evolve_steps(u, n_steps, t_bloch)
     sd = spectral_decompose(u)
-    rates, _ = gamma_sequence(series)
-    n_z = len(rates) - 1
-    z_seq = np.array([z_running_estimate(series, n) for n in range(1, n_z + 1)])
-    if len(z_seq) >= 2:
-        tol_achieved = float(abs(z_seq[-1] - z_seq[-2]))
+    n = len(gamma_sequence(series)[0]) - 1
+    if n >= 2:
+        tol_achieved = abs(z_running_estimate(series, n) - z_running_estimate(series, n - 1))
     else:
         tol_achieved = math.inf
     return RenormFit(gamma=gamma_asymptotic(sd), z=z_exact(sd),
-                     gamma_seq=rates, z_seq=z_seq,
                      converged=tol_achieved < z_tol, tol_achieved=tol_achieved)

@@ -145,14 +145,3 @@ def test_bloch_phase_pipeline_regression(paper_params, mean_gap_v1):
     assert mean_gap_v1 == pytest.approx(2.106303516768004, rel=1e-9)
     phi = bloch_phase(paper_params, mean_gap_v1)
     assert phi == pytest.approx(-34.55429584599847, rel=1e-9)
-
-
-def test_band_table_csv_roundtrip():
-    table = band_energies(LatticeParams(1.0, 1.0), n_bands=2, grid_size=16, cutoff=8)
-    text = table.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "k,E1,E2"
-    assert len(lines) == 17
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(data[:, 0], table.k_grid)
-    assert np.array_equal(data[:, 1:], table.energies)  # 17g digits roundtrip

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from blochdecay import LatticeParams, band_energies, cli, stepmodel
 from blochdecay.cli import main
 
 
@@ -24,6 +26,17 @@ def test_bands_free_parabolas(tmp_path):
     assert comments[0].startswith("# runspec {")
     assert header == ["k", "E1", "E2", "E3"]
     assert np.allclose(rows[:, 1], rows[:, 0] ** 2, atol=1e-12)
+
+
+def test_bands_csv_matches_band_table(tmp_path):
+    out = tmp_path / "b.csv"
+    assert main(["bands", "--v0", "1", "--n-bands", "2", "--grid", "16",
+                 "--cutoff", "8", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    table = band_energies(LatticeParams(1.0, 1.0), n_bands=2, grid_size=16, cutoff=8)
+    assert header == ["k", "E1", "E2"]
+    assert np.array_equal(rows[:, 0], table.k_grid)
+    assert np.array_equal(rows[:, 1:], table.energies)  # 17g digits round-trip
 
 
 def test_bands_zone_edge_gap(tmp_path):
@@ -55,12 +68,40 @@ def test_run_artifacts_and_z_sign(tmp_path):
     assert header == ["n", "t", "P"]
     # first step of the effective model: band-1 survival of the edge crossing
     assert steps[1, 2] == pytest.approx(1.0 - 0.4469593780413833, rel=1e-9)
+    # one row per step n = 0..N, at the plateau ends t = T_B (n + 1/2)
+    assert np.array_equal(steps[:, 0], np.arange(7))
+    assert np.array_equal(steps[:, 1], 2.0 * math.pi / 0.383 * (np.arange(7) + 0.5))
     _, header, comp = read_csv(tmp_path / "demo_compare.csv")
     assert header == ["n", "P_full", "P_eff", "rel_dev"]
     assert comp[:, 3].max() < 0.15
     _, header, trace = read_csv(tmp_path / "demo_trace.csv")
     assert header == ["tau", "P1", "P2", "Prest", "norm"]
     assert np.allclose(trace[:, 4], 1.0, atol=1e-8)
+
+
+def test_run_iterates_step_model_once(tmp_path, monkeypatch):
+    calls = []
+    evolve_steps = stepmodel.evolve_steps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evolve_steps(*args, **kwargs)
+
+    monkeypatch.setattr(stepmodel, "evolve_steps", counting)
+    monkeypatch.setattr(cli, "evolve_steps", counting)
+    assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6",
+                 "--out-prefix", str(tmp_path / "once")]) == 0
+    assert len(calls) == 1
+
+
+def test_run_and_bands_files_byte_identical(tmp_path, monkeypatch):
+    for outdir in ("a", "b"):
+        monkeypatch.setenv("BLOCHDECAY_OUTDIR", str(tmp_path / outdir))
+        assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6",
+                     "--out-prefix", "r"]) == 0
+        assert main(["bands", "--v0", "1", "--grid", "64", "--out", "b.csv"]) == 0
+    for name in ("r_trace.csv", "r_steps.csv", "r_compare.csv", "r_fit.json", "b.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_run_free_lattice_trace_collapses(tmp_path):

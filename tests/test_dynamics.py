@@ -13,8 +13,8 @@ from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         band_survival, evolve_lattice, lz_probability,
                         lz_two_level_ode, trace_rows)
 from blochdecay.dynamics import (_W0, _W1, MIN_SAMPLES_PER_CYCLE,
-                                 _coupling_exponentials, _step, _sweep_phases,
-                                 step_grid)
+                                 NORM_TOLERANCE, _coupling_exponentials, _step,
+                                 _sweep_phases, step_grid)
 
 
 def span_for(alpha, delta):
@@ -123,7 +123,7 @@ def stepwise_oracle(params, cfg, k0, psi):
             k_now -= 2.0
         if s % (2 * m) == 0:
             norm_now = float(np.linalg.norm(psi))
-            if abs(norm_now - norm_prev) > cfg.tolerance:
+            if abs(norm_now - norm_prev) > NORM_TOLERANCE:
                 raise NormDriftError(f"norm changed in cycle {s // (2 * m)} ")
             norm_prev = norm_now
         if s % stride == 0 or s == n_steps:
