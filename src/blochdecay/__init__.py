@@ -6,9 +6,9 @@ non-unitary 2x2 step map whose spectrum yields the asymptotic decay rate
 gamma and the wave-function renormalization parameter Z.
 """
 
-from .bands import (BandTable, BlochHamiltonian, EigensolverError,
-                    LatticeParams, band_energies, bloch_phase,
-                    build_bloch_hamiltonian, mean_band_gap)
+from .bands import (BandTable, EigensolverError, LatticeParams,
+                    band_energies, bloch_phase, build_bloch_hamiltonian,
+                    mean_band_gap)
 from .dynamics import (HoustonState, NormDriftError, SolverConfig,
                        band_projections, band_survival, evolve_lattice,
                        lz_two_level_ode, trace_rows)

@@ -7,7 +7,8 @@ that the first Brillouin zone is B = [-1, 1), times in hbar/E_rec.
 The lattice potential (V/2) cos(2 pi x / d_L) couples plane waves
 exp(i (k + 2n) pi x / d_L) that differ by one reciprocal-lattice vector
 with strength v0/4, giving a real symmetric tridiagonal Hamiltonian with
-diagonal (k + 2n)^2, n = -cutoff..cutoff.
+diagonal (k + 2n)^2, n = -cutoff..cutoff, stored dense so that one LAPACK
+call diagonalizes a whole stack of quasimomenta.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-DEFAULT_CUTOFF = 32
+# Holds the two lowest bands for v0 up to ~100; mean_band_gap checks it.
+DEFAULT_CUTOFF = 10
 DEFAULT_GRID_SIZE = 512
 MIN_CUTOFF = 4
+# Largest relative change of the mean gap from cutoff c to c + 2.
+GAP_CONVERGENCE_TOL = 1e-12
 
 
 class EigensolverError(RuntimeError):
-    """Tridiagonal eigensolver failed to converge."""
+    """Symmetric eigensolver failed to converge."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,16 +54,6 @@ class LatticeParams:
 
 
 @dataclass(frozen=True, eq=False)
-class BlochHamiltonian:
-    """Plane-wave Hamiltonian at fixed quasimomentum, stored as tridiagonal bands."""
-
-    k: float
-    cutoff: int
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class BandTable:
     """Band energies E_alpha(k) on a uniform grid covering B = [-1, 1)."""
 
@@ -68,34 +61,35 @@ class BandTable:
     energies: np.ndarray  # shape (grid_size, n_bands), ascending per row
 
 
-def build_bloch_hamiltonian(params: LatticeParams, k: float,
-                            cutoff: int = DEFAULT_CUTOFF) -> BlochHamiltonian:
-    """Hamiltonian at quasimomentum k in the truncated plane-wave basis."""
-    if not math.isfinite(k):
-        raise ValueError(f"quasimomentum must be finite, got k={k}")
-    if abs(k) > 1.0:
-        raise ValueError(f"quasimomentum outside the Brillouin zone: k={k}")
+def build_bloch_hamiltonian(params: LatticeParams, k: float | np.ndarray,
+                            cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
+    """Dense Hamiltonians (..., dim, dim) at every quasimomentum of k, each validated."""
+    k = np.asarray(k, dtype=float)
+    bad = k[~(np.abs(k) <= 1.0)]  # nan fails the comparison too
+    if bad.size:
+        raise ValueError(f"quasimomentum must be finite and in [-1, 1], got k={bad[0]}")
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
-    n = np.arange(-cutoff, cutoff + 1)
-    diagonal = (k + 2.0 * n) ** 2
-    off_diagonal = np.full(2 * cutoff, params.v0 / 4.0)
-    return BlochHamiltonian(k=k, cutoff=cutoff, diagonal=diagonal,
-                            off_diagonal=off_diagonal)
+    i = np.arange(2 * cutoff + 1)
+    h = np.zeros(k.shape + (len(i), len(i)))
+    h[..., i, i] = (k[..., None] + 2.0 * (i - cutoff)) ** 2
+    h[..., i[:-1], i[1:]] = h[..., i[1:], i[:-1]] = params.v0 / 4.0
+    return h
 
 
-def lowest_eigenpairs(h: BlochHamiltonian, n: int, vectors: bool = False):
-    """Lowest n eigenvalues of h in ascending order.
+def lowest_eigenpairs(h: np.ndarray, n: int, vectors: bool = False):
+    """Lowest n eigenvalues of each symmetric matrix in h (..., dim, dim), ascending.
 
     With vectors=True returns (eigenvalues, eigenvectors as columns).
     Raises EigensolverError when LAPACK fails.
     """
     try:
-        return scipy.linalg.eigh_tridiagonal(
-            h.diagonal, h.off_diagonal, eigvals_only=not vectors, select="i",
-            select_range=(0, n - 1))
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise EigensolverError(f"eigensolver failed at k={h.k}: {exc}") from exc
+        if vectors:
+            w, v = np.linalg.eigh(h)
+            return w[..., :n], v[..., :n]
+        return np.linalg.eigvalsh(h)[..., :n]
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed: {exc}") from exc
 
 
 def check_band_grid(n_bands: int, grid_size: int, cutoff: int) -> None:
@@ -118,10 +112,7 @@ def band_energies(params: LatticeParams, n_bands: int = 3,
     """
     check_band_grid(n_bands, grid_size, cutoff)
     k_grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
-    energies = np.empty((grid_size, n_bands))
-    for i, k in enumerate(k_grid):
-        h = build_bloch_hamiltonian(params, k, cutoff)
-        energies[i] = lowest_eigenpairs(h, n_bands)
+    energies = lowest_eigenpairs(build_bloch_hamiltonian(params, k_grid, cutoff), n_bands)
     return BandTable(k_grid=k_grid, energies=energies)
 
 
@@ -131,9 +122,16 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
 
     The grid covers [-1, 1) without the duplicate endpoint, so the
     periodic trapezoidal rule reduces to the plain mean of the samples.
+    Raises ValueError naming the cutoff when the mean at cutoff + 2 differs
+    by more than GAP_CONVERGENCE_TOL relative.
     """
-    table = band_energies(params, n_bands=2, grid_size=grid_size, cutoff=cutoff)
-    return float(np.mean(table.energies[:, 1] - table.energies[:, 0]))
+    gap, check = (float(np.mean(np.diff(band_energies(params, 2, grid_size, c).energies)))
+                  for c in (cutoff, cutoff + 2))
+    if abs(check - gap) > GAP_CONVERGENCE_TOL * abs(check):
+        raise ValueError(f"mean band gap not converged at cutoff {cutoff}: it moves by "
+                         f"{abs(check - gap) / abs(check):.1e} relative at cutoff {cutoff + 2} "
+                         f"(tolerance {GAP_CONVERGENCE_TOL}); increase the cutoff")
+    return gap
 
 
 def bloch_phase(params: LatticeParams, mean_gap: float) -> float:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import LatticeParams, band_energies, check_band_grid, mean_band_gap
+from .bands import DEFAULT_CUTOFF, LatticeParams, band_energies, check_band_grid, mean_band_gap
 from .dynamics import SolverConfig, evolve_lattice, step_grid, trace_rows
 from .fitting import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, MIN_CYCLES,
                       compare_models, extract_plateaus, fit_exponential)
@@ -105,7 +105,7 @@ _SPECS: dict[str, list[tuple]] = {
         ("dt", float, 0.01, "time step in hbar/E_rec"),
         ("k0", float, 0.0, "initial quasimomentum"),
         ("grid", int, 512, "band-structure grid for the mean gap"),
-        ("band-cutoff", int, 32, "plane-wave cutoff for the mean gap"),
+        ("band-cutoff", int, DEFAULT_CUTOFF, "plane-wave cutoff for the mean gap and P1, P2"),
         ("fit-window", str, f"{DEFAULT_WINDOW_START}:{DEFAULT_WINDOW_END}",
          "plateau window LO:HI for the exponential fit"),
         ("out-prefix", str, "run", "prefix for the four output artifacts"),
@@ -116,7 +116,7 @@ _SPECS: dict[str, list[tuple]] = {
         ("f0-max", float, 4.0, "sweep end"),
         ("n-points", int, 200, "grid points per depth"),
         ("grid", int, 512, "band-structure grid for the mean gap"),
-        ("cutoff", int, 32, "plane-wave cutoff for the mean gap"),
+        ("cutoff", int, DEFAULT_CUTOFF, "plane-wave cutoff for the mean gap"),
         ("out", str, "scaling.csv", "output CSV path"),
     ],
     "ret": _COMMON + [
@@ -126,7 +126,7 @@ _SPECS: dict[str, list[tuple]] = {
         ("n-points", int, 200, "scan points"),
         ("j-max", int, 2, "highest resonance order to predict"),
         ("grid", int, 512, "band-structure grid for the mean gap"),
-        ("cutoff", int, 32, "plane-wave cutoff for the mean gap"),
+        ("cutoff", int, DEFAULT_CUTOFF, "plane-wave cutoff for the mean gap"),
         ("out", str, "ret.csv", "output CSV path"),
     ],
 }
@@ -263,7 +263,7 @@ def cmd_run(opts: dict) -> int:
 
     prefix = opts["out_prefix"]
     t_csv = _stage("write", _write_csv, f"{prefix}_trace.csv", runspec,
-                   "tau,P1,P2,Prest,norm", trace_rows(trace, params))
+                   "tau,P1,P2,Prest,norm", trace_rows(trace, params, opts["band_cutoff"]))
     s_csv = _stage("write", _write_csv, f"{prefix}_steps.csv", runspec, "n,t,P",
                    ((n, t, p) for n, (t, p) in
                     enumerate(zip(series.step_times, series.probabilities))))

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bands import MIN_CUTOFF, LatticeParams, build_bloch_hamiltonian, lowest_eigenpairs
 
@@ -186,7 +185,7 @@ def _coupling_exponentials(v0: float, dim: int, dt: float):
     idx = np.arange(dim - 1)
     t_mat[idx, idx + 1] = v0 / 4.0
     t_mat[idx + 1, idx] = v0 / 4.0
-    lam, vec = scipy.linalg.eigh(t_mat)
+    lam, vec = lowest_eigenpairs(t_mat, dim, vectors=True)
     def expt(h):
         return (vec * np.exp(-1j * lam * h)) @ vec.T
     return expt(_W1 * dt), expt(_W0 * dt)
@@ -336,9 +335,19 @@ def band_survival(state: HoustonState, params: LatticeParams) -> float:
     return float(band_projections(state, params, n_bands=1)[0])
 
 
-def trace_rows(states: list[HoustonState], params: LatticeParams):
-    """Rows (tau, P1, P2, Prest, norm) for trace serialization."""
-    for st in states:
-        pr = band_projections(st, params, n_bands=2)
+def trace_rows(states: list[HoustonState], params: LatticeParams, band_cutoff: int):
+    """Rows (tau, P1, P2, Prest, norm) for trace serialization.
+
+    One batched eigensolve gives every snapshot's two lowest bands on the
+    central 2b + 1 modes, b = min(band_cutoff, state cutoff), beyond which
+    the band vectors vanish to roundoff.
+    """
+    c = states[0].cutoff
+    b = min(band_cutoff, c)
+    amps = np.array([st.amplitudes[c - b:c + b + 1] for st in states])
+    h = build_bloch_hamiltonian(params, [st.quasimomentum for st in states], b)
+    _, vec = lowest_eigenpairs(h, 2, vectors=True)
+    pr = np.abs(np.matmul(amps[:, None, :], vec.conj())[:, 0]) ** 2
+    for st, (p1, p2) in zip(states, pr.tolist()):
         norm = st.norm
-        yield st.time, float(pr[0]), float(pr[1]), norm ** 2 - float(pr.sum()), norm
+        yield st.time, p1, p2, norm ** 2 - (p1 + p2), norm

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blochdecay
 from blochdecay import LatticeParams, band_energies, cli, stepmodel
 from blochdecay.cli import main
 
@@ -219,3 +224,29 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "full-solver" in err
+
+
+def test_gap_check_exits_three_naming_stage_and_cutoff(tmp_path, capsys):
+    out = ["--n-points", "5", "--out", str(tmp_path / "s.csv")]
+    assert main(["scaling", "--v0", "200"] + out) == 3
+    err = capsys.readouterr().err
+    assert "band-structure" in err and "cutoff 10" in err
+    assert main(["scaling", "--v0", "100"] + out) == 0
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    script = """if True:
+        import sys
+        sys.modules["scipy"] = None
+        from blochdecay.cli import main
+        assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6"]) == 0
+        assert main(["scaling", "--n-points", "20"]) == 0
+        """
+    src = str(Path(blochdecay.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("BLOCHDECAY_OUTDIR", None)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

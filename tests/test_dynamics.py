@@ -235,8 +235,8 @@ def test_projections_complete_and_consistent(trace_v1, paper_params):
 def test_eigensolver_failure_maps_to_eigensolver_error(trace_v1, paper_params,
                                                        monkeypatch):
     def fail(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("no convergence")
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        raise np.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigensolverError, match="no convergence"):
         band_projections(trace_v1[0], paper_params)
 
@@ -280,7 +280,7 @@ def test_folded_k_consistent_with_stored_quasimomentum(trace_v1, paper_params):
 
 
 def test_trace_rows_shape(trace_v1, paper_params):
-    rows = list(trace_rows(trace_v1[:5], paper_params))
+    rows = list(trace_rows(trace_v1[:5], paper_params, 10))
     assert len(rows) == 5
     tau, p1, p2, rest, norm = rows[0]
     assert tau == 0.0
@@ -288,6 +288,33 @@ def test_trace_rows_shape(trace_v1, paper_params):
     assert abs(p2) < 1e-12
     assert norm == pytest.approx(1.0, abs=1e-12)
     assert abs(p1 + p2 + rest - norm ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("v0, f0", [(1.0, 0.383), (4.0, 1.0)])
+def test_trace_rows_match_full_cutoff_projections(v0, f0, monkeypatch):
+    # fast path: one batched eigh over all snapshots at band cutoff 10; slow
+    # path: one eigh per snapshot at the state's cutoff 32 (measured <= 7e-14)
+    params = LatticeParams(v0, f0)
+    states = evolve_lattice(params, SolverConfig(cutoff=32, n_cycles=6))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    rows = np.array(list(trace_rows(states, params, 10)))
+    assert calls == [(len(states), 21, 21)]
+    monkeypatch.undo()
+    want = np.array([band_projections(st, params, n_bands=2) for st in states])
+    assert np.max(np.abs(rows[:, 1:3] - want)) < 1e-12
+    norms = np.array([st.norm for st in states])
+    assert np.max(np.abs(rows[:, 3] - (norms ** 2 - want.sum(axis=1)))) < 1e-12
+    assert np.array_equal(rows[:, 4], norms)
+
+
+def test_coupling_exponentials_unitary_to_roundoff():
+    # the exact-run operating point: dim 65, v0 = 1, dt = T_B / (2m) <= 0.01
+    params = LatticeParams(1.0, 0.383)
+    _, m = step_grid(params, SolverConfig(cutoff=32, n_cycles=20))
+    for b in _coupling_exponentials(1.0, 65, params.bloch_period / 2.0 / m):
+        assert np.max(np.abs(b.conj().T @ b - np.eye(65))) < 1e-14
 
 
 def test_ode_cross_checks_deep_suppression():
