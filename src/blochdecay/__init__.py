@@ -12,9 +12,8 @@ from .bands import (BandTable, EigensolverError, LatticeParams,
 from .dynamics import (HoustonState, NormDriftError, SolverConfig,
                        band_projections, band_survival, evolve_lattice,
                        lz_two_level_ode, trace_rows)
-from .fitting import (ExpFit, PlateauSeries, TraceTooShortError,
-                      compare_models, default_window, extract_plateaus,
-                      fit_exponential)
+from .fitting import (ExpFit, TraceTooShortError, compare_models,
+                      default_window, extract_plateaus, fit_exponential)
 from .stepmodel import (DegenerateSpectrumError, RenormFit, SpectralData,
                         StepIngredients, SurvivalSeries, evolve_steps,
                         gamma_asymptotic, gamma_sequence, lz_probability,

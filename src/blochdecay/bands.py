@@ -24,6 +24,10 @@ DEFAULT_GRID_SIZE = 512
 MIN_CUTOFF = 4
 # Largest relative change of the mean gap from cutoff c to c + 2.
 GAP_CONVERGENCE_TOL = 1e-12
+# Most matrix elements band_energies diagonalizes in one call (32 MB of
+# float64), so its memory is bounded whatever the grid; the default grid
+# at cutoffs up to 32 is one call.
+_CHUNK_ELEMENTS = 2 ** 22
 
 
 class EigensolverError(RuntimeError):
@@ -108,11 +112,15 @@ def band_energies(params: LatticeParams, n_bands: int = 3,
     """Lowest n_bands band energies on a uniform k grid over [-1, 1).
 
     Bands are indexed by sorted eigenvalue order at each k; the bands of
-    the cosine lattice do not cross, so sorting is a valid labeling.
+    the cosine lattice do not cross, so sorting is a valid labeling.  The
+    grid is diagonalized in chunks of at most _CHUNK_ELEMENTS matrix elements.
     """
     check_band_grid(n_bands, grid_size, cutoff)
     k_grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
-    energies = lowest_eigenpairs(build_bloch_hamiltonian(params, k_grid, cutoff), n_bands)
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * cutoff + 1) ** 2)
+    energies = np.concatenate([
+        lowest_eigenpairs(build_bloch_hamiltonian(params, k_grid[i:i + chunk], cutoff), n_bands)
+        for i in range(0, grid_size, chunk)])
     return BandTable(k_grid=k_grid, energies=energies)
 
 

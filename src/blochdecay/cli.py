@@ -204,12 +204,6 @@ def _parse_window(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _clamp_window(window: tuple[int, int], n: int) -> tuple[int, int]:
-    hi = min(window[1], n - 1)
-    lo = min(window[0], max(0, hi - 1))
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -238,6 +232,11 @@ def cmd_run(opts: dict) -> int:
     if opts["cycles"] < MIN_CYCLES:
         raise StageError(f"parameters: need cycles >= {MIN_CYCLES} to extract plateaus, "
                          f"got {opts['cycles']}", stage="parameters")
+    lo, hi = _parse_window(opts["fit_window"])
+    if lo >= opts["cycles"]:
+        raise StageError(f"parameters: fit window {opts['fit_window']} needs cycles >= {lo + 1}, "
+                         f"got {opts['cycles']}", stage="parameters")
+    hi = min(hi, opts["cycles"])  # only HI is clamped, to the last plateau
     gap = _stage("band-structure", mean_band_gap, params,
                  grid_size=opts["grid"], cutoff=opts["band_cutoff"])
     ing = _stage("step-ingredients", StepIngredients.from_lattice, params,
@@ -252,25 +251,24 @@ def cmd_run(opts: dict) -> int:
             raise
         fit_eff = None  # fully decayed edge (e.g. v0 = 0); no spectral asymptotics
     trace = _stage("full-solver", evolve_lattice, params, cfg, k0=opts["k0"])
-    plate_full = _stage("plateau-extraction", extract_plateaus, trace, params)
-    plate_eff = _stage("plateau-extraction", extract_plateaus, series)
-    window = _clamp_window(_parse_window(opts["fit_window"]), len(plate_full))
-    if np.all(plate_full.values[window[0]:window[1] + 1] > 0):
-        fit_full = _stage("fit", fit_exponential, plate_full, window)
+    plate_full = _stage("plateau-extraction", extract_plateaus, trace, params,
+                        band_cutoff=opts["band_cutoff"])
+    if np.all(plate_full.probabilities[lo:hi + 1] > 0):
+        fit_full = _stage("fit", fit_exponential, plate_full, (lo, hi))
     else:
         fit_full = None  # survival hit zero; no exponential regime to fit
-    devs, max_dev = _stage("comparison", compare_models, plate_full, plate_eff)
+    devs, max_dev = _stage("comparison", compare_models, plate_full, series)
 
     prefix = opts["out_prefix"]
     t_csv = _stage("write", _write_csv, f"{prefix}_trace.csv", runspec,
                    "tau,P1,P2,Prest,norm", trace_rows(trace, params, opts["band_cutoff"]))
     s_csv = _stage("write", _write_csv, f"{prefix}_steps.csv", runspec, "n,t,P",
-                   ((n, t, p) for n, (t, p) in
-                    enumerate(zip(series.step_times, series.probabilities))))
+                   ((n, series.t_bloch * (n + 0.5), p)  # each step ends at a crossing
+                    for n, p in enumerate(series.probabilities.tolist())))
     c_csv = _stage("write", _write_csv, f"{prefix}_compare.csv", runspec,
                    "n,P_full,P_eff,rel_dev",
                    ((n, pf, pe, d) for n, (pf, pe, d) in
-                    enumerate(zip(plate_full.values, plate_eff.values, devs))))
+                    enumerate(zip(plate_full.probabilities, series.probabilities, devs))))
     fit_doc = {
         "runspec": json.loads(runspec),
         "full_fit": fit_full.to_json_dict() if fit_full else None,
@@ -315,6 +313,15 @@ def _sweep(params: LatticeParams, gap: float, quantity):
     return np.where(sd.degenerate, np.nan, ing.phi), quantity(sd)
 
 
+def _force_grid(opts: dict) -> np.ndarray:
+    """The checked sweep forces linspace(f0-min, f0-max, n-points) of scaling and ret."""
+    if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
+        raise StageError("parameters: need n-points >= 0 and 0 < f0-min <= f0-max < inf, got "
+                         f"n-points {opts['n_points']}, f0-min {opts['f0_min']}, "
+                         f"f0-max {opts['f0_max']}", stage="parameters")
+    return np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
+
+
 def cmd_scaling(opts: dict) -> int:
     runspec = _runspec_json("scaling", opts)
     try:
@@ -322,10 +329,7 @@ def cmd_scaling(opts: dict) -> int:
     except ValueError as exc:
         raise StageError(f"parameters: bad depth list {opts['v0']!r}: {exc}",
                          stage="parameters")
-    if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
-        raise StageError("parameters: need n-points >= 0 and 0 < f0-min <= f0-max < inf",
-                         stage="parameters")
-    f0_grid = np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
+    f0_grid = _force_grid(opts)
     depths = [_stage("parameters", LatticeParams, v0, f0_grid) for v0 in v0_list]
     _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"])
     columns = []
@@ -343,13 +347,10 @@ def cmd_scaling(opts: dict) -> int:
 
 def cmd_ret(opts: dict) -> int:
     runspec = _runspec_json("ret", opts)
-    if opts["n_points"] < 0 or (opts["n_points"] > 0 and
-                                not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf):
-        raise StageError("parameters: need 0 < f0-min <= f0-max < inf", stage="parameters")
+    f0_grid = _force_grid(opts)
     if opts["j_max"] < 1:
         raise StageError(f"parameters: need j-max >= 1, got {opts['j_max']}",
                          stage="parameters")
-    f0_grid = np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
     params = _stage("parameters", LatticeParams, opts["v0"], f0_grid)
     _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"])
     gap = _stage("band-structure", mean_band_gap, params,

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import MIN_CUTOFF, LatticeParams, build_bloch_hamiltonian, lowest_eigenpairs
+from .bands import (DEFAULT_CUTOFF, MIN_CUTOFF, LatticeParams, build_bloch_hamiltonian,
+                    lowest_eigenpairs)
 
 # Yoshida composition weights for the fourth-order splitting.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -320,34 +321,31 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
     return states
 
 
-def band_projections(state: HoustonState, params: LatticeParams,
-                     n_bands: int = 2) -> np.ndarray:
-    """Populations of the lowest n_bands instantaneous Bloch bands."""
-    if n_bands < 1 or n_bands > state.cutoff:
-        raise ValueError(f"need 1 <= n_bands <= cutoff={state.cutoff}, got {n_bands}")
-    h = build_bloch_hamiltonian(params, state.quasimomentum, state.cutoff)
+def band_projections(states: list[HoustonState], params: LatticeParams, n_bands: int = 2,
+                     band_cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
+    """Populations (len(states), n_bands) of the lowest instantaneous Bloch bands.
+
+    One batched eigensolve gives every snapshot's bands on the central
+    2b + 1 modes, b = min(band_cutoff, state cutoff), beyond which the low
+    band vectors vanish to roundoff.
+    """
+    c = states[0].cutoff
+    b = min(band_cutoff, c)
+    if n_bands < 1 or n_bands > b:
+        raise ValueError(f"need 1 <= n_bands <= band cutoff={b}, got {n_bands}")
+    amps = np.array([st.amplitudes[c - b:c + b + 1] for st in states])
+    h = build_bloch_hamiltonian(params, [st.quasimomentum for st in states], b)
     _, vec = lowest_eigenpairs(h, n_bands, vectors=True)
-    return np.abs(vec.conj().T @ state.amplitudes) ** 2
+    return np.abs(np.matmul(amps[:, None, :], vec.conj())[:, 0]) ** 2
 
 
 def band_survival(state: HoustonState, params: LatticeParams) -> float:
     """Population of the lowest instantaneous band."""
-    return float(band_projections(state, params, n_bands=1)[0])
+    return float(band_projections([state], params, n_bands=1)[0, 0])
 
 
 def trace_rows(states: list[HoustonState], params: LatticeParams, band_cutoff: int):
-    """Rows (tau, P1, P2, Prest, norm) for trace serialization.
-
-    One batched eigensolve gives every snapshot's two lowest bands on the
-    central 2b + 1 modes, b = min(band_cutoff, state cutoff), beyond which
-    the band vectors vanish to roundoff.
-    """
-    c = states[0].cutoff
-    b = min(band_cutoff, c)
-    amps = np.array([st.amplitudes[c - b:c + b + 1] for st in states])
-    h = build_bloch_hamiltonian(params, [st.quasimomentum for st in states], b)
-    _, vec = lowest_eigenpairs(h, 2, vectors=True)
-    pr = np.abs(np.matmul(amps[:, None, :], vec.conj())[:, 0]) ** 2
-    for st, (p1, p2) in zip(states, pr.tolist()):
+    """Rows (tau, P1, P2, Prest, norm) for trace serialization."""
+    for st, (p1, p2) in zip(states, band_projections(states, params, 2, band_cutoff).tolist()):
         norm = st.norm
         yield st.time, p1, p2, norm ** 2 - (p1 + p2), norm

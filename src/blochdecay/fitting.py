@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import LatticeParams
-from .dynamics import MIN_SAMPLES_PER_CYCLE, HoustonState, band_survival
+from .bands import DEFAULT_CUTOFF, LatticeParams
+from .dynamics import MIN_SAMPLES_PER_CYCLE, HoustonState, band_projections
 from .stepmodel import SurvivalSeries
 
 DEFAULT_WINDOW_START = 6
@@ -24,21 +24,6 @@ MIN_CYCLES = 3
 
 class TraceTooShortError(ValueError):
     """Trace does not cover enough Bloch cycles for plateau extraction."""
-
-
-@dataclass(frozen=True, eq=False)
-class PlateauSeries:
-    """Survival values at the plateau centers t = n t_bloch."""
-
-    values: np.ndarray
-    t_bloch: float
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t_bloch * np.arange(len(self.values))
 
 
 @dataclass(frozen=True)
@@ -60,17 +45,18 @@ def default_window(n_plateaus: int) -> tuple[int, int]:
     return (DEFAULT_WINDOW_START, min(DEFAULT_WINDOW_END, n_plateaus - 1))
 
 
-def extract_plateaus(trace, params: LatticeParams | None = None) -> PlateauSeries:
-    """Plateau values from a solver trace (or pass-through for step series).
+def extract_plateaus(trace, params: LatticeParams | None = None, *,
+                     band_cutoff: int = DEFAULT_CUTOFF) -> SurvivalSeries:
+    """Plateau values from a solver trace; a SurvivalSeries is returned as it is.
 
     For a list of solver snapshots, picks the sample nearest each
-    t = n T_B and projects onto the instantaneous lowest band; requires
-    at least MIN_CYCLES cycles of coverage with MIN_SAMPLES_PER_CYCLE
-    samples per cycle.  A SurvivalSeries is already plateau data and
-    converts directly.
+    t = n T_B and projects them all onto the two lowest instantaneous
+    bands in one band_projections call, the one the trace's P1 comes
+    from; requires at least MIN_CYCLES cycles of coverage with
+    MIN_SAMPLES_PER_CYCLE samples per cycle.
     """
     if isinstance(trace, SurvivalSeries):
-        return PlateauSeries(values=trace.probabilities.copy(), t_bloch=trace.t_bloch)
+        return trace
     if params is None:
         raise ValueError("params required to extract plateaus from a solver trace")
     states: list[HoustonState] = list(trace)
@@ -88,21 +74,19 @@ def extract_plateaus(trace, params: LatticeParams | None = None) -> PlateauSerie
         raise TraceTooShortError(
             f"trace has {per_cycle:.1f} samples per cycle, need >= {MIN_SAMPLES_PER_CYCLE}")
     n_plateaus = int(math.floor(t_max / t_bloch + 1e-9)) + 1
-    values = np.empty(n_plateaus)
-    for n in range(n_plateaus):
-        i = int(np.argmin(np.abs(times - n * t_bloch)))
-        values[n] = band_survival(states[i], params)
-    return PlateauSeries(values=values, t_bloch=t_bloch)
+    centers = [states[int(np.argmin(np.abs(times - n * t_bloch)))] for n in range(n_plateaus)]
+    values = band_projections(centers, params, 2, band_cutoff)[:, 0]
+    return SurvivalSeries(probabilities=values, t_bloch=t_bloch)
 
 
-def fit_exponential(series: PlateauSeries, window: tuple[int, int]) -> ExpFit:
+def fit_exponential(series: SurvivalSeries, window: tuple[int, int]) -> ExpFit:
     """Fit P_n ~ z exp(-gamma t) in log space over plateaus window[0]..window[1]."""
     lo, hi = int(window[0]), int(window[1])
     if lo < 0 or hi >= len(series) or hi < lo:
         raise ValueError(f"window {window} outside series of length {len(series)}")
     if hi - lo + 1 < 2:
         raise ValueError("at least 2 plateaus required for a fit")
-    p = series.values[lo:hi + 1]
+    p = series.probabilities[lo:hi + 1]
     if np.any(p <= 0):
         raise ValueError("plateau values must be positive for a log-space fit")
     t = series.times[lo:hi + 1]
@@ -113,7 +97,7 @@ def fit_exponential(series: PlateauSeries, window: tuple[int, int]) -> ExpFit:
                   window=(lo, hi), residual=residual)
 
 
-def compare_models(full: PlateauSeries, eff: PlateauSeries,
+def compare_models(full: SurvivalSeries, eff: SurvivalSeries,
                    window: tuple[int, int] | None = None) -> tuple[np.ndarray, float]:
     """Per-plateau relative deviations |P_full - P_eff| / P_eff.
 
@@ -124,7 +108,7 @@ def compare_models(full: PlateauSeries, eff: PlateauSeries,
     if len(full) != len(eff):
         raise ValueError(f"length mismatch: {len(full)} vs {len(eff)}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        devs = np.abs(full.values - eff.values) / eff.values
+        devs = np.abs(full.probabilities - eff.probabilities) / eff.probabilities
     if window is None:
         lo, hi = 0, len(devs) - 1
     else:

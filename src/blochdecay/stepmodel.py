@@ -142,21 +142,21 @@ class SpectralData:
 
 @dataclass(frozen=True, eq=False)
 class SurvivalSeries:
-    """Band-1 survival P_n after each transition, P_0 = 1.
+    """Band-1 survival P_n on the plateaus centered at t = n t_bloch, P_0 = 1.
 
-    step_times[n] = t_bloch * (n + 1/2): the n-th plateau extends to the
-    (n+1)-th crossing; its center sits at n * t_bloch.
+    The exact trace and the step model both produce one; the n-th plateau
+    extends to the (n+1)-th crossing at t_bloch (n + 1/2).
     """
 
     probabilities: np.ndarray
-    step_times: np.ndarray
+    t_bloch: float
 
     def __len__(self) -> int:
         return len(self.probabilities)
 
     @property
-    def t_bloch(self) -> float:
-        return 2.0 * float(self.step_times[0])
+    def times(self) -> np.ndarray:
+        return self.t_bloch * np.arange(len(self.probabilities))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,8 +202,7 @@ def evolve_steps(u: np.ndarray, n_steps: int, t_bloch: float = 1.0) -> SurvivalS
     for n in range(1, n_steps + 1):
         v = u @ v
         probs[n] = abs(v[0]) ** 2
-    times = t_bloch * (np.arange(n_steps + 1) + 0.5)
-    return SurvivalSeries(probabilities=probs, step_times=times)
+    return SurvivalSeries(probabilities=probs, t_bloch=float(t_bloch))
 
 
 def spectral_decompose(u: np.ndarray) -> SpectralData:

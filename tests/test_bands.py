@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blochdecay import (LatticeParams, band_energies, bloch_phase,
+from blochdecay import (LatticeParams, band_energies, bands, bloch_phase,
                         build_bloch_hamiltonian, mean_band_gap)
 from blochdecay.bands import lowest_eigenpairs
 
@@ -171,6 +171,19 @@ def test_batched_bands_match_tridiagonal_oracle(v0):
     assert np.max(np.abs(table.energies - oracle)) < 2e-15 * 65 ** 2
     gap, want = (float(np.mean(e[:, 1] - e[:, 0])) for e in (table.energies, oracle))
     assert abs(gap - want) < 1e-12 * want
+
+
+def test_chunked_band_table_matches_one_call(monkeypatch):
+    params = LatticeParams(1.0, 1.0)
+    whole = band_energies(params, n_bands=3, grid_size=100, cutoff=8)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(len(h)) or eigvalsh(h))
+    monkeypatch.setattr(bands, "_CHUNK_ELEMENTS", 7 * 17 ** 2)  # 7 k points per call
+    chunked = band_energies(params, n_bands=3, grid_size=100, cutoff=8)
+    assert calls == [7] * 14 + [2]
+    assert np.array_equal(chunked.k_grid, whole.k_grid)
+    assert np.array_equal(chunked.energies, whole.energies)
 
 
 def test_gap_check_names_unconverged_cutoff():

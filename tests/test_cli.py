@@ -65,7 +65,7 @@ def test_bands_three_band_gaps_positive(tmp_path):
 def test_run_artifacts_and_z_sign(tmp_path):
     prefix = tmp_path / "demo"
     assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6",
-                 "--out-prefix", str(prefix)]) == 0
+                 "--fit-window", "5:6", "--out-prefix", str(prefix)]) == 0
     fit = json.loads((tmp_path / "demo_fit.json").read_text())
     assert fit["full_fit"]["z"] < 1.0
     assert fit["effective"]["z"] < 1.0
@@ -84,6 +84,25 @@ def test_run_artifacts_and_z_sign(tmp_path):
     assert np.allclose(trace[:, 4], 1.0, atol=1e-8)
 
 
+def test_compare_p_full_is_trace_p1_bit_for_bit(tmp_path):
+    # the plateaus are the trace's own P1, from one projection at --band-cutoff
+    prefix = tmp_path / "same"
+    assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6", "--fit-window", "5:6",
+                 "--band-cutoff", "8", "--out-prefix", str(prefix)]) == 0
+    _, _, trace = read_csv(tmp_path / "same_trace.csv")
+    _, _, comp = read_csv(tmp_path / "same_compare.csv")
+    t_bloch = 2.0 * math.pi / 0.383
+    nearest = [int(np.argmin(np.abs(trace[:, 0] - n * t_bloch))) for n in comp[:, 0]]
+    assert np.array_equal(comp[:, 1], trace[nearest, 1])
+
+
+def test_fit_window_clamps_only_hi(tmp_path):
+    prefix = tmp_path / "w"
+    assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6", "--fit-window", "4:9",
+                 "--out-prefix", str(prefix)]) == 0
+    assert json.loads((tmp_path / "w_fit.json").read_text())["full_fit"]["window"] == [4, 6]
+
+
 def test_run_iterates_step_model_once(tmp_path, monkeypatch):
     calls = []
     evolve_steps = stepmodel.evolve_steps
@@ -95,7 +114,7 @@ def test_run_iterates_step_model_once(tmp_path, monkeypatch):
     monkeypatch.setattr(stepmodel, "evolve_steps", counting)
     monkeypatch.setattr(cli, "evolve_steps", counting)
     assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6",
-                 "--out-prefix", str(tmp_path / "once")]) == 0
+                 "--fit-window", "5:6", "--out-prefix", str(tmp_path / "once")]) == 0
     assert len(calls) == 1
 
 
@@ -103,7 +122,7 @@ def test_run_and_bands_files_byte_identical(tmp_path, monkeypatch):
     for outdir in ("a", "b"):
         monkeypatch.setenv("BLOCHDECAY_OUTDIR", str(tmp_path / outdir))
         assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6",
-                     "--out-prefix", "r"]) == 0
+                     "--fit-window", "5:6", "--out-prefix", "r"]) == 0
         assert main(["bands", "--v0", "1", "--grid", "64", "--out", "b.csv"]) == 0
     for name in ("r_trace.csv", "r_steps.csv", "r_compare.csv", "r_fit.json", "b.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -112,7 +131,7 @@ def test_run_and_bands_files_byte_identical(tmp_path, monkeypatch):
 def test_run_free_lattice_trace_collapses(tmp_path):
     prefix = tmp_path / "free"
     assert main(["run", "--v0", "0", "--f0", "0.383", "--cycles", "3",
-                 "--out-prefix", str(prefix)]) == 0
+                 "--fit-window", "2:3", "--out-prefix", str(prefix)]) == 0
     _, _, trace = read_csv(tmp_path / "free_trace.csv")
     t_half = 0.5 * 2 * np.pi / 0.383
     late = trace[trace[:, 0] > t_half + 0.5]
@@ -206,6 +225,8 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
                  ["run", "--v0", "1", "--f0", "50"],
                  ["run", "--v0", "1", "--f0", "0.4", "--k0", "2"],
                  ["run", "--v0", "1", "--f0", "0.4", "--cycles", "2"],
+                 ["run", "--v0", "1", "--f0", "0.4", "--cycles", "4", "--fit-window", "4:9"],
+                 ["ret", "--v0", "1", "--n-points", "0", "--f0-min", "-1"],
                  ["run", "--v0", "1", "--f0", "0.4", "--grid", "8"],
                  ["bands", "--v0", "1", "--n-bands", "40"],
                  ["bands", "--v0", "1", "--cutoff", "3", "--n-bands", "2"],
@@ -240,7 +261,8 @@ def test_runtime_needs_no_scipy(tmp_path):
         import sys
         sys.modules["scipy"] = None
         from blochdecay.cli import main
-        assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6"]) == 0
+        assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6",
+                     "--fit-window", "5:6"]) == 0
         assert main(["scaling", "--n-points", "20"]) == 0
         """
     src = str(Path(blochdecay.__file__).parents[1])

@@ -227,7 +227,8 @@ def test_sampling_density_and_final_sample(paper_params):
 
 def test_projections_complete_and_consistent(trace_v1, paper_params):
     state = trace_v1[len(trace_v1) // 2]
-    all_bands = band_projections(state, paper_params, n_bands=state.cutoff)
+    all_bands = band_projections([state], paper_params, n_bands=state.cutoff,
+                                 band_cutoff=state.cutoff)[0]
     assert float(all_bands.sum()) == pytest.approx(state.norm ** 2, abs=1e-10)
     assert band_survival(state, paper_params) == pytest.approx(all_bands[0], abs=1e-15)
 
@@ -238,7 +239,7 @@ def test_eigensolver_failure_maps_to_eigensolver_error(trace_v1, paper_params,
         raise np.linalg.LinAlgError("no convergence")
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigensolverError, match="no convergence"):
-        band_projections(trace_v1[0], paper_params)
+        band_projections([trace_v1[0]], paper_params)
 
 
 def test_gauge_fold_invariance(paper_params):
@@ -290,10 +291,19 @@ def test_trace_rows_shape(trace_v1, paper_params):
     assert abs(p1 + p2 + rest - norm ** 2) < 1e-12
 
 
+def full_cutoff_projections(state, params):
+    """P1, P2 of one snapshot on all 2c + 1 modes of its basis."""
+    c = state.cutoff
+    diag = (state.quasimomentum + 2.0 * np.arange(-c, c + 1)) ** 2
+    _, vec = scipy.linalg.eigh_tridiagonal(diag, np.full(2 * c, params.v0 / 4.0),
+                                           select="i", select_range=(0, 1))
+    return np.abs(vec.T @ state.amplitudes) ** 2
+
+
 @pytest.mark.parametrize("v0, f0", [(1.0, 0.383), (4.0, 1.0)])
 def test_trace_rows_match_full_cutoff_projections(v0, f0, monkeypatch):
-    # fast path: one batched eigh over all snapshots at band cutoff 10; slow
-    # path: one eigh per snapshot at the state's cutoff 32 (measured <= 7e-14)
+    # fast path: one batched eigh over all snapshots at band cutoff 10; oracle:
+    # one tridiagonal eigensolve per snapshot at the state's cutoff 32 (measured <= 7e-14)
     params = LatticeParams(v0, f0)
     states = evolve_lattice(params, SolverConfig(cutoff=32, n_cycles=6))
     calls = []
@@ -302,7 +312,7 @@ def test_trace_rows_match_full_cutoff_projections(v0, f0, monkeypatch):
     rows = np.array(list(trace_rows(states, params, 10)))
     assert calls == [(len(states), 21, 21)]
     monkeypatch.undo()
-    want = np.array([band_projections(st, params, n_bands=2) for st in states])
+    want = np.array([full_cutoff_projections(st, params) for st in states])
     assert np.max(np.abs(rows[:, 1:3] - want)) < 1e-12
     norms = np.array([st.norm for st in states])
     assert np.max(np.abs(rows[:, 3] - (norms ** 2 - want.sum(axis=1)))) < 1e-12

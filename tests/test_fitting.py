@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from blochdecay import (LatticeParams, PlateauSeries, SolverConfig,
-                        StepIngredients, TraceTooShortError, band_survival,
+from blochdecay import (LatticeParams, SolverConfig, StepIngredients,
+                        SurvivalSeries, TraceTooShortError, band_survival,
                         compare_models, default_window, evolve_lattice,
                         evolve_steps, extract_plateaus, fit_exponential,
                         gamma_asymptotic, spectral_decompose, step_operator,
@@ -15,22 +15,30 @@ from blochdecay import (LatticeParams, PlateauSeries, SolverConfig,
 
 def synthetic_series(z, gamma, t_bloch, n):
     t = t_bloch * np.arange(n + 1)
-    return PlateauSeries(values=z * np.exp(-gamma * t), t_bloch=t_bloch)
+    return SurvivalSeries(probabilities=z * np.exp(-gamma * t), t_bloch=t_bloch)
 
 
 # ----------------------------------------------------------- extraction
 
 def test_effective_series_passes_through(operator_v1, paper_params):
     series = evolve_steps(operator_v1, 8, t_bloch=paper_params.bloch_period)
-    plate = extract_plateaus(series)
-    assert np.array_equal(plate.values, series.probabilities)
-    assert plate.t_bloch == pytest.approx(paper_params.bloch_period, rel=1e-12)
+    assert extract_plateaus(series) is series
+    assert series.t_bloch == paper_params.bloch_period
 
 
 def test_plateau_count_matches_cycles(trace_v1, paper_params):
     plate = extract_plateaus(trace_v1, paper_params)
     assert len(plate) == 11  # n_cycles + 1
-    assert plate.values[0] == pytest.approx(1.0, abs=1e-9)
+    assert plate.probabilities[0] == pytest.approx(1.0, abs=1e-9)
+    assert plate.t_bloch == paper_params.bloch_period
+
+
+def test_extract_plateaus_makes_one_eigensolver_call(trace_v1, paper_params, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    plate = extract_plateaus(trace_v1, paper_params)
+    assert calls == [(len(plate), 21, 21)]
 
 
 def test_trace_too_short_raises(paper_params):
@@ -97,7 +105,7 @@ def test_fit_validates_window_and_values():
         fit_exponential(series, (5, 12))
     with pytest.raises(ValueError):
         fit_exponential(series, (4, 4))
-    bad = PlateauSeries(values=np.array([1.0, 0.0, 0.1]), t_bloch=1.0)
+    bad = SurvivalSeries(probabilities=np.array([1.0, 0.0, 0.1]), t_bloch=1.0)
     with pytest.raises(ValueError):
         fit_exponential(bad, (0, 2))
 
@@ -128,14 +136,14 @@ def test_compare_swap_rescales_by_ratio():
     b = synthetic_series(0.95, 0.10, 1.0, 6)
     dev_ab, _ = compare_models(a, b)
     dev_ba, _ = compare_models(b, a)
-    assert np.allclose(dev_ab * b.values, dev_ba * a.values, rtol=1e-12)
+    assert np.allclose(dev_ab * b.probabilities, dev_ba * a.probabilities, rtol=1e-12)
 
 
 def test_compare_window_max():
     a = synthetic_series(1.0, 0.1, 1.0, 6)
-    values = a.values.copy()
+    values = a.probabilities.copy()
     values[5] *= 1.5
-    b = PlateauSeries(values=values, t_bloch=1.0)
+    b = SurvivalSeries(probabilities=values, t_bloch=1.0)
     devs, mx_all = compare_models(b, a)
     _, mx_head = compare_models(b, a, window=(0, 3))
     assert mx_all == pytest.approx(0.5, rel=1e-12)
@@ -163,7 +171,7 @@ def test_cross_model_regression_shallow_slow_point():
                          0.10098502314168788, 0.03203936029627509,
                          0.010165572203569628, 0.0032205267678278083,
                          0.0010215328177424201])
-    assert np.allclose(plate.values, expected, rtol=1e-6)
+    assert np.allclose(plate.probabilities, expected, rtol=1e-6)
     ing = StepIngredients.from_lattice(params)
     series = evolve_steps(step_operator(ing), 6, t_bloch=params.bloch_period)
     devs, mx = compare_models(plate, extract_plateaus(series))

