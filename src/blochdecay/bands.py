@@ -24,10 +24,11 @@ DEFAULT_GRID_SIZE = 512
 MIN_CUTOFF = 4
 # Largest relative change of the mean gap from cutoff c to c + 2.
 GAP_CONVERGENCE_TOL = 1e-12
-# Most matrix elements band_energies diagonalizes in one call (32 MB of
-# float64), so its memory is bounded whatever the grid; the default grid
-# at cutoffs up to 32 is one call.
-_CHUNK_ELEMENTS = 2 ** 22
+# Most matrix elements one batched call works on (512 kB of float64): the
+# stack lowest_bands diagonalizes, and the block of one wide step of
+# dynamics.evolve_lattice.  Memory stays bounded whatever the grid, the
+# trace length or the number of cycles.
+_CHUNK_ELEMENTS = 2 ** 16
 
 
 class EigensolverError(RuntimeError):
@@ -96,6 +97,21 @@ def lowest_eigenpairs(h: np.ndarray, n: int, vectors: bool = False):
         raise EigensolverError(f"eigensolver failed: {exc}") from exc
 
 
+def lowest_bands(params: LatticeParams, k: np.ndarray, cutoff: int, n: int,
+                 vectors: bool = False):
+    """lowest_eigenpairs of the Hamiltonians at the quasimomenta k (1-D), stacked over k.
+
+    Diagonalizes in chunks of at most _CHUNK_ELEMENTS matrix elements.
+    """
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * cutoff + 1) ** 2)
+    parts = [lowest_eigenpairs(build_bloch_hamiltonian(params, k[i:i + chunk], cutoff), n,
+                               vectors)
+             for i in range(0, len(k), chunk)]
+    if vectors:
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
 def check_band_grid(n_bands: int, grid_size: int, cutoff: int) -> None:
     """Raise ValueError unless band_energies can tabulate n_bands on this grid."""
     if cutoff < MIN_CUTOFF:
@@ -112,16 +128,11 @@ def band_energies(params: LatticeParams, n_bands: int = 3,
     """Lowest n_bands band energies on a uniform k grid over [-1, 1).
 
     Bands are indexed by sorted eigenvalue order at each k; the bands of
-    the cosine lattice do not cross, so sorting is a valid labeling.  The
-    grid is diagonalized in chunks of at most _CHUNK_ELEMENTS matrix elements.
+    the cosine lattice do not cross, so sorting is a valid labeling.
     """
     check_band_grid(n_bands, grid_size, cutoff)
     k_grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
-    chunk = max(1, _CHUNK_ELEMENTS // (2 * cutoff + 1) ** 2)
-    energies = np.concatenate([
-        lowest_eigenpairs(build_bloch_hamiltonian(params, k_grid[i:i + chunk], cutoff), n_bands)
-        for i in range(0, grid_size, chunk)])
-    return BandTable(k_grid=k_grid, energies=energies)
+    return BandTable(k_grid=k_grid, energies=lowest_bands(params, k_grid, cutoff, n_bands))
 
 
 def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,

@@ -1,11 +1,11 @@
 """Command-line front end: band export, single runs, scaling and resonance sweeps.
 
 Every CSV artifact starts with a `# runspec {...}` comment carrying the
-fully merged parameter set, so a run can be reproduced bit-for-bit from
-its own output.  Relative output paths are resolved against the
-BLOCHDECAY_OUTDIR environment variable when it is set.  An optional
-config file (one `key = value` per line) overrides built-in defaults;
-command-line flags override both.
+fully merged parameter set and the blochdecay and numpy versions, so a run
+can be reproduced bit-for-bit from its own output.  Relative output paths
+are resolved against the BLOCHDECAY_OUTDIR environment variable when it is
+set.  An optional config file (one `key = value` per line) overrides
+built-in defaults; command-line flags override both.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
 """
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .bands import DEFAULT_CUTOFF, LatticeParams, band_energies, check_band_grid, mean_band_gap
 from .dynamics import SolverConfig, evolve_lattice, step_grid, trace_rows
 from .fitting import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, MIN_CYCLES,
@@ -80,7 +81,8 @@ def _write_csv(path: str, runspec: str, header: str, rows,
 
 
 def _runspec_json(command: str, opts: dict) -> str:
-    return json.dumps({"command": command, **{k: opts[k] for k in sorted(opts)}})
+    return json.dumps({"command": command, **{k: opts[k] for k in sorted(opts)},
+                       "versions": {"blochdecay": __version__, "numpy": np.__version__}})
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,15 @@ The hamiltonian repeats every Bloch period, and the fold falls on the same
 step of every cycle, so one cycle is a fixed linear map M on the 2c+1
 amplitudes (the Floquet, or Wannier-Stark resonance, picture).
 evolve_lattice therefore makes two passes over one cycle with the same
-step kernel: the first carries the identity through it, which gives M;
-the second carries the starts of all cycles, psi0, M psi0, ..., together
-and copies out the samples.  That costs about one dim^3 build plus one
-dim^2 N pass, instead of N stepwise cycles.
+step kernel.  Each pass cuts the cycle's 2m steps into K contiguous
+segments and steps all of them at once, the mode axis first, so every
+coupling exponential is one (dim, dim) x (dim, K cols) gemm.  The first
+pass carries K identities to the segment maps G_0..G_{K-1}, whose product
+is M; the second carries the starts of all cycles, psi0, M psi0, ..., each
+advanced to the start of every segment, and copies out the samples.  That
+costs about one dim^3 build plus one dim^2 N pass, instead of N stepwise
+cycles, in 2m / K wide steps; K is the most segments whose block fits
+bands._CHUNK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (DEFAULT_CUTOFF, MIN_CUTOFF, LatticeParams, build_bloch_hamiltonian,
-                    lowest_eigenpairs)
+from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, LatticeParams,
+                    build_bloch_hamiltonian, lowest_bands, lowest_eigenpairs)
 
 # Yoshida composition weights for the fourth-order splitting.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -155,8 +160,8 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     for j in range(0, n, _SWEEP_CHUNK):
         t = t0 + h * np.arange(j, min(n, j + _SWEEP_CHUNK))
         # one step of each 2x2 identity gives every step's unitary
-        steps = _step(np.broadcast_to(np.eye(2), (len(t), 2, 2)), _sweep_phases(alpha, t, h),
-                      b_long, b_back, False)
+        steps = _step(np.broadcast_to(np.eye(2)[:, None], (2, len(t), 2)),
+                      _sweep_phases(alpha, t, h), b_long, b_back).transpose(1, 0, 2)
         while len(steps) > 1:  # ordered pairwise product; an odd last step waits a round
             steps = np.concatenate([steps[1::2] @ steps[:-1:2],
                                     steps[len(steps) - len(steps) % 2:]])
@@ -167,14 +172,14 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
 
 
 def _sweep_phases(alpha: float, t: np.ndarray, h: float) -> np.ndarray:
-    """Kinetic phases (4, len(t), 2) of the sweep's steps of width h from times t.
+    """Kinetic phases (4, 2, len(t)) of the sweep's steps of width h from times t.
 
     The diagonal -+alpha s integrates over a segment to -+alpha times its
     length times its midpoint.
     """
     seg = _SEGMENTS * h
     ph = alpha * seg[:, None] * (t + (np.cumsum(seg) - seg / 2.0)[:, None])
-    return np.stack([-ph, ph], axis=-1)
+    return np.stack([-ph, ph], axis=1)
 
 
 def _coupling_exponentials(v0: float, dim: int, dt: float):
@@ -209,26 +214,42 @@ def step_grid(params: LatticeParams, cfg: SolverConfig,
     return (-1.0 if k0 == 1.0 else k0), m
 
 
-def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray,
-          fold: bool) -> np.ndarray:
-    """One Yoshida step of the columns of x with the kinetic phases ph (4, dim).
+def _kinetic_phases(k_start: np.ndarray, c: float, dt: float, cutoff: int) -> np.ndarray:
+    """Kinetic phases (4, 2 cutoff + 1, len(k_start)) of the steps from quasimomenta k_start.
 
-    ph may carry batch axes between the segment and mode axes, (4, ..., dim),
-    to step a stack of blocks x (..., dim, cols) at once.  With fold, the
-    step ends on the zone edge: k -> k - 2 with the mode labels shifted by
-    one, and the discarded edge amplitude is left to the norm monitor.
+    The integral of (k + 2n + c s)^2 over a Yoshida segment [s1, s2] of
+    width w, written w/3 (x1^2 + x1 x2 + x2^2) in its end momenta x1, x2:
+    the equal (x2^3 - x1^3) / (3c) loses ~3e-10 rad to cancellation at the
+    edge modes of cutoff 32.
+    """
+    seg = _SEGMENTS * dt
+    bounds = np.concatenate([[0.0], np.cumsum(seg)])
+    x = k_start + 2.0 * np.arange(-cutoff, cutoff + 1, dtype=float)[:, None]
+    phases = np.empty((4,) + x.shape)
+    for s in range(4):  # one segment at a time bounds the temporaries
+        x1, x2 = x + c * bounds[s], x + c * bounds[s + 1]
+        phases[s] = seg[s] / 3.0 * (x1 * x1 + x1 * x2 + x2 * x2)
+    return phases
+
+
+def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray,
+          fold: int | None = None) -> np.ndarray:
+    """One Yoshida step of the blocks x (dim, K, cols) with the kinetic phases ph (4, dim, K).
+
+    Block j takes the phases ph[:, :, j].  The mode axis comes first, so
+    each coupling exponential is one gemm over all K cols columns.  With
+    fold = j, block j's step ends on the zone edge: k -> k - 2 with the
+    mode labels shifted by one, and the discarded edge amplitude is left
+    to the norm monitor.
     """
     e = np.exp(-1j * ph)[..., None]
     x = e[0] * x
-    x = b_long @ x
-    x *= e[1]
-    x = b_back @ x
-    x *= e[2]
-    x = b_long @ x
-    x *= e[3]
-    if fold:
-        x[1:] = x[:-1]
-        x[0] = 0.0
+    for b, ek in ((b_long, e[1]), (b_back, e[2]), (b_long, e[3])):
+        x = (b @ x.reshape(len(x), -1)).reshape(x.shape)
+        x *= ek
+    if fold is not None:
+        x[1:, fold] = x[:-1, fold]
+        x[0, fold] = 0.0
     return x
 
 
@@ -241,34 +262,27 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
     NORM_TOLERANCE (the usual cause is a cutoff too small to hold the
     escaped population for the requested number of cycles).
 
-    Two passes over one cycle: the first steps the identity to the cycle
-    map M; then the cycle starts M^n psi0 give the per-cycle norm monitor;
-    the second pass steps all cycle starts as one block and copies column
-    n out at every sampled step of cycle n.  Times, fold counts and
-    quasimomenta are those of a stepwise loop over all cycles; amplitudes
-    agree with it to roundoff.
+    Two passes over one cycle, cut into K contiguous segments of its 2m
+    steps that are stepped together: K = _CHUNK_ELEMENTS // (dim
+    max(dim, N)), clamped to 1..2m, so one wide step works on at most
+    _CHUNK_ELEMENTS amplitudes and a cycle takes ceil(2m / K) of them.
+    The first pass steps K identities to the segment maps G_j, whose
+    product is the cycle map M; the cycle starts M^n psi0 give the
+    per-cycle norm monitor.  The second pass steps the block (dim, K, N)
+    of the cycle starts advanced to every segment's first step, and copies
+    column n of block j out at every sampled step of cycle n in segment j.
+    Times, fold counts and quasimomenta are those of a stepwise loop over
+    all cycles; amplitudes agree with it to roundoff.
     """
     k0, m = step_grid(params, cfg, k0)
     dt = params.bloch_period / 2.0 / m
     stride = max(1, (2 * m) // MIN_SAMPLES_PER_CYCLE)
     dim = 2 * cfg.cutoff + 1
-    n_modes = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=float)
-    c = params.f0 / math.pi
 
     b_long, b_back = _coupling_exponentials(params.v0, dim, dt)
-
-    # Closed-form kinetic phases per periodic step index and Yoshida segment:
-    # integral of (k_start + 2n + c s)^2 ds over the segment.
-    seg = _SEGMENTS * dt
-    bounds = np.concatenate([[0.0], np.cumsum(seg)])
-    jj = np.arange(2 * m)
-    k_start = k0 + jj / m
+    k_start = k0 + np.arange(2 * m) / m
     k_start -= 2.0 * np.floor((k_start + 1.0) / 2.0)
-    phases = np.empty((2 * m, 4, dim))
-    for s in range(4):
-        x1 = k_start[:, None] + 2.0 * n_modes[None, :] + c * bounds[s]
-        x2 = k_start[:, None] + 2.0 * n_modes[None, :] + c * bounds[s + 1]
-        phases[:, s, :] = (x2 ** 3 - x1 ** 3) / (3.0 * c)
+    phases = _kinetic_phases(k_start, params.f0 / math.pi, dt, cfg.cutoff)
 
     if params.v0 > 0:
         h0 = build_bloch_hamiltonian(params, k0, cfg.cutoff)
@@ -276,16 +290,36 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
         psi = vec[:, 0].astype(complex)
     else:
         psi = np.zeros(dim, complex)
-        psi[int(np.argmin((k0 + 2.0 * n_modes) ** 2))] = 1.0
+        psi[int(np.argmin((k0 + 2.0 * np.arange(-cfg.cutoff, cfg.cutoff + 1)) ** 2))] = 1.0
 
+    # Segment j holds the cycle's steps first[j] .. first[j + 1] - 1 (from 0);
+    # the first `longer` segments take one step more than the rest.
+    n_seg = min(max(_CHUNK_ELEMENTS // (dim * max(dim, cfg.n_cycles)), 1), 2 * m)
+    short, longer = divmod(2 * m, n_seg)
+    first = short * np.arange(n_seg + 1) + np.minimum(np.arange(n_seg + 1), longer)
+    seg_of = np.repeat(np.arange(n_seg), np.diff(first))
     # The fold ends the first step of the cycle that reaches k >= 1.
     fold = next(o for o in range(1, 2 * m + 1) if k0 + o / m >= 1.0)
-    cycle_map = np.eye(dim, dtype=complex)
-    for o in range(1, 2 * m + 1):
-        cycle_map = _step(cycle_map, phases[o - 1], b_long, b_back, o == fold)
+    fold_seg = int(seg_of[fold - 1])
 
-    starts = np.empty((dim, cfg.n_cycles), complex)
-    starts[:, 0] = start = psi
+    def cycle_pass(block: np.ndarray, sample=None) -> np.ndarray:
+        """Step the segments' blocks through their steps; sample(i, block) after wide step i."""
+        for i in range(short + (longer > 0)):
+            active = n_seg if i < short else longer
+            step = _step(block[:, :active], phases[:, :, first[:active] + i], b_long, b_back,
+                         fold_seg if fold - 1 == first[fold_seg] + i else None)
+            block = step if active == n_seg else np.concatenate([step, block[:, active:]], 1)
+            if sample:
+                sample(i, block)
+        return block
+
+    maps = cycle_pass(np.broadcast_to(np.eye(dim)[:, None], (dim, n_seg, dim)))
+    cycle_map = maps[:, 0]
+    for j in range(1, n_seg):
+        cycle_map = maps[:, j] @ cycle_map
+
+    starts = np.empty((dim, n_seg, cfg.n_cycles), complex)
+    starts[:, 0, 0] = start = psi
     norm_prev = 1.0
     for n in range(1, cfg.n_cycles + 1):
         start = cycle_map @ start
@@ -297,27 +331,30 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
                 f"cutoff or reduce dt")
         norm_prev = norm_now
         if n < cfg.n_cycles:
-            starts[:, n] = start
+            starts[:, 0, n] = start
+    for j in range(1, n_seg):
+        starts[:, j] = maps[:, j - 1] @ starts[:, j - 1]
 
-    # Sampled global steps s = 2mn + o, grouped by their offset o in 1..2m.
+    # Sampled global steps s = 2mn + o + 1, o = first[j] + i, grouped by wide step i.
     n_steps = 2 * m * cfg.n_cycles
     sampled = list(range(stride, n_steps + 1, stride))
     if sampled[-1] != n_steps:
         sampled.append(n_steps)
-    by_offset: dict[int, list[tuple[int, int, int]]] = {}
+    by_step: dict[int, list[tuple[int, int, int, int, int]]] = {}
     for slot, s in enumerate(sampled, start=1):
         n, o = divmod(s - 1, 2 * m)
-        by_offset.setdefault(o + 1, []).append((slot, n, s))
+        j = int(seg_of[o])
+        by_step.setdefault(o - int(first[j]), []).append((slot, j, n, s, n + (o + 1 >= fold)))
     states = [HoustonState(amplitudes=psi.copy(), k0=k0, time=0.0,
                            n_folds=0, quasimomentum=k0)] + [None] * len(sampled)
-    block = starts
-    for o in range(1, 2 * m + 1):
-        block = _step(block, phases[o - 1], b_long, b_back, o == fold)
-        for slot, n, s in by_offset.get(o, ()):
-            folds = n + (o >= fold)
-            states[slot] = HoustonState(amplitudes=block[:, n].copy(), k0=k0,
+
+    def sample(i: int, block: np.ndarray) -> None:
+        for slot, j, n, s, folds in by_step.get(i, ()):
+            states[slot] = HoustonState(amplitudes=block[:, j, n].copy(), k0=k0,
                                         time=s * dt, n_folds=folds,
                                         quasimomentum=k0 + s / m - 2.0 * folds)
+
+    cycle_pass(starts, sample)
     return states
 
 
@@ -325,17 +362,17 @@ def band_projections(states: list[HoustonState], params: LatticeParams, n_bands:
                      band_cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Populations (len(states), n_bands) of the lowest instantaneous Bloch bands.
 
-    One batched eigensolve gives every snapshot's bands on the central
-    2b + 1 modes, b = min(band_cutoff, state cutoff), beyond which the low
-    band vectors vanish to roundoff.
+    One batched eigensolve (bands.lowest_bands, in bounded chunks) gives
+    every snapshot's bands on the central 2b + 1 modes, b = min(band_cutoff,
+    state cutoff), beyond which the low band vectors vanish to roundoff.
     """
     c = states[0].cutoff
     b = min(band_cutoff, c)
     if n_bands < 1 or n_bands > b:
         raise ValueError(f"need 1 <= n_bands <= band cutoff={b}, got {n_bands}")
     amps = np.array([st.amplitudes[c - b:c + b + 1] for st in states])
-    h = build_bloch_hamiltonian(params, [st.quasimomentum for st in states], b)
-    _, vec = lowest_eigenpairs(h, n_bands, vectors=True)
+    _, vec = lowest_bands(params, np.array([st.quasimomentum for st in states]), b, n_bands,
+                          vectors=True)
     return np.abs(np.matmul(amps[:, None, :], vec.conj())[:, 0]) ** 2
 
 

@@ -24,6 +24,15 @@ def read_csv(path):
     return comments, header, np.array(rows) if rows else np.empty((0, len(header)))
 
 
+def package_env(**extra) -> dict:
+    """This process's environment for a child that imports this blochdecay, plus extra."""
+    src = str(Path(blochdecay.__file__).parents[1])
+    env = {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("BLOCHDECAY_OUTDIR", None)
+    return env
+
+
 def test_bands_free_parabolas(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["bands", "--v0", "0", "--grid", "32", "--out", str(out)]) == 0
@@ -84,6 +93,17 @@ def test_run_artifacts_and_z_sign(tmp_path):
     assert np.allclose(trace[:, 4], 1.0, atol=1e-8)
 
 
+def test_runspec_records_versions(tmp_path):
+    prefix = tmp_path / "v"
+    assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6", "--fit-window", "5:6",
+                 "--out-prefix", str(prefix)]) == 0
+    versions = {"blochdecay": blochdecay.__version__, "numpy": np.__version__}
+    for name in ("v_trace.csv", "v_steps.csv", "v_compare.csv"):
+        comments, _, _ = read_csv(tmp_path / name)
+        assert json.loads(comments[0][len("# runspec "):])["versions"] == versions
+    assert json.loads((tmp_path / "v_fit.json").read_text())["runspec"]["versions"] == versions
+
+
 def test_compare_p_full_is_trace_p1_bit_for_bit(tmp_path):
     # the plateaus are the trace's own P1, from one projection at --band-cutoff
     prefix = tmp_path / "same"
@@ -126,6 +146,20 @@ def test_run_and_bands_files_byte_identical(tmp_path, monkeypatch):
         assert main(["bands", "--v0", "1", "--grid", "64", "--out", "b.csv"]) == 0
     for name in ("r_trace.csv", "r_steps.csv", "r_compare.csv", "r_fit.json", "b.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_run_files_byte_identical_across_blas_threads(tmp_path):
+    # the wide gemms of the exact solver may run on two BLAS threads; the artifacts
+    # must not depend on it
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        done = subprocess.run([sys.executable, "-m", "blochdecay.cli", "run", "--v0", "1",
+                               "--f0", "0.383", "--cycles", "6", "--fit-window", "5:6"],
+                              cwd=tmp_path / threads, env=package_env(OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    for name in ("run_trace.csv", "run_steps.csv", "run_compare.csv", "run_fit.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_run_free_lattice_trace_collapses(tmp_path):
@@ -265,10 +299,6 @@ def test_runtime_needs_no_scipy(tmp_path):
                      "--fit-window", "5:6"]) == 0
         assert main(["scaling", "--n-points", "20"]) == 0
         """
-    src = str(Path(blochdecay.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    env.pop("BLOCHDECAY_OUTDIR", None)
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=package_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

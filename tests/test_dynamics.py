@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -10,11 +11,12 @@ import scipy.linalg
 
 from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         NormDriftError, SolverConfig, band_projections,
-                        band_survival, evolve_lattice, lz_probability,
-                        lz_two_level_ode, trace_rows)
-from blochdecay.dynamics import (_W0, _W1, MIN_SAMPLES_PER_CYCLE,
-                                 NORM_TOLERANCE, _coupling_exponentials, _step,
-                                 _sweep_phases, step_grid)
+                        band_survival, build_bloch_hamiltonian, evolve_lattice,
+                        lz_probability, lz_two_level_ode, trace_rows)
+from blochdecay.bands import _CHUNK_ELEMENTS
+from blochdecay.dynamics import (_SEGMENTS, _W0, _W1, MIN_SAMPLES_PER_CYCLE,
+                                 NORM_TOLERANCE, _coupling_exponentials,
+                                 _kinetic_phases, _step, _sweep_phases, step_grid)
 
 
 def span_for(alpha, delta):
@@ -77,15 +79,18 @@ def test_shared_step_is_fourth_order():
     alpha, delta, t_start = 1.0, 1.0, -0.3
     errors = []
     for h in (0.2, 0.1, 0.05):
-        step = _step(np.eye(2)[None], _sweep_phases(alpha, np.array([t_start]), h),
-                     *_coupling_exponentials(4.0 * delta, 2, h), False)
-        errors.append(np.max(np.abs(step[0] - expm_product(alpha, delta, t_start, h))))
+        step = _step(np.eye(2)[:, None], _sweep_phases(alpha, np.array([t_start]), h),
+                     *_coupling_exponentials(4.0 * delta, 2, h))
+        errors.append(np.max(np.abs(step[:, 0] - expm_product(alpha, delta, t_start, h))))
     assert errors[0] / errors[1] >= 16 and errors[1] / errors[2] >= 16, errors
-    # a batch of k steps equals k single calls bit for bit
+    # block i of a batch of k steps, modes first, takes its own phases only:
+    # a batch whose every block steps with step i's phases gives it bit for bit
     t, h = t_start + 0.1 * np.arange(7), 0.1
     ph, coupling = _sweep_phases(alpha, t, h), _coupling_exponentials(4.0 * delta, 2, h)
-    batch = _step(np.broadcast_to(np.eye(2), (7, 2, 2)), ph, *coupling, False)
-    assert all(np.array_equal(batch[i], _step(np.eye(2), ph[:, i], *coupling, False))
+    eyes = np.broadcast_to(np.eye(2)[:, None], (2, 7, 2))
+    batch = _step(eyes, ph, *coupling)
+    assert all(np.array_equal(batch[:, i], _step(eyes, np.repeat(ph[:, :, i:i + 1], 7, axis=2),
+                                                 *coupling)[:, i])
                for i in range(7))
 
 
@@ -104,7 +109,8 @@ def stepwise_oracle(params, cfg, k0, psi):
     k_start = k0 + np.arange(2 * m) / m
     k_start -= 2.0 * np.floor((k_start + 1.0) / 2.0)
     x = k_start[:, None, None] + 2.0 * n_modes + (c * bounds)[:, None]
-    phases = (x[:, 1:] ** 3 - x[:, :-1] ** 3) / (3.0 * c)
+    x1, x2 = x[:, :-1], x[:, 1:]  # w/3 (x1^2 + x1 x2 + x2^2) = (x2^3 - x1^3) / (3c), no cancellation
+    phases = seg[:, None] / 3.0 * (x1 ** 2 + x1 * x2 + x2 ** 2)
     states = [HoustonState(psi.copy(), k0, 0.0, 0, k0)]
     n_steps = 2 * m * cfg.n_cycles
     folds, norm_prev = 0, 1.0
@@ -133,16 +139,33 @@ def stepwise_oracle(params, cfg, k0, psi):
 
 # dt = 0.13 gives stride 2 with samples on the fold steps; the stepwise
 # oracle takes ~1 s for 10 cycles at dt = 0.01, so two cases cover that.
-PARITY_CASES = [(k0, v0, dt, cycles) for k0 in (0.0, 0.37, -1.0, 1.0) for v0 in (0.0, 1.0)
-                for dt, cycles in ((0.13, 1), (0.13, 10), (0.01, 1))]
-PARITY_CASES += [(0.37, 1.0, 0.01, 10), (-1.0, 1.0, 0.01, 10)]
+# (k0, v0, dt, cycles, cutoff); the escaped population moves one mode outwards per cycle
+PARITY_CASES = [pytest.param(k0, v0, dt, cycles, 8 if cycles == 1 else 20,
+                             id=f"{k0}-{v0}-{dt}-{cycles}")
+                for k0, v0, dt, cycles in
+                [(k0, v0, dt, cycles) for k0 in (0.0, 0.37, -1.0, 1.0) for v0 in (0.0, 1.0)
+                 for dt, cycles in ((0.13, 1), (0.13, 10), (0.01, 1))]
+                + [(0.37, 1.0, 0.01, 10), (-1.0, 1.0, 0.01, 10)]]
+# The segments of one wide step.  At cutoff 8, dt 0.01 the 2m = 1642 steps of a cycle
+# fall into 226 segments, the first 60 of 8 steps and the rest of 7: segment 3 starts at
+# step 24 and segment 100 ends at step 766 (from 0), and k0 = 1 - (step + 0.5) / m puts
+# the fold on that step.
+PARITY_CASES += [
+    pytest.param(1.0 - 24.5 / 821, 1.0, 0.01, 1, 8, id="fold-on-segment-first-step"),
+    pytest.param(1.0 - 766.5 / 821, 1.0, 0.01, 1, 8, id="fold-on-segment-last-step"),
+    # the operating point: 15 segments, 7 of 110 steps and 8 of 109
+    pytest.param(0.0, 1.0, 0.01, 3, 32, id="ragged-segments-at-cutoff-32"),
+    # 64 steps per cycle at cutoff 4: 809 segments clamp to 64 of one step
+    pytest.param(0.37, 1.0, 0.26, 1, 4, id="one-step-segments"),
+    # 14 cycle starts on 11 modes: 425 segments of 4 or 3 steps
+    pytest.param(0.0, 18.0, 0.01, 14, 5, id="more-cycles-than-modes"),
+]
 
 
-@pytest.mark.parametrize("k0, v0, dt, cycles", PARITY_CASES)
-def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles):
+@pytest.mark.parametrize("k0, v0, dt, cycles, cutoff", PARITY_CASES)
+def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff):
     params = LatticeParams(v0, 0.383)
-    # the escaped population moves one mode outwards per cycle
-    cfg = SolverConfig(cutoff=8 if cycles == 1 else 20, dt=dt, n_cycles=cycles)
+    cfg = SolverConfig(cutoff=cutoff, dt=dt, n_cycles=cycles)
     states = evolve_lattice(params, cfg, k0=k0)
     expected = stepwise_oracle(params, cfg, k0, states[0].amplitudes)
     assert len(states) == len(expected)
@@ -150,6 +173,29 @@ def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles):
         assert (got.time, got.n_folds, got.quasimomentum) == (
             want.time, want.n_folds, want.quasimomentum)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-11
+
+
+def test_kinetic_phases_match_exact_arithmetic():
+    # the exact-run point: the integral of (k + 2n + c s)^2 over each Yoshida segment,
+    # in exact rationals on the same float k, c and segment bounds; the edge modes
+    # n = -+32 are where (x2^3 - x1^3) / (3c) lost 3e-10 rad to cancellation
+    params, cutoff = LatticeParams(1.0, 0.383), 32
+    k0, m = step_grid(params, SolverConfig(cutoff=cutoff, dt=0.01))
+    dt, c = params.bloch_period / 2.0 / m, params.f0 / math.pi
+    k_start = k0 + np.arange(2 * m) / m
+    k_start -= 2.0 * np.floor((k_start + 1.0) / 2.0)
+    phases = _kinetic_phases(k_start, c, dt, cutoff)
+    assert phases.shape == (4, 2 * cutoff + 1, 2 * m)
+    bounds = np.concatenate([[0.0], np.cumsum(_SEGMENTS * dt)])
+    worst = 0.0
+    for s in range(4):
+        for i in (0, cutoff, 2 * cutoff):
+            for j in (0, m - 1, m, 2 * m - 1):
+                x1, x2 = (Fraction(k_start[j]) + 2 * (i - cutoff) + Fraction(c) * Fraction(b)
+                          for b in bounds[s:s + 2])
+                exact = (x2 ** 3 - x1 ** 3) / (3 * Fraction(c))
+                worst = max(worst, abs(float(Fraction(phases[s, i, j]) - exact)))
+    assert worst < 1e-12, worst
 
 
 def test_norm_drift_error_in_same_cycle_as_stepwise_oracle():
@@ -302,15 +348,19 @@ def full_cutoff_projections(state, params):
 
 @pytest.mark.parametrize("v0, f0", [(1.0, 0.383), (4.0, 1.0)])
 def test_trace_rows_match_full_cutoff_projections(v0, f0, monkeypatch):
-    # fast path: one batched eigh over all snapshots at band cutoff 10; oracle:
-    # one tridiagonal eigensolve per snapshot at the state's cutoff 32 (measured <= 7e-14)
+    # fast path: batched eigh over the snapshots at band cutoff 10, in bounded chunks;
+    # oracle: one tridiagonal eigensolve per snapshot at the state's cutoff 32
+    # (measured <= 7e-14)
     params = LatticeParams(v0, f0)
     states = evolve_lattice(params, SolverConfig(cutoff=32, n_cycles=6))
     calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
     rows = np.array(list(trace_rows(states, params, 10)))
-    assert calls == [(len(states), 21, 21)]
+    # the chunks hold every snapshot's hamiltonian exactly once, in order
+    assert np.array_equal(np.concatenate(calls), build_bloch_hamiltonian(
+        params, [st.quasimomentum for st in states], 10))
+    assert len(calls) > 1 and all(h.size <= _CHUNK_ELEMENTS for h in calls)
     monkeypatch.undo()
     want = np.array([full_cutoff_projections(st, params) for st in states])
     assert np.max(np.abs(rows[:, 1:3] - want)) < 1e-12
