@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import DEFAULT_CUTOFF, LatticeParams, band_energies, check_band_grid, mean_band_gap
+from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, LatticeParams, band_energies,
+                    check_band_grid, mean_band_gap)
 from .dynamics import SolverConfig, evolve_lattice, step_grid, trace_rows
 from .fitting import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, MIN_CYCLES,
                       compare_models, extract_plateaus, fit_exponential)
@@ -95,18 +96,17 @@ _SPECS: dict[str, list[tuple]] = {
     "bands": _COMMON + [
         ("v0", float, None, "lattice depth in recoil units"),
         ("n-bands", int, 3, "number of bands to export"),
-        ("grid", int, 512, "quasimomentum grid points over [-1, 1)"),
+        ("grid", int, DEFAULT_GRID_SIZE, "quasimomentum grid points over [-1, 1)"),
         ("cutoff", int, 32, "plane-wave modes per side"),
         ("out", str, "bands.csv", "output CSV path"),
     ],
     "run": _COMMON + [
         ("v0", float, None, "lattice depth in recoil units"),
         ("f0", float, None, "force in recoil units"),
-        ("cycles", int, 10, "Bloch cycles to simulate"),
-        ("cutoff", int, 16, "plane-wave modes per side for the dynamics"),
-        ("dt", float, 0.01, "time step in hbar/E_rec"),
-        ("k0", float, 0.0, "initial quasimomentum"),
-        ("grid", int, 512, "band-structure grid for the mean gap"),
+        ("cycles", int, SolverConfig.n_cycles, "Bloch cycles to simulate"),
+        ("cutoff", int, SolverConfig.cutoff, "plane-wave modes per side for the dynamics"),
+        ("dt", float, SolverConfig.dt, "time step in hbar/E_rec"),
+        ("grid", int, DEFAULT_GRID_SIZE, "band-structure grid for the mean gap"),
         ("band-cutoff", int, DEFAULT_CUTOFF, "plane-wave cutoff for the mean gap and P1, P2"),
         ("fit-window", str, f"{DEFAULT_WINDOW_START}:{DEFAULT_WINDOW_END}",
          "plateau window LO:HI for the exponential fit"),
@@ -117,7 +117,7 @@ _SPECS: dict[str, list[tuple]] = {
         ("f0-min", float, 0.5, "sweep start"),
         ("f0-max", float, 4.0, "sweep end"),
         ("n-points", int, 200, "grid points per depth"),
-        ("grid", int, 512, "band-structure grid for the mean gap"),
+        ("grid", int, DEFAULT_GRID_SIZE, "band-structure grid for the mean gap"),
         ("cutoff", int, DEFAULT_CUTOFF, "plane-wave cutoff for the mean gap"),
         ("out", str, "scaling.csv", "output CSV path"),
     ],
@@ -127,7 +127,7 @@ _SPECS: dict[str, list[tuple]] = {
         ("f0-max", float, 2.6, "scan end"),
         ("n-points", int, 200, "scan points"),
         ("j-max", int, 2, "highest resonance order to predict"),
-        ("grid", int, 512, "band-structure grid for the mean gap"),
+        ("grid", int, DEFAULT_GRID_SIZE, "band-structure grid for the mean gap"),
         ("cutoff", int, DEFAULT_CUTOFF, "plane-wave cutoff for the mean gap"),
         ("out", str, "ret.csv", "output CSV path"),
     ],
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -180,24 +180,26 @@ def _merge_options(command: str, args: argparse.Namespace,
     if config_path:
         try:
             pairs = _read_config(config_path)
-        except OSError as exc:
-            parser.error(f"cannot read config file: {exc}")
+        except (OSError, ValueError) as exc:  # ValueError covers bad lines and bytes
+            parser.error(f"config: cannot read {config_path}: {exc}")
         for key, raw in pairs.items():
             if key not in spec:
-                parser.error(f"unknown config key {key!r} for command {command!r}")
+                parser.error(f"config: unknown key {key!r} for command {command!r}")
             typ = spec[key][0]
             try:
                 merged[key] = typ(raw)
             except ValueError:
-                parser.error(f"bad config value for {key!r}: {raw!r}")
+                parser.error(f"config: bad value for {key!r}: {raw!r}")
     merged.update(given)
     if command == "run":
         try:
             lo, hi = _parse_window(merged["fit_window"])
         except ValueError:
-            parser.error(f"bad --fit-window {merged['fit_window']!r}, expected LO:HI")
+            parser.error(f"parameters: bad --fit-window {merged['fit_window']!r}, "
+                         "expected LO:HI")
         if not 0 <= lo < hi:  # a fit needs two plateaus; HI is clamped later
-            parser.error(f"bad --fit-window {merged['fit_window']!r}, need 0 <= LO < HI")
+            parser.error(f"parameters: bad --fit-window {merged['fit_window']!r}, "
+                         "need 0 <= LO < HI")
     return merged
 
 
@@ -229,7 +231,7 @@ def cmd_run(opts: dict) -> int:
     params = _stage("parameters", LatticeParams, opts["v0"], opts["f0"])
     cfg = _stage("parameters", SolverConfig, cutoff=opts["cutoff"],
                  dt=opts["dt"], n_cycles=opts["cycles"])
-    _stage("parameters", step_grid, params, cfg, opts["k0"])
+    _stage("parameters", step_grid, params, cfg)
     _stage("parameters", check_band_grid, 2, opts["grid"], opts["band_cutoff"])
     if opts["cycles"] < MIN_CYCLES:
         raise StageError(f"parameters: need cycles >= {MIN_CYCLES} to extract plateaus, "
@@ -252,7 +254,7 @@ def cmd_run(opts: dict) -> int:
         if not isinstance(exc.__cause__, DegenerateSpectrumError):
             raise
         fit_eff = None  # fully decayed edge (e.g. v0 = 0); no spectral asymptotics
-    trace = _stage("full-solver", evolve_lattice, params, cfg, k0=opts["k0"])
+    trace = _stage("full-solver", evolve_lattice, params, cfg)
     plate_full = _stage("plateau-extraction", extract_plateaus, trace, params,
                         band_cutoff=opts["band_cutoff"])
     if np.all(plate_full.probabilities[lo:hi + 1] > 0):

@@ -51,9 +51,6 @@ _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
 # Widths of the four kinetic segments of one step, in units of the step.
 _SEGMENTS = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2])
-# Steps per batched call in the two-level sweep; bounds its stack of 2x2
-# step unitaries to 1 MB however long the sweep.
-_SWEEP_CHUNK = 2 ** 14
 
 MIN_SAMPLES_PER_CYCLE = 64
 # Largest change of the state norm allowed in one Bloch cycle.
@@ -157,8 +154,9 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     h = width / n
     b_long, b_back = _coupling_exponentials(4.0 * delta, 2, h)  # entries v0/4 = delta
     u = np.eye(2, dtype=complex)
-    for j in range(0, n, _SWEEP_CHUNK):
-        t = t0 + h * np.arange(j, min(n, j + _SWEEP_CHUNK))
+    chunk = _CHUNK_ELEMENTS // 4  # steps per call: its block is (2, chunk, 2)
+    for j in range(0, n, chunk):
+        t = t0 + h * np.arange(j, min(n, j + chunk))
         # one step of each 2x2 identity gives every step's unitary
         steps = _step(np.broadcast_to(np.eye(2)[:, None], (2, len(t), 2)),
                       _sweep_phases(alpha, t, h), b_long, b_back).transpose(1, 0, 2)

@@ -12,8 +12,10 @@ U acting on the (band-1, band-2) amplitudes at fixed quasimomentum:
 
 so U = R(s12) . diag(1, s23 e^{i phi}).  U is contractive with singular
 values {1, s23}; iterating it yields the stepped survival probability
-P_n, the asymptotic decay rate gamma = -ln |e1|^2, and the intercept Z
-of the back-extrapolated exponential envelope.
+P_n.  Its spectrum gives the rest as poles and residues: the survival
+amplitude is <1|U^n|1> = d1 e1^n + d2 e2^n with |e1| >= |e2|, so the
+asymptotic decay rate is gamma = -ln |e1|^2 and the renormalization, the
+intercept of the back-extrapolated exponential envelope, is Z = |d1|^2.
 
 The chain from_lattice -> step_operator -> spectral_decompose -> z_exact /
 gamma_asymptotic broadcasts over an array of forces at one depth: a sweep
@@ -122,21 +124,19 @@ class StepIngredients:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Eigensystem of the step operator, |e1| >= |e2|, eigenvectors normalized.
+    """Poles and residues of the survival amplitude, |e1| >= |e2|.
 
-    The eigenvectors are in general non-orthogonal; c1, c2 expand the
-    initial band-1 state as (1, 0) = c1 psi1 + c2 psi2.  For a batch of
-    operators every field gains the batch shape as its leading axes;
-    degenerate flags the points whose asymptotics are undefined, and all
-    their other fields are nan.
+    <1|U^n|1> = d1 e1^n + d2 e2^n: e1, e2 are the eigenvalues of the step
+    operator and d1, d2 their residues, so d1 + d2 = 1.  For a batch of
+    operators every field gains the batch shape; degenerate flags the
+    points whose asymptotics are undefined, and all their other fields
+    are nan.
     """
 
     e1: complex
     e2: complex
-    psi1: np.ndarray
-    psi2: np.ndarray
-    c1: complex
-    c2: complex
+    d1: complex
+    d2: complex
     degenerate: bool | np.ndarray
 
 
@@ -206,33 +206,27 @@ def evolve_steps(u: np.ndarray, n_steps: int, t_bloch: float = 1.0) -> SurvivalS
 
 
 def spectral_decompose(u: np.ndarray) -> SpectralData:
-    """Eigenvalues ordered by modulus and the expansion of the initial state.
+    """Eigenvalues ordered by modulus and their residues in <1|U^n|1>.
 
-    |e1| and |e2| coinciding within 1e-12 leaves the asymptotic rate and Z
+    The cases n = 0, 1 of <1|U^n|1> = d1 e1^n + d2 e2^n give d1 + d2 = 1
+    and d1 e1 + d2 e2 = U_00, so no eigenvectors are needed.  |e1| and
+    |e2| coinciding within 1e-12 leaves the asymptotic rate and Z
     undefined: a single operator raises DegenerateSpectrumError, a batch
     flags the point in SpectralData.degenerate.
     """
-    lam, vec = np.linalg.eig(u)
-    order = np.argsort(-np.abs(lam), axis=-1)
-    lam = np.take_along_axis(lam, order, axis=-1)
-    vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
+    lam = np.linalg.eigvals(u)
+    lam = np.take_along_axis(lam, np.argsort(-np.abs(lam), axis=-1), axis=-1)
     mod = np.abs(lam)
     degenerate = np.abs(mod[..., 0] - mod[..., 1]) < MODULUS_TIE_TOL
     if degenerate.ndim == 0 and degenerate:
         raise DegenerateSpectrumError(
             f"eigenvalue moduli coincide: |e1|={mod[0]}, |e2|={mod[1]}")
-    vec = vec / np.linalg.norm(vec, axis=-2, keepdims=True)
-    # A tie may come with parallel eigenvectors (v0 = 0 is nilpotent); give
-    # flagged points an invertible basis so the batched solve cannot fail.
-    vec[degenerate] = np.eye(2)
-    # (2, 1) right-hand sides: NumPy 1.x does not broadcast a 1-D one
-    c = np.linalg.solve(vec, np.broadcast_to([[1.0], [0.0]], vec.shape[:-1] + (1,)))[..., 0]
-    lam[degenerate] = c[degenerate] = vec[degenerate] = np.nan
+    e1, e2 = lam[..., 0], lam[..., 1]
+    split = np.where(degenerate, 1.0, e1 - e2)  # a tie may be a double eigenvalue
+    d1, d2 = (u[..., 0, 0] - e2) / split, (e1 - u[..., 0, 0]) / split
     # [()] turns the 0-d results of a single operator into scalars
-    return SpectralData(e1=lam[..., 0][()], e2=lam[..., 1][()],
-                        psi1=vec[..., 0], psi2=vec[..., 1],
-                        c1=c[..., 0][()], c2=c[..., 1][()],
-                        degenerate=degenerate)
+    e1, e2, d1, d2 = (np.where(degenerate, np.nan, x)[()] for x in (e1, e2, d1, d2))
+    return SpectralData(e1=e1, e2=e2, d1=d1, d2=d2, degenerate=degenerate)
 
 
 def gamma_asymptotic(sd: SpectralData) -> float | np.ndarray:
@@ -255,12 +249,12 @@ def gamma_sequence(series: SurvivalSeries) -> tuple[np.ndarray, bool]:
 
 
 def z_exact(sd: SpectralData) -> float | np.ndarray:
-    """Renormalization parameter Z = |c1|^2 |<1|psi1>|^2.
+    """Renormalization parameter Z = |d1|^2, the weight of the dominant pole.
 
-    The squared overlap between the initial state and the dominant-mode
-    back-extrapolation c1 psi1; may fall on either side of 1.
+    The back-extrapolation of the asymptotic |d1 e1^n|^2 to n = 0; may
+    fall on either side of 1.
     """
-    return np.abs(sd.c1) ** 2 * np.abs(sd.psi1[..., 0]) ** 2
+    return np.abs(sd.d1) ** 2
 
 
 def z_first_order(ing: StepIngredients) -> float:

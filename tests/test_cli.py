@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,18 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bands", "--v0", "0", "--config", str(cfg)])
     assert exc.value.code == 2
+    # malformed config files are invalid arguments too, not crashes
+    for content in (b"grid\n", b"grid = \n", b"grid = 32\n\xff\xfe\n"):
+        cfg.write_bytes(content)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["bands", "--v0", "0", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: config:" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--v0", "1", "--f0", "0.4", "--k0", "0"])  # the flag is gone
+    assert exc.value.code == 2
     for window in ("junk", "5:2", "-1:3", "3:3"):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--v0", "1", "--f0", "0.4", "--fit-window", window])
@@ -257,7 +270,6 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
         assert "error: parameters:" in capsys.readouterr().err
     for argv in (["run", "--v0", "1", "--f0", "0.4", "--dt", "1"],
                  ["run", "--v0", "1", "--f0", "50"],
-                 ["run", "--v0", "1", "--f0", "0.4", "--k0", "2"],
                  ["run", "--v0", "1", "--f0", "0.4", "--cycles", "2"],
                  ["run", "--v0", "1", "--f0", "0.4", "--cycles", "4", "--fit-window", "4:9"],
                  ["ret", "--v0", "1", "--n-points", "0", "--f0-min", "-1"],
@@ -270,6 +282,64 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
         out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "p")]
         assert main(argv + out) == 2
         assert "error: parameters:" in capsys.readouterr().err
+
+
+# Each command starts from cheap valid flags; a draw overrides some of them with
+# values from these pools, valid and invalid alike.  Inputs whose work has no
+# bound (a tiny --dt or f0, a huge --cycles, --cutoff, --grid or --n-points) are
+# left out: nothing refuses them yet.
+_BASE_FLAGS = {
+    "bands": {"v0": "1", "grid": "16", "cutoff": "4"},
+    "run": {"v0": "1", "f0": "0.4", "cycles": "4", "cutoff": "6", "dt": "0.05",
+            "grid": "16", "band-cutoff": "4", "fit-window": "1:3"},
+    "scaling": {"v0": "1", "n-points": "5", "grid": "16"},
+    "ret": {"n-points": "5", "grid": "16"},
+}
+_FLAG_POOLS = {
+    "v0": ["0", "0.5", "2", "200", "-1", "nan", "x"], "f0": ["0.7", "1.3", "0", "-1", "nan", "50"],
+    "n-bands": ["2", "4", "0", "9"], "grid": ["32", "24", "8", "-4", "x"],
+    "cutoff": ["4", "5", "8", "3", "-1"], "cycles": ["3", "5", "2", "0"],
+    "dt": ["0.02", "0.1", "1", "0", "-0.01", "inf"], "band-cutoff": ["6", "8", "3"],
+    "fit-window": ["2:9", "0:2", "3:3", "5:2", "-1:2", "x", "6:14"],
+    "f0-min": ["0.9", "1e-310", "-1", "3", "nan"], "f0-max": ["2.5", "6", "inf", "0.4"],
+    "n-points": ["0", "1", "12", "-1"], "j-max": ["0", "1", "3"],
+}
+_SCALING_DEPTHS = ["1,2", "0.5,4", "200", "1,nan", "", "a"]
+_CONFIGS = ["# only a comment\n", "grid = 32\n", "cutoff 5\n", "grid\n", "grid = \n",
+            b"\xff\xfe\n", "no-such-key = 1\n", "grid = x\n", "missing", "directory"]
+
+
+def test_cli_contract_holds_over_the_flag_space(tmp_path, capsys):
+    rng = np.random.default_rng(2024)
+    (tmp_path / "directory").mkdir()
+    stage = re.compile(r"error: ([a-z-]+|argument --[a-z0-9-]+): ")
+    seen = set()
+    for case in range(60):
+        command = str(rng.choice(sorted(_BASE_FLAGS)))
+        flags = dict(_BASE_FLAGS[command])
+        names = [name for name, *_ in cli._SPECS[command] if name in _FLAG_POOLS]
+        for name in rng.choice(names, size=rng.integers(0, 3), replace=False):
+            pool = _SCALING_DEPTHS if (command, name) == ("scaling", "v0") else _FLAG_POOLS[name]
+            flags[name] = str(rng.choice(pool))
+        config = _CONFIGS[rng.integers(len(_CONFIGS))] if rng.random() < 0.3 else None
+        if config is not None:
+            path = tmp_path / (config if config in ("missing", "directory") else f"c{case}")
+            if config not in ("missing", "directory"):
+                (path.write_bytes if isinstance(config, bytes) else path.write_text)(config)
+            flags["config"] = str(path)
+        flags["out-prefix" if command == "run" else "out"] = str(tmp_path / f"o{case}")
+        argv = [command] + [f"--{k}={v}" for k, v in flags.items()]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code:
+            assert stage.search(err), (argv, err)
+        seen.add(code)
+    assert seen == {0, 2, 3}  # the draws reach every outcome
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

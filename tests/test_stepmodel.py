@@ -167,27 +167,46 @@ def test_second_step_first_order_expansion(ingredients_v1, operator_v1):
 # ---------------------------------------------------------------- spectrum
 
 def test_spectral_closed_form_lossy_limit():
+    # U = [[0.6, 0], [0.8, 0]]: <1|U^n|1> = 0.6^n exactly, one pole of unit weight
     u = make_op(0.6, 0.0, 0.0)
     sd = spectral_decompose(u)
     assert sd.e1 == pytest.approx(0.6, abs=1e-14)
     assert sd.e2 == pytest.approx(0.0, abs=1e-14)
-    assert abs(sd.c1) == pytest.approx(1 / 0.6, rel=1e-12)
-    assert np.allclose(np.abs(sd.psi1), [0.6, 0.8], atol=1e-12)
+    assert sd.d1 == pytest.approx(1.0, abs=1e-14)
+    assert sd.d2 == pytest.approx(0.0, abs=1e-14)
 
 
-def test_spectral_reconstruction_property():
-    rng = np.random.default_rng(17)
-    count = 0
-    while count < 1000:
+def spectral_draws(seed, count):
+    """count non-degenerate random (ingredients, operator, spectrum) triples."""
+    rng = np.random.default_rng(seed)
+    while count:
         ing = random_ingredients(rng)
+        u = step_operator(ing)
         try:
-            sd = spectral_decompose(step_operator(ing))
+            sd = spectral_decompose(u)
         except DegenerateSpectrumError:
             continue
-        count += 1
-        recon = sd.c1 * sd.psi1 + sd.c2 * sd.psi2
-        assert np.max(np.abs(recon - [1.0, 0.0])) < 1e-12
+        count -= 1
+        yield ing, u, sd
+
+
+def test_poles_and_residues_reproduce_iterated_survival():
+    n = np.arange(41)
+    for ing, u, sd in spectral_draws(17, 1000):
+        recon = np.abs(sd.d1 * sd.e1 ** n + sd.d2 * sd.e2 ** n) ** 2
+        assert np.max(np.abs(recon - evolve_steps(u, 40).probabilities)) < 1e-12
         assert abs(abs(sd.e1 * sd.e2) - ing.s23) < 1e-12  # |det U| identity
+
+
+def test_residue_matches_eigenvector_expansion():
+    # oracle: expand (1, 0) = c1 psi1 + c2 psi2 in scipy's eigenvectors; d1 = c1 psi1[0]
+    from scipy.linalg import eig
+    for _, u, sd in spectral_draws(19, 300):
+        lam, vec = eig(u)
+        vec = vec[:, np.argsort(-np.abs(lam))]
+        c = np.linalg.solve(vec, [1.0, 0.0])
+        assert abs(c[0] * vec[0, 0] - sd.d1) < 1e-12
+        assert abs(c[1] * vec[0, 1] - sd.d2) < 1e-12
 
 
 def test_degenerate_spectrum_raises():
@@ -228,7 +247,7 @@ def test_broadcast_over_forces_and_scalar_results(mean_gap_v1):
         assert ing.phi[i] == one.phi
         sd = spectral_decompose(step_operator(one))
         # scalar inputs give scalars, not 0-d arrays (fit.json serializes them)
-        for x in (one.s12, one.s23, sd.e1, sd.c1, z_exact(sd), gamma_asymptotic(sd)):
+        for x in (one.s12, one.s23, sd.e1, sd.d1, z_exact(sd), gamma_asymptotic(sd)):
             assert np.isscalar(x)
         assert abs(z[i] - z_exact(sd)) <= 1e-12
     with pytest.raises(ValueError):
