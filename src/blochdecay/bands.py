@@ -139,13 +139,22 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
                   cutoff: int = DEFAULT_CUTOFF) -> float:
     """Brillouin-zone average of E_2(k) - E_1(k).
 
-    The grid covers [-1, 1) without the duplicate endpoint, so the
-    periodic trapezoidal rule reduces to the plain mean of the samples.
-    Raises ValueError naming the cutoff when the mean at cutoff + 2 differs
-    by more than GAP_CONVERGENCE_TOL relative.
+    The mean over the uniform grid -1 + 2i/G, i = 0..G-1: the periodic
+    trapezoidal rule without the duplicate endpoint.  E(k) = E(-k) pairs
+    point i with point G - i, so only k = 1 - 2i/G, i = 0..G//2, is
+    diagonalized: k = 1 (the same as -1) and, for even G, k = 0 count
+    once, every other point twice.  Raises ValueError naming the cutoff
+    when the mean at cutoff + 2 differs by more than GAP_CONVERGENCE_TOL
+    relative.
     """
-    gap, check = (float(np.mean(np.diff(band_energies(params, 2, grid_size, c).energies)))
-                  for c in (cutoff, cutoff + 2))
+    check_band_grid(2, grid_size, cutoff)
+    k_half = 1.0 - 2.0 * np.arange(grid_size // 2 + 1) / grid_size
+    weights = np.full(len(k_half), 2.0)
+    weights[0] = 1.0
+    if grid_size % 2 == 0:
+        weights[-1] = 1.0
+    gap, check = (float(np.sum(weights * np.diff(lowest_bands(params, k_half, c, 2))[:, 0]))
+                  / grid_size for c in (cutoff, cutoff + 2))
     if abs(check - gap) > GAP_CONVERGENCE_TOL * abs(check):
         raise ValueError(f"mean band gap not converged at cutoff {cutoff}: it moves by "
                          f"{abs(check - gap) / abs(check):.1e} relative at cutoff {cutoff + 2} "

@@ -329,7 +329,7 @@ def _force_grid(opts: dict) -> np.ndarray:
 def cmd_scaling(opts: dict) -> int:
     runspec = _runspec_json("scaling", opts)
     try:
-        v0_list = [float(x) for x in str(opts["v0"]).split(",") if x.strip()]
+        v0_list = [float(x) for x in str(opts["v0"]).split(",")]
     except ValueError as exc:
         raise StageError(f"parameters: bad depth list {opts['v0']!r}: {exc}",
                          stage="parameters")

@@ -8,11 +8,11 @@ Two solvers live here, on one step kernel:
     closed form exp(-pi delta^2 / alpha) for the asymptotic jump
     probability checks the integrator the lattice solver runs.
 
-  * evolve_lattice -- a Bloch state in the accelerated lattice, expanded
-    over plane waves exp(i (k(tau) + 2n) pi x / d_L) with the drifting
-    quasimomentum k(tau) = k0 + f0 tau / pi.  Whenever k(tau) leaves the
-    zone it is folded back by 2 and the mode labels shift by one, which
-    keeps the populated momenta centered in the truncated basis.
+  * evolve_lattice -- the band-1 Bloch state at k = 0 in the accelerated
+    lattice, expanded over plane waves exp(i (k(tau) + 2n) pi x / d_L) with
+    the drifting quasimomentum k(tau) = f0 tau / pi.  When k(tau) reaches
+    the zone edge it is folded back by 2 and the mode labels shift by one,
+    which keeps the populated momenta centered in the truncated basis.
 
 The lattice propagator is a fourth-order fixed-step splitting (Yoshida
 composition of Strang steps).  The kinetic part is diagonal and its time
@@ -23,17 +23,24 @@ the (monitored) drop of an edge mode at a fold.
 
 The hamiltonian repeats every Bloch period, and the fold falls on the same
 step of every cycle, so one cycle is a fixed linear map M on the 2c+1
-amplitudes (the Floquet, or Wannier-Stark resonance, picture).
-evolve_lattice therefore makes two passes over one cycle with the same
-step kernel.  Each pass cuts the cycle's 2m steps into K contiguous
-segments and steps all of them at once, the mode axis first, so every
-coupling exponential is one (dim, dim) x (dim, K cols) gemm.  The first
-pass carries K identities to the segment maps G_0..G_{K-1}, whose product
-is M; the second carries the starts of all cycles, psi0, M psi0, ..., each
-advanced to the start of every segment, and copies out the samples.  That
-costs about one dim^3 build plus one dim^2 N pass, instead of N stepwise
-cycles, in 2m / K wide steps; K is the most segments whose block fits
-bands._CHUNK_ELEMENTS.
+amplitudes (the Floquet, or Wannier-Stark resonance, picture).  H(k) is
+real and H(-k) = P H(k) P, with P the reversal n -> -n of the mode axis;
+the 2m steps of a cycle from k = 0 lie mirror-symmetric about k = 0 and
+the Yoshida step is palindromic, so the steps of the second half (k from
+-1 to 0) are P U^T P of the first half's steps U in reverse order.  With
+A the half-cycle map (k from 0 to 1) and F the fold, M = P A^T P F A.
+
+evolve_lattice therefore makes two passes with the same step kernel.
+Both cut the half cycle's m steps into the same K contiguous segments and
+step all of them at once, the mode axis first, so every coupling
+exponential is one (dim, dim) x (dim, K cols) gemm.  The first pass
+carries K identities to the segment maps G_0..G_{K-1}, whose product is A;
+the second carries the starts of all cycles, psi0, M psi0, ..., each
+advanced to the start of every one of the cycle's 2K segments (the second
+half's segment maps are P G_j^T P, j descending), and copies out the
+samples.  That costs about one dim^3 build of half a cycle plus one
+dim^2 N pass, in ceil(m / K) wide steps each; K is the most segments
+whose blocks (dim, K, dim) and (dim, 2K, N) fit bands._CHUNK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -84,11 +91,10 @@ class HoustonState:
 
     amplitudes[i] belongs to mode n = i - cutoff at momentum
     quasimomentum + 2n; n_folds counts the zone-edge relabelings applied
-    so far, so quasimomentum = k0 + f0 tau / pi - 2 n_folds stays in B.
+    so far, so quasimomentum = f0 tau / pi - 2 n_folds stays in B.
     """
 
     amplitudes: np.ndarray
-    k0: float
     time: float
     n_folds: int
     quasimomentum: float
@@ -195,21 +201,17 @@ def _coupling_exponentials(v0: float, dim: int, dt: float):
     return expt(_W1 * dt), expt(_W0 * dt)
 
 
-def step_grid(params: LatticeParams, cfg: SolverConfig,
-              k0: float = 0.0) -> tuple[float, int]:
-    """Checked (k0, m) of the solver: 2m steps of T_B / (2m) <= cfg.dt per cycle.
+def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
+    """Checked m of the solver: 2m steps of T_B / (2m) <= cfg.dt per cycle.
 
-    k0 = 1 comes back as -1, the same Bloch state labeled from the left
-    zone edge.  Raises ValueError when k0 lies outside B or cfg.dt gives
-    fewer than MIN_SAMPLES_PER_CYCLE steps per cycle.
+    Raises ValueError when cfg.dt gives fewer than MIN_SAMPLES_PER_CYCLE
+    steps per cycle.
     """
-    if not (math.isfinite(k0) and abs(k0) <= 1.0):
-        raise ValueError(f"initial quasimomentum outside B: k0={k0}")
     m = int(math.ceil(params.bloch_period / 2.0 / cfg.dt))
     if 2 * m < MIN_SAMPLES_PER_CYCLE:
         raise ValueError(
             f"dt={cfg.dt} gives {2 * m} steps per cycle; need >= {MIN_SAMPLES_PER_CYCLE}")
-    return (-1.0 if k0 == 1.0 else k0), m
+    return m
 
 
 def _kinetic_phases(k_start: np.ndarray, c: float, dt: float, cutoff: int) -> np.ndarray:
@@ -230,15 +232,23 @@ def _kinetic_phases(k_start: np.ndarray, c: float, dt: float, cutoff: int) -> np
     return phases
 
 
+def _fold(x: np.ndarray) -> np.ndarray:
+    """The zone-edge relabeling k -> k - 2 of x (dim, ...) in place: modes shift up by one.
+
+    The discarded edge amplitude is left to the norm monitor.
+    """
+    x[1:] = x[:-1]
+    x[0] = 0.0
+    return x
+
+
 def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray,
           fold: int | None = None) -> np.ndarray:
     """One Yoshida step of the blocks x (dim, K, cols) with the kinetic phases ph (4, dim, K).
 
     Block j takes the phases ph[:, :, j].  The mode axis comes first, so
     each coupling exponential is one gemm over all K cols columns.  With
-    fold = j, block j's step ends on the zone edge: k -> k - 2 with the
-    mode labels shifted by one, and the discarded edge amplitude is left
-    to the norm monitor.
+    fold = j, block j's step ends on the zone edge and is folded.
     """
     e = np.exp(-1j * ph)[..., None]
     x = e[0] * x
@@ -246,77 +256,88 @@ def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray,
         x = (b @ x.reshape(len(x), -1)).reshape(x.shape)
         x *= ek
     if fold is not None:
-        x[1:, fold] = x[:-1, fold]
-        x[0, fold] = 0.0
+        _fold(x[:, fold])
     return x
 
 
-def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
-                   k0: float = 0.0) -> list[HoustonState]:
-    """Propagate the band-1 Bloch state at k0 through cfg.n_cycles Bloch periods.
+def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> list[HoustonState]:
+    """Propagate the band-1 Bloch state at k = 0 through cfg.n_cycles Bloch periods.
 
     Returns snapshots sampled at least 64 times per cycle plus the final
     step.  Raises NormDriftError when the per-cycle norm change exceeds
     NORM_TOLERANCE (the usual cause is a cutoff too small to hold the
     escaped population for the requested number of cycles).
 
-    Two passes over one cycle, cut into K contiguous segments of its 2m
-    steps that are stepped together: K = _CHUNK_ELEMENTS // (dim
-    max(dim, N)), clamped to 1..2m, so one wide step works on at most
-    _CHUNK_ELEMENTS amplitudes and a cycle takes ceil(2m / K) of them.
-    The first pass steps K identities to the segment maps G_j, whose
-    product is the cycle map M; the cycle starts M^n psi0 give the
-    per-cycle norm monitor.  The second pass steps the block (dim, K, N)
-    of the cycle starts advanced to every segment's first step, and copies
+    The half cycle's m steps (k from 0 to 1) are cut into K contiguous
+    segments, K = _CHUNK_ELEMENTS // (dim max(dim, 2N)) clamped to 1..m,
+    so one wide step works on at most _CHUNK_ELEMENTS amplitudes.  The
+    last m mod K segments, next to the fold, take one step more, so the
+    ragged last wide step works on one contiguous slice of segments.  The
+    first pass steps K identities to the segment maps G_j, whose product
+    is the half-cycle map A; the cycle map is M = P A^T P F A, and the
+    cycle starts M^n psi0 give the per-cycle norm monitor.  The second pass
+    steps the block (dim, 2K, N) of the cycle starts advanced to the first
+    step of each of the cycle's 2K segments: the K of the first half, then
+    their mirror images in reverse order, with maps P G_j^T P.  It copies
     column n of block j out at every sampled step of cycle n in segment j.
-    Times, fold counts and quasimomenta are those of a stepwise loop over
-    all cycles; amplitudes agree with it to roundoff.
+    Steps of the second half read the first half's kinetic phases with the
+    segment and mode axes reversed.  Times, fold counts and quasimomenta
+    are those of a stepwise loop over all cycles; amplitudes agree with it
+    to roundoff.
     """
-    k0, m = step_grid(params, cfg, k0)
+    m = step_grid(params, cfg)
     dt = params.bloch_period / 2.0 / m
     stride = max(1, (2 * m) // MIN_SAMPLES_PER_CYCLE)
     dim = 2 * cfg.cutoff + 1
 
     b_long, b_back = _coupling_exponentials(params.v0, dim, dt)
-    k_start = k0 + np.arange(2 * m) / m
-    k_start -= 2.0 * np.floor((k_start + 1.0) / 2.0)
-    phases = _kinetic_phases(k_start, params.f0 / math.pi, dt, cfg.cutoff)
+    half = _kinetic_phases(np.arange(m) / m, params.f0 / math.pi, dt, cfg.cutoff)
+    mirror = half[::-1, ::-1]  # step s >= m of the cycle takes mirror[:, :, 2m - 1 - s]
 
     if params.v0 > 0:
-        h0 = build_bloch_hamiltonian(params, k0, cfg.cutoff)
+        h0 = build_bloch_hamiltonian(params, 0.0, cfg.cutoff)
         _, vec = lowest_eigenpairs(h0, 1, vectors=True)
         psi = vec[:, 0].astype(complex)
     else:
         psi = np.zeros(dim, complex)
-        psi[int(np.argmin((k0 + 2.0 * np.arange(-cfg.cutoff, cfg.cutoff + 1)) ** 2))] = 1.0
+        psi[cfg.cutoff] = 1.0
 
-    # Segment j holds the cycle's steps first[j] .. first[j + 1] - 1 (from 0);
-    # the first `longer` segments take one step more than the rest.
-    n_seg = min(max(_CHUNK_ELEMENTS // (dim * max(dim, cfg.n_cycles)), 1), 2 * m)
-    short, longer = divmod(2 * m, n_seg)
-    first = short * np.arange(n_seg + 1) + np.minimum(np.arange(n_seg + 1), longer)
-    seg_of = np.repeat(np.arange(n_seg), np.diff(first))
-    # The fold ends the first step of the cycle that reaches k >= 1.
-    fold = next(o for o in range(1, 2 * m + 1) if k0 + o / m >= 1.0)
-    fold_seg = int(seg_of[fold - 1])
+    # Segment j holds the cycle's steps first[j] .. first[j + 1] - 1 (from 0):
+    # K segments of the half cycle, then their mirror images.  The fold ends
+    # segment K - 1, and the segments K - extra .. K + extra - 1 around it take
+    # the extra wide step.
+    n_seg = min(max(_CHUNK_ELEMENTS // (dim * max(dim, 2 * cfg.n_cycles)), 1), m)
+    short, extra = divmod(m, n_seg)
+    lengths = np.full(n_seg, short)
+    lengths[n_seg - extra:] += 1
+    first = np.concatenate([[0], np.cumsum(np.concatenate([lengths, lengths[::-1]]))])
+    seg_of = np.repeat(np.arange(2 * n_seg), np.diff(first))
 
     def cycle_pass(block: np.ndarray, sample=None) -> np.ndarray:
-        """Step the segments' blocks through their steps; sample(i, block) after wide step i."""
-        for i in range(short + (longer > 0)):
-            active = n_seg if i < short else longer
-            step = _step(block[:, :active], phases[:, :, first[:active] + i], b_long, b_back,
-                         fold_seg if fold - 1 == first[fold_seg] + i else None)
-            block = step if active == n_seg else np.concatenate([step, block[:, active:]], 1)
+        """Step the blocks of the first block.shape[1] segments; sample(i, block) after wide step i.
+
+        The fold ends segment K - 1 when it is in the block.
+        """
+        n = block.shape[1]
+        for i in range(short + (extra > 0)):
+            lo, hi = (0, n) if i < short else (n_seg - extra, min(n_seg + extra, n))
+            s = first[lo:hi] + i
+            back = s >= m
+            ph = np.concatenate([half[:, :, s[~back]], mirror[:, :, 2 * m - 1 - s[back]]], 2)
+            step = _step(block[:, lo:hi], ph, b_long, b_back,
+                         n_seg - 1 - lo if n > n_seg and i == lengths[-1] - 1 else None)
+            block = step if i < short else np.concatenate([block[:, :lo], step, block[:, hi:]], 1)
             if sample:
                 sample(i, block)
         return block
 
     maps = cycle_pass(np.broadcast_to(np.eye(dim)[:, None], (dim, n_seg, dim)))
-    cycle_map = maps[:, 0]
+    half_map = maps[:, 0]
     for j in range(1, n_seg):
-        cycle_map = maps[:, j] @ cycle_map
+        half_map = maps[:, j] @ half_map
+    cycle_map = half_map.T[::-1, ::-1] @ _fold(half_map.copy())
 
-    starts = np.empty((dim, n_seg, cfg.n_cycles), complex)
+    starts = np.empty((dim, 2 * n_seg, cfg.n_cycles), complex)
     starts[:, 0, 0] = start = psi
     norm_prev = 1.0
     for n in range(1, cfg.n_cycles + 1):
@@ -332,6 +353,9 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
             starts[:, 0, n] = start
     for j in range(1, n_seg):
         starts[:, j] = maps[:, j - 1] @ starts[:, j - 1]
+    starts[:, n_seg] = _fold(maps[:, n_seg - 1] @ starts[:, n_seg - 1])
+    for j in range(n_seg + 1, 2 * n_seg):  # segment j - 1 mirrors segment 2K - j
+        starts[:, j] = (maps[:, 2 * n_seg - j].T @ starts[::-1, j - 1])[::-1]
 
     # Sampled global steps s = 2mn + o + 1, o = first[j] + i, grouped by wide step i.
     n_steps = 2 * m * cfg.n_cycles
@@ -342,15 +366,14 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig,
     for slot, s in enumerate(sampled, start=1):
         n, o = divmod(s - 1, 2 * m)
         j = int(seg_of[o])
-        by_step.setdefault(o - int(first[j]), []).append((slot, j, n, s, n + (o + 1 >= fold)))
-    states = [HoustonState(amplitudes=psi.copy(), k0=k0, time=0.0,
-                           n_folds=0, quasimomentum=k0)] + [None] * len(sampled)
+        by_step.setdefault(o - int(first[j]), []).append((slot, j, n, s, n + (o + 1 >= m)))
+    states = [HoustonState(amplitudes=psi.copy(), time=0.0, n_folds=0,
+                           quasimomentum=0.0)] + [None] * len(sampled)
 
     def sample(i: int, block: np.ndarray) -> None:
         for slot, j, n, s, folds in by_step.get(i, ()):
-            states[slot] = HoustonState(amplitudes=block[:, j, n].copy(), k0=k0,
-                                        time=s * dt, n_folds=folds,
-                                        quasimomentum=k0 + s / m - 2.0 * folds)
+            states[slot] = HoustonState(amplitudes=block[:, j, n].copy(), time=s * dt,
+                                        n_folds=folds, quasimomentum=s / m - 2.0 * folds)
 
     cycle_pass(starts, sample)
     return states

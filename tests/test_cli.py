@@ -268,6 +268,11 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
                  ["ret", "--v0", "1", "--f0-min", "1e-310"]):
         assert main(argv + ["--grid", "32", "--out", str(tmp_path / "s.csv")]) == 2
         assert "error: parameters:" in capsys.readouterr().err
+    # an empty depth entry is refused, not dropped
+    for depths in ("", "1,,2"):
+        assert main(["scaling", "--v0", depths, "--out", str(tmp_path / "e.csv")]) == 2
+        assert f"error: parameters: bad depth list {depths!r}" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
     for argv in (["run", "--v0", "1", "--f0", "0.4", "--dt", "1"],
                  ["run", "--v0", "1", "--f0", "50"],
                  ["run", "--v0", "1", "--f0", "0.4", "--cycles", "2"],

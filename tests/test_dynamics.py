@@ -11,8 +11,8 @@ import scipy.linalg
 
 from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         NormDriftError, SolverConfig, band_projections,
-                        band_survival, build_bloch_hamiltonian, evolve_lattice,
-                        lz_probability, lz_two_level_ode, trace_rows)
+                        band_survival, build_bloch_hamiltonian, dynamics,
+                        evolve_lattice, lz_probability, lz_two_level_ode, trace_rows)
 from blochdecay.bands import _CHUNK_ELEMENTS
 from blochdecay.dynamics import (_SEGMENTS, _W0, _W1, MIN_SAMPLES_PER_CYCLE,
                                  NORM_TOLERANCE, _coupling_exponentials,
@@ -96,11 +96,21 @@ def test_shared_step_is_fourth_order():
 
 # --------------------------------------------------------- lattice evolution
 
-def stepwise_oracle(params, cfg, k0, psi):
-    """Reference: every step of every cycle in turn, from the initial state psi."""
-    k0, m = step_grid(params, cfg, k0)
+def oracle_steps(params, cfg, psi, k0=0.0):
+    """Every step of the solver's run in turn, from the state psi at k0: yields (s, state).
+
+    k0 = 0 starts the run at step s = 0.  k0 = -1, the zone edge, resumes it at
+    s = m, after its first fold; k0 = 1 is the same edge state labeled from the
+    right, relabeled to -1 first.  Times, fold counts and quasimomenta are the
+    run's from k = 0, and the state at the start comes first; the kinetic phases
+    are the loop's own, on the steps from k0.  The run ends with cycle
+    cfg.n_cycles; a norm change in one of its cycles raises NormDriftError.
+    """
+    m = step_grid(params, cfg)
+    if k0 == 1.0:
+        psi = np.concatenate([[0.0], psi[:-1]])
+        k0 = -1.0
     dt = params.bloch_period / 2.0 / m
-    stride = max(1, (2 * m) // MIN_SAMPLES_PER_CYCLE)
     n_modes = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=float)
     c = params.f0 / math.pi
     b_long, b_back = _coupling_exponentials(params.v0, len(psi), dt)
@@ -111,17 +121,17 @@ def stepwise_oracle(params, cfg, k0, psi):
     x = k_start[:, None, None] + 2.0 * n_modes + (c * bounds)[:, None]
     x1, x2 = x[:, :-1], x[:, 1:]  # w/3 (x1^2 + x1 x2 + x2^2) = (x2^3 - x1^3) / (3c), no cancellation
     phases = seg[:, None] / 3.0 * (x1 ** 2 + x1 * x2 + x2 ** 2)
-    states = [HoustonState(psi.copy(), k0, 0.0, 0, k0)]
-    n_steps = 2 * m * cfg.n_cycles
-    folds, norm_prev = 0, 1.0
-    for j in range(n_steps):
+    start = 0 if k0 == 0.0 else m
+    folds, norm_prev = int(start > 0), 1.0
+    yield start, HoustonState(psi.copy(), start * dt, folds, start / m - 2.0 * folds)
+    for j in range(2 * m * cfg.n_cycles - start):
         ph = phases[j % (2 * m)]
         psi = b_long @ (np.exp(-1j * ph[0]) * psi)
         psi = b_back @ (np.exp(-1j * ph[1]) * psi)
         psi = b_long @ (np.exp(-1j * ph[2]) * psi)
         psi = np.exp(-1j * ph[3]) * psi
-        s = j + 1
-        k_now = k0 + s / m - 2.0 * folds
+        s = start + j + 1
+        k_now = s / m - 2.0 * folds
         if k_now >= 1.0:
             psi[1:] = psi[:-1]
             psi[0] = 0.0
@@ -132,32 +142,38 @@ def stepwise_oracle(params, cfg, k0, psi):
             if abs(norm_now - norm_prev) > NORM_TOLERANCE:
                 raise NormDriftError(f"norm changed in cycle {s // (2 * m)} ")
             norm_prev = norm_now
-        if s % stride == 0 or s == n_steps:
-            states.append(HoustonState(psi.copy(), k0, s * dt, folds, k_now))
-    return states
+        yield s, HoustonState(psi.copy(), s * dt, folds, k_now)
+
+
+def stepwise_oracle(params, cfg, psi, k0=0.0):
+    """Reference: the states of oracle_steps from psi at k0 on the solver's sampled steps."""
+    m = step_grid(params, cfg)
+    stride, n_steps = max(1, (2 * m) // MIN_SAMPLES_PER_CYCLE), 2 * m * cfg.n_cycles
+    return [state for s, state in oracle_steps(params, cfg, psi, k0)
+            if s % stride == 0 or s == n_steps]
 
 
 # dt = 0.13 gives stride 2 with samples on the fold steps; the stepwise
 # oracle takes ~1 s for 10 cycles at dt = 0.01, so two cases cover that.
-# (k0, v0, dt, cycles, cutoff); the escaped population moves one mode outwards per cycle
+# (k0, v0, dt, cycles, cutoff); the escaped population moves one mode outwards per cycle.
+# The solver starts at k0 = 0 only; from the zone edge k0 = -+1 the oracle resumes
+# its run half a cycle in and follows it for `cycles` more (see the test).
 PARITY_CASES = [pytest.param(k0, v0, dt, cycles, 8 if cycles == 1 else 20,
                              id=f"{k0}-{v0}-{dt}-{cycles}")
                 for k0, v0, dt, cycles in
-                [(k0, v0, dt, cycles) for k0 in (0.0, 0.37, -1.0, 1.0) for v0 in (0.0, 1.0)
+                [(k0, v0, dt, cycles) for k0 in (0.0, -1.0, 1.0) for v0 in (0.0, 1.0)
                  for dt, cycles in ((0.13, 1), (0.13, 10), (0.01, 1))]
-                + [(0.37, 1.0, 0.01, 10), (-1.0, 1.0, 0.01, 10)]]
-# The segments of one wide step.  At cutoff 8, dt 0.01 the 2m = 1642 steps of a cycle
-# fall into 226 segments, the first 60 of 8 steps and the rest of 7: segment 3 starts at
-# step 24 and segment 100 ends at step 766 (from 0), and k0 = 1 - (step + 0.5) / m puts
-# the fold on that step.
+                + [(0.0, 1.0, 0.01, 10), (-1.0, 1.0, 0.01, 10)]]
+# Where the fold (the end of the half cycle's last segment, K - 1) falls in the wide steps:
 PARITY_CASES += [
-    pytest.param(1.0 - 24.5 / 821, 1.0, 0.01, 1, 8, id="fold-on-segment-first-step"),
-    pytest.param(1.0 - 766.5 / 821, 1.0, 0.01, 1, 8, id="fold-on-segment-last-step"),
-    # the operating point: 15 segments, 7 of 110 steps and 8 of 109
+    # the operating point: m = 821 = 15 * 54 + 11, so the last 11 of the 15 half-cycle
+    # segments take 55 steps and the fold ends the ragged extra wide step
     pytest.param(0.0, 1.0, 0.01, 3, 32, id="ragged-segments-at-cutoff-32"),
-    # 64 steps per cycle at cutoff 4: 809 segments clamp to 64 of one step
-    pytest.param(0.37, 1.0, 0.26, 1, 4, id="one-step-segments"),
-    # 14 cycle starts on 11 modes: 425 segments of 4 or 3 steps
+    # 64 steps per cycle at cutoff 4: 809 segments clamp to the 32 of one step each
+    pytest.param(0.0, 1.0, 0.26, 1, 4, id="one-step-segments"),
+    # m = 678 = 226 * 3 at cutoff 8: no ragged step, the fold ends a full one
+    pytest.param(0.0, 1.0, 0.0121, 3, 8, id="even-split"),
+    # 14 cycle starts on 11 modes: 212 half-cycle segments of 4 or 3 steps
     pytest.param(0.0, 18.0, 0.01, 14, 5, id="more-cycles-than-modes"),
 ]
 
@@ -165,9 +181,19 @@ PARITY_CASES += [
 @pytest.mark.parametrize("k0, v0, dt, cycles, cutoff", PARITY_CASES)
 def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff):
     params = LatticeParams(v0, 0.383)
-    cfg = SolverConfig(cutoff=cutoff, dt=dt, n_cycles=cycles)
-    states = evolve_lattice(params, cfg, k0=k0)
-    expected = stepwise_oracle(params, cfg, k0, states[0].amplitudes)
+    cfg = SolverConfig(cutoff=cutoff, dt=dt, n_cycles=cycles if k0 == 0.0 else cycles + 1)
+    states = evolve_lattice(params, cfg)
+    psi = states[0].amplitudes
+    if k0 != 0.0:
+        # the oracle's own state at the zone edge, m steps from k = 0, labeled from the
+        # left (after the fold) or, for k0 = 1, from the right (before it); from there
+        # it runs the cycles of the solver's run that follow
+        m = step_grid(params, cfg)
+        psi = next(state for s, state in oracle_steps(params, cfg, psi) if s == m).amplitudes
+        if k0 == 1.0:
+            psi = np.concatenate([psi[1:], [0.0]])
+    expected = stepwise_oracle(params, cfg, psi, k0)
+    states = [state for state in states if state.time >= expected[0].time]
     assert len(states) == len(expected)
     for got, want in zip(states, expected):
         assert (got.time, got.n_folds, got.quasimomentum) == (
@@ -175,26 +201,44 @@ def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff):
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-11
 
 
+def test_cycle_map_steps_half_a_cycle(monkeypatch):
+    # the identity pass steps only the m steps of k in [0, 1]; the mirror gives the rest,
+    # while the pass over the cycle starts steps all 2m
+    params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=8, dt=0.01, n_cycles=1)
+    m, dim = step_grid(params, cfg), 17
+    stepped = {dim: 0, 1: 0}  # block columns: dim in the identity pass, N in the other
+    step = dynamics._step
+    def count(x, *args, **kwargs):
+        stepped[x.shape[2]] += x.shape[1]
+        return step(x, *args, **kwargs)
+    monkeypatch.setattr(dynamics, "_step", count)
+    evolve_lattice(params, cfg)
+    assert stepped == {dim: m, 1: 2 * m}
+
+
 def test_kinetic_phases_match_exact_arithmetic():
     # the exact-run point: the integral of (k + 2n + c s)^2 over each Yoshida segment,
     # in exact rationals on the same float k, c and segment bounds; the edge modes
-    # n = -+32 are where (x2^3 - x1^3) / (3c) lost 3e-10 rad to cancellation
+    # n = -+32 are where (x2^3 - x1^3) / (3c) lost 3e-10 rad to cancellation.  The table
+    # holds the half cycle; step s >= m of the cycle reads it mirrored, at column
+    # 2m - 1 - s with the segment and mode axes reversed.
     params, cutoff = LatticeParams(1.0, 0.383), 32
-    k0, m = step_grid(params, SolverConfig(cutoff=cutoff, dt=0.01))
+    m = step_grid(params, SolverConfig(cutoff=cutoff, dt=0.01))
     dt, c = params.bloch_period / 2.0 / m, params.f0 / math.pi
-    k_start = k0 + np.arange(2 * m) / m
+    k_start = np.arange(2 * m) / m
     k_start -= 2.0 * np.floor((k_start + 1.0) / 2.0)
-    phases = _kinetic_phases(k_start, c, dt, cutoff)
-    assert phases.shape == (4, 2 * cutoff + 1, 2 * m)
+    half = _kinetic_phases(k_start[:m], c, dt, cutoff)
+    assert half.shape == (4, 2 * cutoff + 1, m)
     bounds = np.concatenate([[0.0], np.cumsum(_SEGMENTS * dt)])
     worst = 0.0
     for s in range(4):
-        for i in (0, cutoff, 2 * cutoff):
-            for j in (0, m - 1, m, 2 * m - 1):
+        for i in (0, 1, cutoff, 2 * cutoff - 1, 2 * cutoff):
+            for j in (0, m - 1, m, m + 1, 2 * m - 1):
                 x1, x2 = (Fraction(k_start[j]) + 2 * (i - cutoff) + Fraction(c) * Fraction(b)
                           for b in bounds[s:s + 2])
                 exact = (x2 ** 3 - x1 ** 3) / (3 * Fraction(c))
-                worst = max(worst, abs(float(Fraction(phases[s, i, j]) - exact)))
+                got = half[s, i, j] if j < m else half[3 - s, 2 * cutoff - i, 2 * m - 1 - j]
+                worst = max(worst, abs(float(Fraction(got) - exact)))
     assert worst < 1e-12, worst
 
 
@@ -204,7 +248,7 @@ def test_norm_drift_error_in_same_cycle_as_stepwise_oracle():
     psi = evolve_lattice(params, SolverConfig(cutoff=8, n_cycles=1))[0].amplitudes
     cycle = re.compile(r"in cycle (\d+) ")
     with pytest.raises(NormDriftError) as want:
-        stepwise_oracle(params, cfg, 0.0, psi)
+        stepwise_oracle(params, cfg, psi)
     with pytest.raises(NormDriftError) as got:
         evolve_lattice(params, cfg)
     assert cycle.search(str(got.value))[1] == cycle.search(str(want.value))[1]
@@ -295,8 +339,8 @@ def test_gauge_fold_invariance(paper_params):
     # undo the relabeling: same physical momenta expressed at k = +1
     pre = np.zeros_like(folded.amplitudes)
     pre[:-1] = folded.amplitudes[1:]
-    unfolded = HoustonState(amplitudes=pre, k0=folded.k0, time=folded.time,
-                            n_folds=folded.n_folds - 1, quasimomentum=1.0)
+    unfolded = HoustonState(amplitudes=pre, time=folded.time, n_folds=folded.n_folds - 1,
+                            quasimomentum=1.0)
     assert band_survival(unfolded, paper_params) == pytest.approx(
         band_survival(folded, paper_params), abs=1e-10)
 
@@ -315,14 +359,9 @@ def test_plateau_structure(trace_v1, paper_params):
         assert after < 0.75 * center
 
 
-def test_validates_k0(paper_params):
-    with pytest.raises(ValueError):
-        evolve_lattice(paper_params, SolverConfig(n_cycles=1), k0=1.5)
-
-
 def test_folded_k_consistent_with_stored_quasimomentum(trace_v1, paper_params):
     for state in trace_v1[::37]:
-        k = state.k0 + paper_params.f0 * state.time / math.pi - 2 * state.n_folds
+        k = paper_params.f0 * state.time / math.pi - 2 * state.n_folds
         assert k == pytest.approx(state.quasimomentum, abs=1e-9)
 
 
@@ -372,7 +411,7 @@ def test_trace_rows_match_full_cutoff_projections(v0, f0, monkeypatch):
 def test_coupling_exponentials_unitary_to_roundoff():
     # the exact-run operating point: dim 65, v0 = 1, dt = T_B / (2m) <= 0.01
     params = LatticeParams(1.0, 0.383)
-    _, m = step_grid(params, SolverConfig(cutoff=32, n_cycles=20))
+    m = step_grid(params, SolverConfig(cutoff=32, n_cycles=20))
     for b in _coupling_exponentials(1.0, 65, params.bloch_period / 2.0 / m):
         assert np.max(np.abs(b.conj().T @ b - np.eye(65))) < 1e-14
 
