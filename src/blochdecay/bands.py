@@ -97,16 +97,55 @@ def lowest_eigenpairs(h: np.ndarray, n: int, vectors: bool = False):
         raise EigensolverError(f"eigensolver failed: {exc}") from exc
 
 
+def _separate_neighbours(h: np.ndarray, w: np.ndarray, v: np.ndarray,
+                         coupling: float) -> np.ndarray:
+    """v (..., dim, j) after one Jacobi rotation of each pair of neighbouring columns.
+
+    h is tridiagonal with the constant off-diagonal coupling, and v holds its
+    eigenvectors for the ascending eigenvalues w.  LAPACK's vectors are
+    accurate to ~eps ||h|| / gap, and ||h|| ~ 4 cutoff^2 is set by edge modes
+    the low bands hardly touch: at cutoff 10, v0 = 1 the band-2 vector mixes
+    with band 3 by ~2e-12 at k = 0 and with band 1 by ~1e-13 at k = -+1,
+    where the gaps are small.  The rotation angles come from the Ritz matrix
+    diag(w) + v^T r, whose residuals r = (h - w) v are formed on the
+    tridiagonal from the shifted diagonal, so no large product cancels; each
+    rotation is orthogonal, so the columns stay orthonormal.
+    """
+    v = v.copy()
+    r = (np.diagonal(h, axis1=-2, axis2=-1)[..., :, None] - w[..., None, :]) * v
+    r[..., 1:, :] += coupling * v[..., :-1, :]
+    r[..., :-1, :] += coupling * v[..., 1:, :]
+    e = v.swapaxes(-1, -2) @ r
+    for a in range(v.shape[-1] - 1):
+        b = a + 1
+        theta = 0.5 * np.arctan2(e[..., a, b] + e[..., b, a],
+                                 (w[..., b] - w[..., a]) + (e[..., b, b] - e[..., a, a]))
+        c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+        va = v[..., a].copy()
+        v[..., a] = c * va - s * v[..., b]
+        v[..., b] = s * va + c * v[..., b]
+    return v
+
+
 def lowest_bands(params: LatticeParams, k: np.ndarray, cutoff: int, n: int,
                  vectors: bool = False):
     """lowest_eigenpairs of the Hamiltonians at the quasimomenta k (1-D), stacked over k.
 
-    Diagonalizes in chunks of at most _CHUNK_ELEMENTS matrix elements.
+    Diagonalizes in chunks of at most _CHUNK_ELEMENTS matrix elements.  The
+    vectors are refined by _separate_neighbours over the lowest n + 1 bands,
+    which brought the band-1 and band-2 vectors within 1e-14 of 40-digit ones
+    at every k and v0 (0.1 to 30) checked, k = 0 and -+1 included.
     """
-    chunk = max(1, _CHUNK_ELEMENTS // (2 * cutoff + 1) ** 2)
-    parts = [lowest_eigenpairs(build_bloch_hamiltonian(params, k[i:i + chunk], cutoff), n,
-                               vectors)
-             for i in range(0, len(k), chunk)]
+    dim = 2 * cutoff + 1
+    chunk = max(1, _CHUNK_ELEMENTS // dim ** 2)
+    parts = []
+    for i in range(0, len(k), chunk):
+        h = build_bloch_hamiltonian(params, k[i:i + chunk], cutoff)
+        if vectors:
+            w, v = lowest_eigenpairs(h, min(n + 1, dim), vectors=True)
+            parts.append((w[:, :n], _separate_neighbours(h, w, v, params.v0 / 4.0)[..., :n]))
+        else:
+            parts.append(lowest_eigenpairs(h, n))
     if vectors:
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)

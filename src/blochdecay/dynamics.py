@@ -30,17 +30,17 @@ the Yoshida step is palindromic, so the steps of the second half (k from
 -1 to 0) are P U^T P of the first half's steps U in reverse order.  With
 A the half-cycle map (k from 0 to 1) and F the fold, M = P A^T P F A.
 
-evolve_lattice therefore makes two passes with the same step kernel.
-Both cut the half cycle's m steps into the same K contiguous segments and
-step all of them at once, the mode axis first, so every coupling
-exponential is one (dim, dim) x (dim, K cols) gemm.  The first pass
-carries K identities to the segment maps G_0..G_{K-1}, whose product is A;
-the second carries the starts of all cycles, psi0, M psi0, ..., each
-advanced to the start of every one of the cycle's 2K segments (the second
-half's segment maps are P G_j^T P, j descending), and copies out the
-samples.  That costs about one dim^3 build of half a cycle plus one
-dim^2 N pass, in ceil(m / K) wide steps each; K is the most segments
-whose blocks (dim, K, dim) and (dim, 2K, N) fit bands._CHUNK_ELEMENTS.
+evolve_lattice therefore steps half a cycle once, on the identity.  It
+cuts the half cycle's m steps into K = 32 contiguous segments and steps
+groups of them at once, the mode axis first, so every coupling exponential
+is one (dim, dim) x (dim, group cols) gemm; the groups give the segment
+maps G_0..G_{K-1}, whose product is A.  The cycle starts psi0, M psi0, ...
+are matrix-vector products, and the trace's samples are the ends of the
+cycle's 2K segments: the block of cycle starts walked through G_0..G_{K-1},
+folded, then through the second half's maps P G_j^T P, j descending.  The
+last segment ends on the next cycle start, so every cycle boundary n T_B
+(k = 0) is a sample.  That costs about one dim^3 build of half a cycle in
+ceil(m / K) wide steps per group, plus 2K - 1 dim^2 N gemms.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ _W0 = 1.0 - 2.0 * _W1
 _SEGMENTS = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2])
 
 MIN_SAMPLES_PER_CYCLE = 64
+# Segments of the half cycle; their ends and their mirror images are the samples.
+_HALF_SEGMENTS = MIN_SAMPLES_PER_CYCLE // 2
+# Most memory evolve_lattice may hold, by step_grid's estimate: its kinetic phase
+# table, segment maps and snapshots, each snapshot taking ~300 bytes of Python
+# objects on top of its amplitudes.
+MAX_SOLVER_BYTES = 2 ** 28
+_SNAPSHOT_BYTES = 300
 # Largest change of the state norm allowed in one Bloch cycle.
 NORM_TOLERANCE = 1e-8
 
@@ -205,9 +212,24 @@ def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
     """Checked m of the solver: 2m steps of T_B / (2m) <= cfg.dt per cycle.
 
     Raises ValueError when cfg.dt gives fewer than MIN_SAMPLES_PER_CYCLE
-    steps per cycle.
+    steps per cycle, or when evolve_lattice would hold more than
+    MAX_SOLVER_BYTES: 64 dim m bytes for the kinetic phase table and its
+    temporaries, the half cycle's segment maps and MIN_SAMPLES_PER_CYCLE
+    snapshots per cycle.  The estimate is made in floats, before any
+    allocation; at dt = 0.01 and 0.001 and cutoffs 8 to 64 it fell at
+    most 15% below tracemalloc's peak.
     """
-    m = int(math.ceil(params.bloch_period / 2.0 / cfg.dt))
+    half = params.bloch_period / 2.0 / cfg.dt
+    dim = 2 * cfg.cutoff + 1
+    snapshots = MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1
+    need = 64.0 * dim * half + 16.0 * _HALF_SEGMENTS * dim * dim + snapshots * (
+        16.0 * dim + _SNAPSHOT_BYTES)
+    if not need <= MAX_SOLVER_BYTES:
+        raise ValueError(
+            f"dt={cfg.dt}, cutoff {cfg.cutoff} and {cfg.n_cycles} cycles need ~{need:.3g} "
+            f"bytes of solver memory (limit {MAX_SOLVER_BYTES}); increase dt or reduce the "
+            f"cutoff or the cycles")
+    m = int(math.ceil(half))
     if 2 * m < MIN_SAMPLES_PER_CYCLE:
         raise ValueError(
             f"dt={cfg.dt} gives {2 * m} steps per cycle; need >= {MIN_SAMPLES_PER_CYCLE}")
@@ -235,64 +257,59 @@ def _kinetic_phases(k_start: np.ndarray, c: float, dt: float, cutoff: int) -> np
 def _fold(x: np.ndarray) -> np.ndarray:
     """The zone-edge relabeling k -> k - 2 of x (dim, ...) in place: modes shift up by one.
 
-    The discarded edge amplitude is left to the norm monitor.
+    It ends the half cycle, in the cycle map and on the samples at k = 1.
+    The top mode's amplitude is dropped; the norm monitor on the cycle
+    starts catches a loss that matters.
     """
     x[1:] = x[:-1]
     x[0] = 0.0
     return x
 
 
-def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray,
-          fold: int | None = None) -> np.ndarray:
+def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray) -> np.ndarray:
     """One Yoshida step of the blocks x (dim, K, cols) with the kinetic phases ph (4, dim, K).
 
     Block j takes the phases ph[:, :, j].  The mode axis comes first, so
-    each coupling exponential is one gemm over all K cols columns.  With
-    fold = j, block j's step ends on the zone edge and is folded.
+    each coupling exponential is one gemm over all K cols columns.
     """
     e = np.exp(-1j * ph)[..., None]
     x = e[0] * x
     for b, ek in ((b_long, e[1]), (b_back, e[2]), (b_long, e[3])):
         x = (b @ x.reshape(len(x), -1)).reshape(x.shape)
         x *= ek
-    if fold is not None:
-        _fold(x[:, fold])
     return x
 
 
 def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> list[HoustonState]:
     """Propagate the band-1 Bloch state at k = 0 through cfg.n_cycles Bloch periods.
 
-    Returns snapshots sampled at least 64 times per cycle plus the final
-    step.  Raises NormDriftError when the per-cycle norm change exceeds
-    NORM_TOLERANCE (the usual cause is a cutoff too small to hold the
-    escaped population for the requested number of cycles).
+    Returns the start and MIN_SAMPLES_PER_CYCLE snapshots per cycle, at
+    the ends of the cycle's segments: the last of each cycle is its end at
+    n T_B, where k is back at 0, and the 32nd is the fold at k = 1.  Raises
+    NormDriftError when the per-cycle norm change exceeds NORM_TOLERANCE
+    (the usual cause is a cutoff too small to hold the escaped population
+    for the requested number of cycles).
 
-    The half cycle's m steps (k from 0 to 1) are cut into K contiguous
-    segments, K = _CHUNK_ELEMENTS // (dim max(dim, 2N)) clamped to 1..m,
-    so one wide step works on at most _CHUNK_ELEMENTS amplitudes.  The
-    last m mod K segments, next to the fold, take one step more, so the
-    ragged last wide step works on one contiguous slice of segments.  The
-    first pass steps K identities to the segment maps G_j, whose product
-    is the half-cycle map A; the cycle map is M = P A^T P F A, and the
-    cycle starts M^n psi0 give the per-cycle norm monitor.  The second pass
-    steps the block (dim, 2K, N) of the cycle starts advanced to the first
-    step of each of the cycle's 2K segments: the K of the first half, then
-    their mirror images in reverse order, with maps P G_j^T P.  It copies
-    column n of block j out at every sampled step of cycle n in segment j.
-    Steps of the second half read the first half's kinetic phases with the
-    segment and mode axes reversed.  Times, fold counts and quasimomenta
-    are those of a stepwise loop over all cycles; amplitudes agree with it
-    to roundoff.
+    The half cycle's m steps (k from 0 to 1) are cut into K = 32
+    contiguous segments; the last m mod K, next to the fold, take one step
+    more.  Groups of at most _CHUNK_ELEMENTS // dim^2 segments step their
+    identities together to the segment maps G_j, whose product is the
+    half-cycle map A; the ragged last wide step of a group steps its long
+    segments only.  The cycle map is M = P A^T P F A, and the cycle starts
+    x_n = M^n psi0 give the per-cycle norm monitor.  The block (dim, N) of
+    cycle starts walks through G_0 .. G_{K-1}, is folded, and walks back
+    through the mirror images x[::-1] <- G_j^T x[::-1], j = K-1 .. 1; the
+    mirror of G_0 ends on x_{n+1}.  Times, fold counts and quasimomenta are
+    those of a stepwise loop over all cycles; amplitudes agree with it to
+    roundoff.
     """
     m = step_grid(params, cfg)
     dt = params.bloch_period / 2.0 / m
-    stride = max(1, (2 * m) // MIN_SAMPLES_PER_CYCLE)
     dim = 2 * cfg.cutoff + 1
+    n_seg = _HALF_SEGMENTS
 
     b_long, b_back = _coupling_exponentials(params.v0, dim, dt)
-    half = _kinetic_phases(np.arange(m) / m, params.f0 / math.pi, dt, cfg.cutoff)
-    mirror = half[::-1, ::-1]  # step s >= m of the cycle takes mirror[:, :, 2m - 1 - s]
+    phases = _kinetic_phases(np.arange(m) / m, params.f0 / math.pi, dt, cfg.cutoff)
 
     if params.v0 > 0:
         h0 = build_bloch_hamiltonian(params, 0.0, cfg.cutoff)
@@ -302,80 +319,57 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> list[HoustonStat
         psi = np.zeros(dim, complex)
         psi[cfg.cutoff] = 1.0
 
-    # Segment j holds the cycle's steps first[j] .. first[j + 1] - 1 (from 0):
-    # K segments of the half cycle, then their mirror images.  The fold ends
-    # segment K - 1, and the segments K - extra .. K + extra - 1 around it take
-    # the extra wide step.
-    n_seg = min(max(_CHUNK_ELEMENTS // (dim * max(dim, 2 * cfg.n_cycles)), 1), m)
+    # Segment j holds the half cycle's steps first[j] .. first[j + 1] - 1.
     short, extra = divmod(m, n_seg)
-    lengths = np.full(n_seg, short)
-    lengths[n_seg - extra:] += 1
-    first = np.concatenate([[0], np.cumsum(np.concatenate([lengths, lengths[::-1]]))])
-    seg_of = np.repeat(np.arange(2 * n_seg), np.diff(first))
-
-    def cycle_pass(block: np.ndarray, sample=None) -> np.ndarray:
-        """Step the blocks of the first block.shape[1] segments; sample(i, block) after wide step i.
-
-        The fold ends segment K - 1 when it is in the block.
-        """
-        n = block.shape[1]
-        for i in range(short + (extra > 0)):
-            lo, hi = (0, n) if i < short else (n_seg - extra, min(n_seg + extra, n))
-            s = first[lo:hi] + i
-            back = s >= m
-            ph = np.concatenate([half[:, :, s[~back]], mirror[:, :, 2 * m - 1 - s[back]]], 2)
-            step = _step(block[:, lo:hi], ph, b_long, b_back,
-                         n_seg - 1 - lo if n > n_seg and i == lengths[-1] - 1 else None)
-            block = step if i < short else np.concatenate([block[:, :lo], step, block[:, hi:]], 1)
-            if sample:
-                sample(i, block)
-        return block
-
-    maps = cycle_pass(np.broadcast_to(np.eye(dim)[:, None], (dim, n_seg, dim)))
-    half_map = maps[:, 0]
-    for j in range(1, n_seg):
-        half_map = maps[:, j] @ half_map
+    first = np.concatenate([[0], np.cumsum(np.repeat([short, short + 1],
+                                                     [n_seg - extra, extra]))])
+    maps = np.empty((n_seg, dim, dim), complex)
+    group = max(1, _CHUNK_ELEMENTS // (dim * dim))
+    for lo in range(0, n_seg, group):
+        hi = min(lo + group, n_seg)
+        block = np.broadcast_to(np.eye(dim)[:, None], (dim, hi - lo, dim))
+        for i in range(short + 1):
+            a = lo if i < short else max(lo, n_seg - extra)  # wide step short: long ones only
+            if a < hi:
+                step = _step(block[:, a - lo:], phases[:, :, first[a:hi] + i], b_long, b_back)
+                block = step if a == lo else np.concatenate([block[:, :a - lo], step], 1)
+        maps[lo:hi] = block.transpose(1, 0, 2)
+    half_map = maps[0]
+    for g in maps[1:]:
+        half_map = g @ half_map
     cycle_map = half_map.T[::-1, ::-1] @ _fold(half_map.copy())
 
-    starts = np.empty((dim, 2 * n_seg, cfg.n_cycles), complex)
-    starts[:, 0, 0] = start = psi
+    starts = np.empty((cfg.n_cycles + 1, dim), complex)
+    starts[0] = psi
     norm_prev = 1.0
     for n in range(1, cfg.n_cycles + 1):
-        start = cycle_map @ start
-        norm_now = float(np.linalg.norm(start))
+        starts[n] = cycle_map @ starts[n - 1]
+        norm_now = float(np.linalg.norm(starts[n]))
         if abs(norm_now - norm_prev) > NORM_TOLERANCE:
             raise NormDriftError(
                 f"norm changed by {abs(norm_now - norm_prev):.2e} in cycle "
                 f"{n} (tolerance {NORM_TOLERANCE}); increase the "
                 f"cutoff or reduce dt")
         norm_prev = norm_now
-        if n < cfg.n_cycles:
-            starts[:, 0, n] = start
-    for j in range(1, n_seg):
-        starts[:, j] = maps[:, j - 1] @ starts[:, j - 1]
-    starts[:, n_seg] = _fold(maps[:, n_seg - 1] @ starts[:, n_seg - 1])
-    for j in range(n_seg + 1, 2 * n_seg):  # segment j - 1 mirrors segment 2K - j
-        starts[:, j] = (maps[:, 2 * n_seg - j].T @ starts[::-1, j - 1])[::-1]
 
-    # Sampled global steps s = 2mn + o + 1, o = first[j] + i, grouped by wide step i.
-    n_steps = 2 * m * cfg.n_cycles
-    sampled = list(range(stride, n_steps + 1, stride))
-    if sampled[-1] != n_steps:
-        sampled.append(n_steps)
-    by_step: dict[int, list[tuple[int, int, int, int, int]]] = {}
-    for slot, s in enumerate(sampled, start=1):
-        n, o = divmod(s - 1, 2 * m)
-        j = int(seg_of[o])
-        by_step.setdefault(o - int(first[j]), []).append((slot, j, n, s, n + (o + 1 >= m)))
-    states = [HoustonState(amplitudes=psi.copy(), time=0.0, n_folds=0,
-                           quasimomentum=0.0)] + [None] * len(sampled)
-
-    def sample(i: int, block: np.ndarray) -> None:
-        for slot, j, n, s, folds in by_step.get(i, ()):
-            states[slot] = HoustonState(amplitudes=block[:, j, n].copy(), time=s * dt,
-                                        n_folds=folds, quasimomentum=s / m - 2.0 * folds)
-
-    cycle_pass(starts, sample)
+    # Sample (n, i) is cycle n's state at the end of its segment i, step offsets[i].
+    samples = np.empty((cfg.n_cycles, 2 * n_seg, dim), complex)
+    x = starts[:-1].T
+    for j in range(n_seg):
+        x = maps[j] @ x
+        samples[:, j] = x.T
+    x = _fold(samples[:, n_seg - 1].T)
+    for j in range(n_seg - 1, 0, -1):  # the mirror of segment j ends where segment j starts
+        x = (maps[j].T @ x[::-1])[::-1]
+        samples[:, 2 * n_seg - 1 - j] = x.T
+    samples[:, -1] = starts[1:]
+    offsets = np.concatenate([first[1:], 2 * m - first[n_seg - 1:0:-1], [2 * m]])
+    steps = (2 * m * np.arange(cfg.n_cycles)[:, None] + offsets).ravel().tolist()
+    states = [HoustonState(amplitudes=psi.copy(), time=0.0, n_folds=0, quasimomentum=0.0)]
+    for amplitudes, s in zip(samples.reshape(-1, dim), steps):
+        folds = (s + m) // (2 * m)
+        states.append(HoustonState(amplitudes=amplitudes, time=s * dt, n_folds=folds,
+                                   quasimomentum=s / m - 2.0 * folds))
     return states
 
 

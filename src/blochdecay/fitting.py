@@ -50,10 +50,11 @@ def extract_plateaus(trace, params: LatticeParams | None = None, *,
     """Plateau values from a solver trace; a SurvivalSeries is returned as it is.
 
     For a list of solver snapshots, picks the sample nearest each
-    t = n T_B and projects them all onto the two lowest instantaneous
-    bands in one band_projections call, the one the trace's P1 comes
-    from; requires at least MIN_CYCLES cycles of coverage with
-    MIN_SAMPLES_PER_CYCLE samples per cycle.
+    t = n T_B (in an evolve_lattice trace, the sample at n T_B itself) and
+    projects them all onto the two lowest instantaneous bands in one
+    band_projections call, the one the trace's P1 comes from; requires at
+    least MIN_CYCLES cycles of coverage with MIN_SAMPLES_PER_CYCLE samples
+    per cycle.
     """
     if isinstance(trace, SurvivalSeries):
         return trace

@@ -209,3 +209,32 @@ def test_gap_check_names_unconverged_cutoff():
         mean_band_gap(LatticeParams(8.0, 1.0), cutoff=4)
     # the default cutoff holds v0 = 100 (measured to fail from v0 ~ 150)
     assert mean_band_gap(LatticeParams(100.0, 1.0)) > 0
+
+
+# 40-digit eigenvectors (mpmath eigsy) of the cutoff-10 hamiltonian at v0 = 1, bands 1 and 2,
+# on modes n = -4..4, signed so that the largest component is positive.  Bands 2 and 3
+# nearly cross at k = 0 and bands 1 and 2 at k = -1, where LAPACK's own vectors are off by
+# up to 1.7e-12 and 8.4e-14.
+FROZEN_BAND_VECTORS = {
+    0.0: [[2.6129409246162293e-08, -6.6923076277494235e-06, 0.0009644970697190796,
+           -0.061840869778321685, 0.9961674322378498, -0.061840869778321685,
+           0.0009644970697190796, -6.6923076277494235e-06, 2.6129409246162293e-08],
+          [-4.792047527011724e-07, 0.00011501787350698362, -0.014724204160234209,
+           0.7069534529108029, 0.0, -0.7069534529108029,
+           0.014724204160234209, -0.00011501787350698362, 4.792047527011724e-07]],
+    -1.0: [[3.5601097016823765e-09, -1.1428956300479257e-06, 0.00022060990873632482,
+            -0.021404699355825924, 0.7067827036476265, -0.7067827036476265,
+            0.021404699355825924, -0.00022060990873632482, 1.1428956300479257e-06],
+           [3.933828369202811e-09, -1.2550098465908434e-06, 0.0002397434027241121,
+            -0.022782096494292702, 0.7067396398963699, 0.7067396398963699,
+            -0.022782096494292702, 0.0002397434027241121, -1.2550098465908434e-06]],
+}
+
+
+def test_band_vectors_match_high_precision_values():
+    k = np.array(sorted(FROZEN_BAND_VECTORS))
+    _, vec = bands.lowest_bands(LatticeParams(1.0, 1.0), k, 10, 2, vectors=True)
+    for ki, v in zip(k, vec):
+        want = np.array(FROZEN_BAND_VECTORS[ki]).T
+        got = v[6:15] * np.sign(np.sum(v[6:15] * want, axis=0))
+        assert np.max(np.abs(got - want)) < 2e-14, ki

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -287,12 +288,27 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
         out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "p")]
         assert main(argv + out) == 2
         assert "error: parameters:" in capsys.readouterr().err
+    # runs whose solver would hold gigabytes (a 0.87 GB phase table at --dt 1e-5, a
+    # period of 1e300, 64e7 snapshots, 2 GB of segment maps) are refused before any of it
+    # is allocated
+    tracemalloc.start()
+    try:
+        for flags in (["--f0", "0.383", "--dt", "1e-5"], ["--f0", "1e-300"],
+                      ["--f0", "5e-324"], ["--f0", "0.4", "--dt", "5e-324"],
+                      ["--f0", "0.4", "--cycles", "10000000"], ["--f0", "0.4", "--cutoff", "1000"]):
+            argv = ["run", "--v0", "1", *flags, "--out-prefix", str(tmp_path / "big")]
+            assert main(argv) == 2, argv
+            assert "bytes of solver memory" in capsys.readouterr().err
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert not list(tmp_path.glob("big*"))
 
 
 # Each command starts from cheap valid flags; a draw overrides some of them with
-# values from these pools, valid and invalid alike.  Inputs whose work has no
-# bound (a tiny --dt or f0, a huge --cycles, --cutoff, --grid or --n-points) are
-# left out: nothing refuses them yet.
+# values from these pools, valid and invalid alike.  run refuses a --dt, f0 or
+# --cycles whose solver memory is too large; inputs whose work has no bound (a huge
+# --cutoff, --grid or --n-points) are left out: nothing refuses them yet.
 _BASE_FLAGS = {
     "bands": {"v0": "1", "grid": "16", "cutoff": "4"},
     "run": {"v0": "1", "f0": "0.4", "cycles": "4", "cutoff": "6", "dt": "0.05",
@@ -301,10 +317,10 @@ _BASE_FLAGS = {
     "ret": {"n-points": "5", "grid": "16"},
 }
 _FLAG_POOLS = {
-    "v0": ["0", "0.5", "2", "200", "-1", "nan", "x"], "f0": ["0.7", "1.3", "0", "-1", "nan", "50"],
+    "v0": ["0", "0.5", "2", "200", "-1", "nan", "x"], "f0": ["0.7", "1.3", "0", "-1", "nan", "50", "1e-300"],
     "n-bands": ["2", "4", "0", "9"], "grid": ["32", "24", "8", "-4", "x"],
-    "cutoff": ["4", "5", "8", "3", "-1"], "cycles": ["3", "5", "2", "0"],
-    "dt": ["0.02", "0.1", "1", "0", "-0.01", "inf"], "band-cutoff": ["6", "8", "3"],
+    "cutoff": ["4", "5", "8", "3", "-1"], "cycles": ["3", "5", "2", "0", "10000000"],
+    "dt": ["0.02", "0.1", "1", "0", "-0.01", "inf", "1e-5"], "band-cutoff": ["6", "8", "3"],
     "fit-window": ["2:9", "0:2", "3:3", "5:2", "-1:2", "x", "6:14"],
     "f0-min": ["0.9", "1e-310", "-1", "3", "nan"], "f0-max": ["2.5", "6", "inf", "0.4"],
     "n-points": ["0", "1", "12", "-1"], "j-max": ["0", "1", "3"],

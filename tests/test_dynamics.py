@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -12,7 +13,8 @@ import scipy.linalg
 from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         NormDriftError, SolverConfig, band_projections,
                         band_survival, build_bloch_hamiltonian, dynamics,
-                        evolve_lattice, lz_probability, lz_two_level_ode, trace_rows)
+                        evolve_lattice, extract_plateaus, lz_probability,
+                        lz_two_level_ode, trace_rows)
 from blochdecay.bands import _CHUNK_ELEMENTS
 from blochdecay.dynamics import (_SEGMENTS, _W0, _W1, MIN_SAMPLES_PER_CYCLE,
                                  NORM_TOLERANCE, _coupling_exponentials,
@@ -146,15 +148,23 @@ def oracle_steps(params, cfg, psi, k0=0.0):
 
 
 def stepwise_oracle(params, cfg, psi, k0=0.0):
-    """Reference: the states of oracle_steps from psi at k0 on the solver's sampled steps."""
+    """Reference: the states of oracle_steps from psi at k0 at the ends of the cycles' segments.
+
+    The half cycle's m steps are 32 segments, the last m mod 32 of them one step
+    longer; the second half's 32 segments are their mirror images.  The 64 segment
+    ends of a cycle include the fold (step m) and the cycle's end (step 2m).
+    """
     m = step_grid(params, cfg)
-    stride, n_steps = max(1, (2 * m) // MIN_SAMPLES_PER_CYCLE), 2 * m * cfg.n_cycles
-    return [state for s, state in oracle_steps(params, cfg, psi, k0)
-            if s % stride == 0 or s == n_steps]
+    short, extra = divmod(m, 32)
+    half_ends = np.cumsum([short] * (32 - extra) + [short + 1] * extra).tolist()
+    offsets = set(half_ends) | {2 * m - e for e in half_ends} | {0}
+    assert len(offsets) == MIN_SAMPLES_PER_CYCLE
+    return [state for s, state in oracle_steps(params, cfg, psi, k0) if s % (2 * m) in offsets]
 
 
-# dt = 0.13 gives stride 2 with samples on the fold steps; the stepwise
-# oracle takes ~1 s for 10 cycles at dt = 0.01, so two cases cover that.
+# dt = 0.13 gives m = 64: 32 segments of 2 steps.  dt = 0.01 gives m = 821 = 32 * 25 + 21:
+# the last 21 segments take 26 steps.  The stepwise oracle takes ~1 s for 10 cycles at
+# dt = 0.01, so two cases cover that.
 # (k0, v0, dt, cycles, cutoff); the escaped population moves one mode outwards per cycle.
 # The solver starts at k0 = 0 only; from the zone edge k0 = -+1 the oracle resumes
 # its run half a cycle in and follows it for `cycles` more (see the test).
@@ -164,16 +174,16 @@ PARITY_CASES = [pytest.param(k0, v0, dt, cycles, 8 if cycles == 1 else 20,
                 [(k0, v0, dt, cycles) for k0 in (0.0, -1.0, 1.0) for v0 in (0.0, 1.0)
                  for dt, cycles in ((0.13, 1), (0.13, 10), (0.01, 1))]
                 + [(0.0, 1.0, 0.01, 10), (-1.0, 1.0, 0.01, 10)]]
-# Where the fold (the end of the half cycle's last segment, K - 1) falls in the wide steps:
+# How the identity pass groups the 32 half-cycle segments, and where the fold falls:
 PARITY_CASES += [
-    # the operating point: m = 821 = 15 * 54 + 11, so the last 11 of the 15 half-cycle
-    # segments take 55 steps and the fold ends the ragged extra wide step
+    # the operating point: 65 modes give groups of 15, 15 and 2 segments of 25 or 26
+    # steps; the first group's ragged last wide step steps its last 4 segments only
     pytest.param(0.0, 1.0, 0.01, 3, 32, id="ragged-segments-at-cutoff-32"),
-    # 64 steps per cycle at cutoff 4: 809 segments clamp to the 32 of one step each
+    # 64 steps per cycle at cutoff 4: every segment is one step
     pytest.param(0.0, 1.0, 0.26, 1, 4, id="one-step-segments"),
-    # m = 678 = 226 * 3 at cutoff 8: no ragged step, the fold ends a full one
-    pytest.param(0.0, 1.0, 0.0121, 3, 8, id="even-split"),
-    # 14 cycle starts on 11 modes: 212 half-cycle segments of 4 or 3 steps
+    # m = 672 = 32 * 21 at cutoff 8: no ragged step, the fold ends a full one
+    pytest.param(0.0, 1.0, 0.01221, 3, 8, id="even-split"),
+    # 14 cycle starts on 11 modes: the walk's blocks are wider than they are tall
     pytest.param(0.0, 18.0, 0.01, 14, 5, id="more-cycles-than-modes"),
 ]
 
@@ -202,26 +212,30 @@ def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff):
 
 
 def test_cycle_map_steps_half_a_cycle(monkeypatch):
-    # the identity pass steps only the m steps of k in [0, 1]; the mirror gives the rest,
-    # while the pass over the cycle starts steps all 2m
-    params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=8, dt=0.01, n_cycles=1)
-    m, dim = step_grid(params, cfg), 17
-    stepped = {dim: 0, 1: 0}  # block columns: dim in the identity pass, N in the other
+    # only the identity blocks are stepped, the m steps of k in [0, 1] once each: the
+    # mirror gives the rest of the cycle, and the samples are gemms on the segment maps.
+    # At cutoff 32 the 32 segments step in groups of at most 15.
     step = dynamics._step
-    def count(x, *args, **kwargs):
+    stepped = Counter()  # segments stepped, by the columns of their blocks
+    def count(x, *args):
+        assert x.shape[1] * x.shape[0] * x.shape[2] <= _CHUNK_ELEMENTS
         stepped[x.shape[2]] += x.shape[1]
-        return step(x, *args, **kwargs)
+        return step(x, *args)
     monkeypatch.setattr(dynamics, "_step", count)
-    evolve_lattice(params, cfg)
-    assert stepped == {dim: m, 1: 2 * m}
+    for cutoff in (8, 32):
+        params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=2)
+        stepped.clear()
+        evolve_lattice(params, cfg)
+        assert stepped == {2 * cutoff + 1: step_grid(params, cfg)}
 
 
 def test_kinetic_phases_match_exact_arithmetic():
     # the exact-run point: the integral of (k + 2n + c s)^2 over each Yoshida segment,
     # in exact rationals on the same float k, c and segment bounds; the edge modes
     # n = -+32 are where (x2^3 - x1^3) / (3c) lost 3e-10 rad to cancellation.  The table
-    # holds the half cycle; step s >= m of the cycle reads it mirrored, at column
-    # 2m - 1 - s with the segment and mode axes reversed.
+    # holds the half cycle; step s >= m of the cycle has its phases mirrored, at column
+    # 2m - 1 - s with the segment and mode axes reversed, which is why P G_j^T P are
+    # the second half's segment maps.
     params, cutoff = LatticeParams(1.0, 0.383), 32
     m = step_grid(params, SolverConfig(cutoff=cutoff, dt=0.01))
     dt, c = params.bloch_period / 2.0 / m, params.f0 / math.pi
@@ -309,7 +323,7 @@ def test_cutoff_doubling_converges(paper_params):
 def test_sampling_density_and_final_sample(paper_params):
     states = evolve_lattice(paper_params, SolverConfig(n_cycles=3))
     t_bloch = paper_params.bloch_period
-    assert (len(states) - 1) / 3 >= 64
+    assert len(states) == 3 * MIN_SAMPLES_PER_CYCLE + 1
     assert states[-1].time == pytest.approx(3 * t_bloch, rel=1e-12)
     with pytest.raises(ValueError):
         evolve_lattice(paper_params, SolverConfig(dt=1.0))  # < 64 steps per cycle
@@ -333,7 +347,7 @@ def test_eigensolver_failure_maps_to_eigensolver_error(trace_v1, paper_params,
 
 
 def test_gauge_fold_invariance(paper_params):
-    # a coarse grid whose stride lands samples exactly on the fold steps
+    # every fold step is a sample
     states = evolve_lattice(paper_params, SolverConfig(dt=0.13, n_cycles=2))
     folded = next(s for s in states if s.n_folds >= 1 and s.quasimomentum == -1.0)
     # undo the relabeling: same physical momenta expressed at k = +1
@@ -343,6 +357,23 @@ def test_gauge_fold_invariance(paper_params):
                             quasimomentum=1.0)
     assert band_survival(unfolded, paper_params) == pytest.approx(
         band_survival(folded, paper_params), abs=1e-10)
+
+
+def test_cycle_boundaries_are_samples_and_plateaus_are_overlaps(trace_v1, paper_params):
+    # sample 64 n is the state at n T_B, back at k = 0, so the band-1 plateau is
+    # |psi0^dagger x_n|^2 with x_n = M^n psi0 (the snapshots hold modes -16..16 and
+    # the plateaus project on modes -10..10)
+    boundaries = trace_v1[::MIN_SAMPLES_PER_CYCLE]
+    n = np.arange(len(boundaries))
+    assert len(boundaries) == 11 and len(trace_v1) == 641
+    assert [st.quasimomentum for st in boundaries] == [0.0] * 11
+    assert [st.n_folds for st in boundaries] == n.tolist()
+    t_bloch = paper_params.bloch_period
+    assert np.allclose([st.time for st in boundaries], n * t_bloch, rtol=1e-14, atol=0)
+    psi0 = trace_v1[0].amplitudes
+    overlaps = np.abs([psi0.conj() @ st.amplitudes for st in boundaries]) ** 2
+    plateaus = extract_plateaus(trace_v1, paper_params).probabilities
+    assert np.max(np.abs(plateaus - overlaps)) < 1e-12
 
 
 def test_plateau_structure(trace_v1, paper_params):
