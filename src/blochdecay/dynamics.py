@@ -30,17 +30,17 @@ the Yoshida step is palindromic, so the steps of the second half (k from
 -1 to 0) are P U^T P of the first half's steps U in reverse order.  With
 A the half-cycle map (k from 0 to 1) and F the fold, M = P A^T P F A.
 
-evolve_lattice therefore steps half a cycle once, on the identity.  It
-cuts the half cycle's m steps into K = 32 contiguous segments and steps
-groups of them at once, the mode axis first, so every coupling exponential
-is one (dim, dim) x (dim, group cols) gemm; the groups give the segment
-maps G_0..G_{K-1}, whose product is A.  The cycle starts psi0, M psi0, ...
-are matrix-vector products, and the trace's samples are the ends of the
-cycle's 2K segments: the block of cycle starts walked through G_0..G_{K-1},
-folded, then through the second half's maps P G_j^T P, j descending.  The
-last segment ends on the next cycle start, so every cycle boundary n T_B
-(k = 0) is a sample.  That costs about one dim^3 build of half a cycle in
-ceil(m / K) wide steps per group, plus 2K - 1 dim^2 N gemms.
+evolve_lattice therefore steps half a cycle once, on the identity.  Its m
+steps are K = 32 segments of m / K steps, stepped in groups, the mode axis
+first, so every coupling exponential is one (dim, dim) x (dim, group cols)
+gemm; the groups give the segment maps G_0..G_{K-1}, whose product is A.
+The cycle starts psi0, M psi0, ... are matrix-vector products, and the
+trace's samples, m / K steps apart, are the ends of the cycle's 2K
+segments: the block of cycle starts walked through G_0..G_{K-1}, folded,
+then through the second half's maps P G_j^T P, j descending.  The last
+segment ends on the next cycle start, so every cycle boundary n T_B (k = 0)
+is a sample.  That costs about one dim^3 build of half a cycle in m / K
+wide steps per group, plus 2K - 1 dim^2 N gemms.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ MIN_SAMPLES_PER_CYCLE = 64
 # Segments of the half cycle; their ends and their mirror images are the samples.
 _HALF_SEGMENTS = MIN_SAMPLES_PER_CYCLE // 2
 # Most memory evolve_lattice may hold, by step_grid's estimate: its kinetic phase
-# table, segment maps and snapshots, each snapshot taking ~300 bytes of Python
-# objects on top of its amplitudes.
+# table, segment maps and trace.
 MAX_SOLVER_BYTES = 2 ** 28
-_SNAPSHOT_BYTES = 300
+# Most flops of the half-cycle build, 24 m dim^3 by step_grid's estimate.
+MAX_SOLVER_FLOPS = 1e11
 # Largest change of the state norm allowed in one Bloch cycle.
 NORM_TOLERANCE = 1e-8
 
@@ -77,7 +77,7 @@ class NormDriftError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step solver settings; dt is rounded down so folds land on steps."""
+    """Fixed-step solver settings; dt is an upper bound on the step (see step_grid)."""
 
     cutoff: int = 16
     dt: float = 0.01
@@ -94,25 +94,34 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class HoustonState:
-    """Snapshot of the plane-wave amplitudes at dimensionless time tau.
+    """Plane-wave amplitudes at time tau: one snapshot, or a stack of them.
 
-    amplitudes[i] belongs to mode n = i - cutoff at momentum
+    amplitudes[..., i] belongs to mode n = i - cutoff at momentum
     quasimomentum + 2n; n_folds counts the zone-edge relabelings applied
-    so far, so quasimomentum = f0 tau / pi - 2 n_folds stays in B.
+    so far, so quasimomentum = f0 tau / pi - 2 n_folds stays in B.  A stack
+    (a trace) has a leading sample axis on every field and indexes like a list.
     """
 
     amplitudes: np.ndarray
-    time: float
-    n_folds: int
-    quasimomentum: float
+    time: float | np.ndarray
+    n_folds: int | np.ndarray
+    quasimomentum: float | np.ndarray
 
     @property
     def cutoff(self) -> int:
-        return (len(self.amplitudes) - 1) // 2
+        return (self.amplitudes.shape[-1] - 1) // 2
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        norm = np.linalg.norm(self.amplitudes, axis=-1)
+        return norm if norm.ndim else float(norm)
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, index) -> HoustonState:
+        return HoustonState(self.amplitudes[index], self.time[index], self.n_folds[index],
+                            self.quasimomentum[index])
 
 
 def _adiabatic_pair(alpha: float, delta: float, t: float):
@@ -211,29 +220,36 @@ def _coupling_exponentials(v0: float, dim: int, dt: float):
 def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
     """Checked m of the solver: 2m steps of T_B / (2m) <= cfg.dt per cycle.
 
-    Raises ValueError when cfg.dt gives fewer than MIN_SAMPLES_PER_CYCLE
-    steps per cycle, or when evolve_lattice would hold more than
-    MAX_SOLVER_BYTES: 64 dim m bytes for the kinetic phase table and its
-    temporaries, the half cycle's segment maps and MIN_SAMPLES_PER_CYCLE
-    snapshots per cycle.  The estimate is made in floats, before any
-    allocation; at dt = 0.01 and 0.001 and cutoffs 8 to 64 it fell at
-    most 15% below tracemalloc's peak.
+    m is ceil(T_B / (2 cfg.dt)) rounded up to a multiple of K = 32, so
+    each of the half cycle's K segments has m / K steps.  Raises ValueError
+    when cfg.dt itself gives fewer than MIN_SAMPLES_PER_CYCLE steps per
+    cycle; when evolve_lattice would hold more than MAX_SOLVER_BYTES (64 dim
+    m bytes for the phase table and its temporaries, the segment maps and
+    the trace); or when the half cycle's m steps of three dim^3 complex
+    gemms, 24 m dim^3 flops, exceed MAX_SOLVER_FLOPS.  Both estimates are
+    made in floats, before any allocation, as an f0 near 0 makes T_B
+    infinite; at dt = 0.01 and 0.001 and cutoffs 8 to 64 the memory one
+    fell at most 15% below tracemalloc's peak.
     """
     half = params.bloch_period / 2.0 / cfg.dt
+    m = _HALF_SEGMENTS * np.ceil(half / _HALF_SEGMENTS)
     dim = 2 * cfg.cutoff + 1
-    snapshots = MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1
-    need = 64.0 * dim * half + 16.0 * _HALF_SEGMENTS * dim * dim + snapshots * (
-        16.0 * dim + _SNAPSHOT_BYTES)
+    samples = MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1
+    need = 64.0 * dim * m + 16.0 * _HALF_SEGMENTS * dim * dim + samples * (16.0 * dim + 24.0)
     if not need <= MAX_SOLVER_BYTES:
         raise ValueError(
             f"dt={cfg.dt}, cutoff {cfg.cutoff} and {cfg.n_cycles} cycles need ~{need:.3g} "
             f"bytes of solver memory (limit {MAX_SOLVER_BYTES}); increase dt or reduce the "
             f"cutoff or the cycles")
-    m = int(math.ceil(half))
-    if 2 * m < MIN_SAMPLES_PER_CYCLE:
+    flops = 24.0 * m * dim * dim * dim
+    if not flops <= MAX_SOLVER_FLOPS:
         raise ValueError(
-            f"dt={cfg.dt} gives {2 * m} steps per cycle; need >= {MIN_SAMPLES_PER_CYCLE}")
-    return m
+            f"dt={cfg.dt} and cutoff {cfg.cutoff} need ~{flops:.3g} flops to build the "
+            f"half-cycle map (limit {MAX_SOLVER_FLOPS:.3g}); increase dt or reduce the cutoff")
+    if 2 * math.ceil(half) < MIN_SAMPLES_PER_CYCLE:
+        raise ValueError(f"dt={cfg.dt} gives {2 * math.ceil(half)} steps per cycle; "
+                         f"need >= {MIN_SAMPLES_PER_CYCLE}")
+    return int(m)
 
 
 def _kinetic_phases(k_start: np.ndarray, c: float, dt: float, cutoff: int) -> np.ndarray:
@@ -280,67 +296,55 @@ def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray)
     return x
 
 
-def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> list[HoustonState]:
+def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     """Propagate the band-1 Bloch state at k = 0 through cfg.n_cycles Bloch periods.
 
-    Returns the start and MIN_SAMPLES_PER_CYCLE snapshots per cycle, at
-    the ends of the cycle's segments: the last of each cycle is its end at
-    n T_B, where k is back at 0, and the 32nd is the fold at k = 1.  Raises
-    NormDriftError when the per-cycle norm change exceeds NORM_TOLERANCE
-    (the usual cause is a cutoff too small to hold the escaped population
-    for the requested number of cycles).
+    Returns one HoustonState stack: the start and MIN_SAMPLES_PER_CYCLE
+    samples per cycle, m / K steps apart at the ends of the cycle's
+    segments; sample 64 n is n T_B, where k is back at 0, and 64 n - 32 the
+    fold at k = 1.  Raises NormDriftError when the per-cycle norm change
+    exceeds NORM_TOLERANCE (the usual cause is a cutoff too small to hold
+    the escaped population for the requested number of cycles).
 
     The half cycle's m steps (k from 0 to 1) are cut into K = 32
-    contiguous segments; the last m mod K, next to the fold, take one step
-    more.  Groups of at most _CHUNK_ELEMENTS // dim^2 segments step their
-    identities together to the segment maps G_j, whose product is the
-    half-cycle map A; the ragged last wide step of a group steps its long
-    segments only.  The cycle map is M = P A^T P F A, and the cycle starts
-    x_n = M^n psi0 give the per-cycle norm monitor.  The block (dim, N) of
-    cycle starts walks through G_0 .. G_{K-1}, is folded, and walks back
-    through the mirror images x[::-1] <- G_j^T x[::-1], j = K-1 .. 1; the
-    mirror of G_0 ends on x_{n+1}.  Times, fold counts and quasimomenta are
-    those of a stepwise loop over all cycles; amplitudes agree with it to
-    roundoff.
+    contiguous segments of m / K steps.  Groups of at most
+    _CHUNK_ELEMENTS // dim^2 segments step their identities together to the
+    segment maps G_j, whose product is the half-cycle map A.  The cycle map
+    is M = P A^T P F A, and the cycle starts x_n = M^n psi0 give the
+    per-cycle norm monitor.  The block (dim, N) of cycle starts walks
+    through G_0 .. G_{K-1}, is folded, and walks back through the mirror
+    images x[::-1] <- G_j^T x[::-1], j = K-1 .. 1; the mirror of G_0 ends on
+    x_{n+1}.  Times, fold counts and quasimomenta are those of a stepwise
+    loop over all cycles; amplitudes agree with it to roundoff.
     """
     m = step_grid(params, cfg)
     dt = params.bloch_period / 2.0 / m
     dim = 2 * cfg.cutoff + 1
     n_seg = _HALF_SEGMENTS
+    per = m // n_seg
 
     b_long, b_back = _coupling_exponentials(params.v0, dim, dt)
     phases = _kinetic_phases(np.arange(m) / m, params.f0 / math.pi, dt, cfg.cutoff)
+    phases = phases.reshape(4, dim, n_seg, per)  # step i of segment j at [:, :, j, i]
 
-    if params.v0 > 0:
-        h0 = build_bloch_hamiltonian(params, 0.0, cfg.cutoff)
-        _, vec = lowest_eigenpairs(h0, 1, vectors=True)
-        psi = vec[:, 0].astype(complex)
-    else:
-        psi = np.zeros(dim, complex)
-        psi[cfg.cutoff] = 1.0
-
-    # Segment j holds the half cycle's steps first[j] .. first[j + 1] - 1.
-    short, extra = divmod(m, n_seg)
-    first = np.concatenate([[0], np.cumsum(np.repeat([short, short + 1],
-                                                     [n_seg - extra, extra]))])
     maps = np.empty((n_seg, dim, dim), complex)
     group = max(1, _CHUNK_ELEMENTS // (dim * dim))
     for lo in range(0, n_seg, group):
-        hi = min(lo + group, n_seg)
-        block = np.broadcast_to(np.eye(dim)[:, None], (dim, hi - lo, dim))
-        for i in range(short + 1):
-            a = lo if i < short else max(lo, n_seg - extra)  # wide step short: long ones only
-            if a < hi:
-                step = _step(block[:, a - lo:], phases[:, :, first[a:hi] + i], b_long, b_back)
-                block = step if a == lo else np.concatenate([block[:, :a - lo], step], 1)
-        maps[lo:hi] = block.transpose(1, 0, 2)
+        block = np.broadcast_to(np.eye(dim)[:, None], (dim, min(group, n_seg - lo), dim))
+        for i in range(per):
+            block = _step(block, phases[:, :, lo:lo + group, i], b_long, b_back)
+        maps[lo:lo + group] = block.transpose(1, 0, 2)
     half_map = maps[0]
     for g in maps[1:]:
         half_map = g @ half_map
     cycle_map = half_map.T[::-1, ::-1] @ _fold(half_map.copy())
 
-    starts = np.empty((cfg.n_cycles + 1, dim), complex)
-    starts[0] = psi
+    # Row 64 n is cycle n's start; row 64 n + 1 + i its state at the end of segment i.
+    amplitudes = np.empty((MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1, dim), complex)
+    starts = amplitudes[::MIN_SAMPLES_PER_CYCLE]
+    _, vec = lowest_eigenpairs(build_bloch_hamiltonian(params, 0.0, cfg.cutoff), 1,
+                               vectors=True)
+    starts[0] = vec[:, 0]
     norm_prev = 1.0
     for n in range(1, cfg.n_cycles + 1):
         starts[n] = cycle_map @ starts[n - 1]
@@ -352,8 +356,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> list[HoustonStat
                 f"cutoff or reduce dt")
         norm_prev = norm_now
 
-    # Sample (n, i) is cycle n's state at the end of its segment i, step offsets[i].
-    samples = np.empty((cfg.n_cycles, 2 * n_seg, dim), complex)
+    samples = amplitudes[1:].reshape(cfg.n_cycles, 2 * n_seg, dim)
     x = starts[:-1].T
     for j in range(n_seg):
         x = maps[j] @ x
@@ -362,42 +365,38 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> list[HoustonStat
     for j in range(n_seg - 1, 0, -1):  # the mirror of segment j ends where segment j starts
         x = (maps[j].T @ x[::-1])[::-1]
         samples[:, 2 * n_seg - 1 - j] = x.T
-    samples[:, -1] = starts[1:]
-    offsets = np.concatenate([first[1:], 2 * m - first[n_seg - 1:0:-1], [2 * m]])
-    steps = (2 * m * np.arange(cfg.n_cycles)[:, None] + offsets).ravel().tolist()
-    states = [HoustonState(amplitudes=psi.copy(), time=0.0, n_folds=0, quasimomentum=0.0)]
-    for amplitudes, s in zip(samples.reshape(-1, dim), steps):
-        folds = (s + m) // (2 * m)
-        states.append(HoustonState(amplitudes=amplitudes, time=s * dt, n_folds=folds,
-                                   quasimomentum=s / m - 2.0 * folds))
-    return states
+    steps = per * np.arange(len(amplitudes))
+    folds = (steps + m) // (2 * m)
+    return HoustonState(amplitudes, steps * dt, folds, steps / m - 2.0 * folds)
 
 
-def band_projections(states: list[HoustonState], params: LatticeParams, n_bands: int = 2,
+def band_projections(states: HoustonState, params: LatticeParams, n_bands: int = 2,
                      band_cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
-    """Populations (len(states), n_bands) of the lowest instantaneous Bloch bands.
+    """Populations (..., n_bands) of the lowest instantaneous Bloch bands.
 
-    One batched eigensolve (bands.lowest_bands, in bounded chunks) gives
-    every snapshot's bands on the central 2b + 1 modes, b = min(band_cutoff,
-    state cutoff), beyond which the low band vectors vanish to roundoff.
+    states is one snapshot or a stack of them.  One batched eigensolve
+    (bands.lowest_bands, in bounded chunks) gives every sample's bands on
+    the central 2b + 1 modes, b = min(band_cutoff, state cutoff), beyond
+    which the low band vectors vanish to roundoff.
     """
-    c = states[0].cutoff
+    c = states.cutoff
     b = min(band_cutoff, c)
     if n_bands < 1 or n_bands > b:
         raise ValueError(f"need 1 <= n_bands <= band cutoff={b}, got {n_bands}")
-    amps = np.array([st.amplitudes[c - b:c + b + 1] for st in states])
-    _, vec = lowest_bands(params, np.array([st.quasimomentum for st in states]), b, n_bands,
-                          vectors=True)
-    return np.abs(np.matmul(amps[:, None, :], vec.conj())[:, 0]) ** 2
+    k = np.atleast_1d(states.quasimomentum)
+    amps = states.amplitudes.reshape(len(k), -1)[:, None, c - b:c + b + 1]
+    _, vec = lowest_bands(params, k, b, n_bands, vectors=True)
+    return (np.abs(amps @ vec.conj()) ** 2).reshape(np.shape(states.quasimomentum) + (n_bands,))
 
 
-def band_survival(state: HoustonState, params: LatticeParams) -> float:
-    """Population of the lowest instantaneous band."""
-    return float(band_projections([state], params, n_bands=1)[0, 0])
+def band_survival(state: HoustonState, params: LatticeParams) -> float | np.ndarray:
+    """Population of the lowest instantaneous band: a float for a snapshot."""
+    p = band_projections(state, params, n_bands=1)[..., 0]
+    return p if p.ndim else float(p)
 
 
-def trace_rows(states: list[HoustonState], params: LatticeParams, band_cutoff: int):
-    """Rows (tau, P1, P2, Prest, norm) for trace serialization."""
-    for st, (p1, p2) in zip(states, band_projections(states, params, 2, band_cutoff).tolist()):
-        norm = st.norm
-        yield st.time, p1, p2, norm ** 2 - (p1 + p2), norm
+def trace_rows(states: HoustonState, params: LatticeParams, band_cutoff: int) -> list:
+    """Rows (tau, P1, P2, Prest, norm) of a trace stack, for serialization."""
+    p1, p2 = band_projections(states, params, 2, band_cutoff).T
+    norm = states.norm
+    return np.column_stack([states.time, p1, p2, norm ** 2 - (p1 + p2), norm]).tolist()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import DEFAULT_CUTOFF, LatticeParams
-from .dynamics import MIN_SAMPLES_PER_CYCLE, HoustonState, band_projections
+from .dynamics import MIN_SAMPLES_PER_CYCLE, band_projections
 from .stepmodel import SurvivalSeries
 
 DEFAULT_WINDOW_START = 6
@@ -49,7 +49,7 @@ def extract_plateaus(trace, params: LatticeParams | None = None, *,
                      band_cutoff: int = DEFAULT_CUTOFF) -> SurvivalSeries:
     """Plateau values from a solver trace; a SurvivalSeries is returned as it is.
 
-    For a list of solver snapshots, picks the sample nearest each
+    For a HoustonState stack in time order, picks the sample nearest each
     t = n T_B (in an evolve_lattice trace, the sample at n T_B itself) and
     projects them all onto the two lowest instantaneous bands in one
     band_projections call, the one the trace's P1 comes from; requires at
@@ -60,23 +60,22 @@ def extract_plateaus(trace, params: LatticeParams | None = None, *,
         return trace
     if params is None:
         raise ValueError("params required to extract plateaus from a solver trace")
-    states: list[HoustonState] = list(trace)
-    if len(states) < 2:
+    if len(trace) < 2:
         raise TraceTooShortError("trace has fewer than 2 samples")
     t_bloch = params.bloch_period
-    times = np.array([st.time for st in states])
+    times = trace.time
     t_max = float(times[-1])
     n_cycles = t_max / t_bloch
     if n_cycles < MIN_CYCLES - 1e-9:
         raise TraceTooShortError(
             f"trace covers {n_cycles:.2f} Bloch cycles, need >= {MIN_CYCLES}")
-    per_cycle = (len(states) - 1) / n_cycles
+    per_cycle = (len(trace) - 1) / n_cycles
     if per_cycle < MIN_SAMPLES_PER_CYCLE - 1e-3:  # n_cycles may exceed an integer by roundoff
         raise TraceTooShortError(
             f"trace has {per_cycle:.1f} samples per cycle, need >= {MIN_SAMPLES_PER_CYCLE}")
-    n_plateaus = int(math.floor(t_max / t_bloch + 1e-9)) + 1
-    centers = [states[int(np.argmin(np.abs(times - n * t_bloch)))] for n in range(n_plateaus)]
-    values = band_projections(centers, params, 2, band_cutoff)[:, 0]
+    centers = t_bloch * np.arange(int(math.floor(n_cycles + 1e-9)) + 1)
+    nearest = np.rint(np.interp(centers, times, np.arange(len(times)))).astype(int)
+    values = band_projections(trace[nearest], params, 2, band_cutoff)[:, 0]
     return SurvivalSeries(probabilities=values, t_bloch=t_bloch)
 
 

@@ -233,7 +233,7 @@ def test_config_file_overrides_defaults(tmp_path):
     assert len(rows) == 48
 
 
-def test_invalid_arguments_exit_two(tmp_path, capsys):
+def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--v0", "1"])  # missing --f0
     assert exc.value.code == 2
@@ -289,7 +289,7 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
         assert main(argv + out) == 2
         assert "error: parameters:" in capsys.readouterr().err
     # runs whose solver would hold gigabytes (a 0.87 GB phase table at --dt 1e-5, a
-    # period of 1e300, 64e7 snapshots, 2 GB of segment maps) are refused before any of it
+    # period of 1e300, 64e7 samples, 2 GB of segment maps) are refused before any of it
     # is allocated
     tracemalloc.start()
     try:
@@ -303,12 +303,21 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert not list(tmp_path.glob("big*"))
+    # a half-cycle build of ~6.6e11 flops (cutoff 160, ~9 s on 2 cores) is refused before
+    # any work; the solver is never reached
+    monkeypatch.setattr(cli, "evolve_lattice", None)
+    assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "3", "--cutoff", "160",
+                 "--out-prefix", str(tmp_path / "slow")]) == 2
+    err = capsys.readouterr().err
+    assert "error: parameters:" in err and "flops" in err
+    assert not list(tmp_path.glob("slow*"))
 
 
-# Each command starts from cheap valid flags; a draw overrides some of them with
+# Each command starts from cheap valid flags; a case overrides some of them with
 # values from these pools, valid and invalid alike.  run refuses a --dt, f0 or
 # --cycles whose solver memory is too large; inputs whose work has no bound (a huge
-# --cutoff, --grid or --n-points) are left out: nothing refuses them yet.
+# --cutoff of bands, scaling or ret, --grid or --n-points) are left out: nothing
+# refuses them yet.
 _BASE_FLAGS = {
     "bands": {"v0": "1", "grid": "16", "cutoff": "4"},
     "run": {"v0": "1", "f0": "0.4", "cycles": "4", "cutoff": "6", "dt": "0.05",
@@ -331,18 +340,27 @@ _CONFIGS = ["# only a comment\n", "grid = 32\n", "cutoff 5\n", "grid\n", "grid =
 
 
 def test_cli_contract_holds_over_the_flag_space(tmp_path, capsys):
+    # every pool value once for each command that takes its flag, then 60 seeded draws
+    # of up to two overrides and a config file
     rng = np.random.default_rng(2024)
     (tmp_path / "directory").mkdir()
     stage = re.compile(r"error: ([a-z-]+|argument --[a-z0-9-]+): ")
-    seen = set()
-    for case in range(60):
+    def pool(command, name):
+        return _SCALING_DEPTHS if (command, name) == ("scaling", "v0") else _FLAG_POOLS[name]
+    def names(command):
+        return [name for name, *_ in cli._SPECS[command] if name in _FLAG_POOLS]
+    cases = [(command, {name: value}, None) for command in sorted(_BASE_FLAGS)
+             for name in names(command) for value in pool(command, name)]
+    for _ in range(60):
         command = str(rng.choice(sorted(_BASE_FLAGS)))
-        flags = dict(_BASE_FLAGS[command])
-        names = [name for name, *_ in cli._SPECS[command] if name in _FLAG_POOLS]
-        for name in rng.choice(names, size=rng.integers(0, 3), replace=False):
-            pool = _SCALING_DEPTHS if (command, name) == ("scaling", "v0") else _FLAG_POOLS[name]
-            flags[name] = str(rng.choice(pool))
+        overrides = {name: str(rng.choice(pool(command, name)))
+                     for name in rng.choice(names(command), size=rng.integers(0, 3),
+                                            replace=False)}
         config = _CONFIGS[rng.integers(len(_CONFIGS))] if rng.random() < 0.3 else None
+        cases.append((command, overrides, config))
+    seen = set()
+    for case, (command, overrides, config) in enumerate(cases):
+        flags = {**_BASE_FLAGS[command], **overrides}
         if config is not None:
             path = tmp_path / (config if config in ("missing", "directory") else f"c{case}")
             if config not in ("missing", "directory"):
@@ -360,7 +378,7 @@ def test_cli_contract_holds_over_the_flag_space(tmp_path, capsys):
         if code:
             assert stage.search(err), (argv, err)
         seen.add(code)
-    assert seen == {0, 2, 3}  # the draws reach every outcome
+    assert seen == {0, 2, 3}  # the cases reach every outcome
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

@@ -150,20 +150,19 @@ def oracle_steps(params, cfg, psi, k0=0.0):
 def stepwise_oracle(params, cfg, psi, k0=0.0):
     """Reference: the states of oracle_steps from psi at k0 at the ends of the cycles' segments.
 
-    The half cycle's m steps are 32 segments, the last m mod 32 of them one step
-    longer; the second half's 32 segments are their mirror images.  The 64 segment
-    ends of a cycle include the fold (step m) and the cycle's end (step 2m).
+    The half cycle's m steps are 32 segments of m / 32 steps; the second half's 32
+    segments are their mirror images.  The 64 segment ends of a cycle include the
+    fold (step m) and the cycle's end (step 2m).
     """
     m = step_grid(params, cfg)
-    short, extra = divmod(m, 32)
-    half_ends = np.cumsum([short] * (32 - extra) + [short + 1] * extra).tolist()
+    half_ends = [m // 32 * (j + 1) for j in range(32)]
     offsets = set(half_ends) | {2 * m - e for e in half_ends} | {0}
     assert len(offsets) == MIN_SAMPLES_PER_CYCLE
     return [state for s, state in oracle_steps(params, cfg, psi, k0) if s % (2 * m) in offsets]
 
 
-# dt = 0.13 gives m = 64: 32 segments of 2 steps.  dt = 0.01 gives m = 821 = 32 * 25 + 21:
-# the last 21 segments take 26 steps.  The stepwise oracle takes ~1 s for 10 cycles at
+# dt = 0.13 gives m = 64: 32 segments of 2 steps.  dt = 0.01 gives m = 832 = 32 * 26
+# (ceil(T_B / 0.02) = 821, rounded up).  The stepwise oracle takes ~1 s for 10 cycles at
 # dt = 0.01, so two cases cover that.
 # (k0, v0, dt, cycles, cutoff); the escaped population moves one mode outwards per cycle.
 # The solver starts at k0 = 0 only; from the zone edge k0 = -+1 the oracle resumes
@@ -176,13 +175,10 @@ PARITY_CASES = [pytest.param(k0, v0, dt, cycles, 8 if cycles == 1 else 20,
                 + [(0.0, 1.0, 0.01, 10), (-1.0, 1.0, 0.01, 10)]]
 # How the identity pass groups the 32 half-cycle segments, and where the fold falls:
 PARITY_CASES += [
-    # the operating point: 65 modes give groups of 15, 15 and 2 segments of 25 or 26
-    # steps; the first group's ragged last wide step steps its last 4 segments only
-    pytest.param(0.0, 1.0, 0.01, 3, 32, id="ragged-segments-at-cutoff-32"),
+    # the operating point: 65 modes give groups of 15, 15 and 2 segments of 26 steps
+    pytest.param(0.0, 1.0, 0.01, 3, 32, id="groups-15-15-2-at-cutoff-32"),
     # 64 steps per cycle at cutoff 4: every segment is one step
     pytest.param(0.0, 1.0, 0.26, 1, 4, id="one-step-segments"),
-    # m = 672 = 32 * 21 at cutoff 8: no ragged step, the fold ends a full one
-    pytest.param(0.0, 1.0, 0.01221, 3, 8, id="even-split"),
     # 14 cycle starts on 11 modes: the walk's blocks are wider than they are tall
     pytest.param(0.0, 18.0, 0.01, 14, 5, id="more-cycles-than-modes"),
 ]
@@ -271,6 +267,8 @@ def test_free_lattice_collapses_at_first_crossing():
     params = LatticeParams(0.0, 0.383)
     cfg = SolverConfig(cutoff=8, n_cycles=1, dt=0.05)
     states = evolve_lattice(params, cfg)
+    # the band-1 vector at k = 0 of the free lattice is the plane wave n = 0, exactly
+    assert np.array_equal(states[0].amplitudes, np.eye(2 * cfg.cutoff + 1)[cfg.cutoff])
     t_half = params.bloch_period / 2
     before = [s for s in states if s.time < t_half - 0.5]
     after = [s for s in states if s.time > t_half + 0.5]
@@ -283,7 +281,7 @@ def test_free_collapse_is_bit_reproducible():
     cfg = SolverConfig(cutoff=8, n_cycles=1, dt=0.05)
     a = evolve_lattice(params, cfg)
     b = evolve_lattice(params, cfg)
-    assert all(np.array_equal(x.amplitudes, y.amplitudes) for x, y in zip(a, b))
+    assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
 def test_adiabatic_cycle_keeps_band_one():
@@ -329,10 +327,25 @@ def test_sampling_density_and_final_sample(paper_params):
         evolve_lattice(paper_params, SolverConfig(dt=1.0))  # < 64 steps per cycle
 
 
+def test_step_grid_rounds_m_up_to_whole_segments(paper_params):
+    # T_B / (2 dt) = 32.75 asks for 33 steps per half cycle: m is rounded up to 64,
+    # two per segment, and the step only shrinks
+    t_bloch = paper_params.bloch_period
+    dt = t_bloch / 65.5
+    m = step_grid(paper_params, SolverConfig(dt=dt))
+    assert m == 64 and m % 32 == 0
+    assert t_bloch / (2 * m) <= dt
+    # the 64-step floor holds for the requested dt: 61 steps per cycle would round up
+    # to 64, and are refused
+    for coarse in (t_bloch / 61, 1.0):
+        with pytest.raises(ValueError, match="steps per cycle"):
+            step_grid(paper_params, SolverConfig(dt=coarse))
+
+
 def test_projections_complete_and_consistent(trace_v1, paper_params):
     state = trace_v1[len(trace_v1) // 2]
-    all_bands = band_projections([state], paper_params, n_bands=state.cutoff,
-                                 band_cutoff=state.cutoff)[0]
+    all_bands = band_projections(state, paper_params, n_bands=state.cutoff,
+                                 band_cutoff=state.cutoff)
     assert float(all_bands.sum()) == pytest.approx(state.norm ** 2, abs=1e-10)
     assert band_survival(state, paper_params) == pytest.approx(all_bands[0], abs=1e-15)
 
@@ -343,7 +356,7 @@ def test_eigensolver_failure_maps_to_eigensolver_error(trace_v1, paper_params,
         raise np.linalg.LinAlgError("no convergence")
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigensolverError, match="no convergence"):
-        band_projections([trace_v1[0]], paper_params)
+        band_projections(trace_v1[0], paper_params)
 
 
 def test_gauge_fold_invariance(paper_params):
@@ -361,7 +374,7 @@ def test_gauge_fold_invariance(paper_params):
 
 def test_cycle_boundaries_are_samples_and_plateaus_are_overlaps(trace_v1, paper_params):
     # sample 64 n is the state at n T_B, back at k = 0, so the band-1 plateau is
-    # |psi0^dagger x_n|^2 with x_n = M^n psi0 (the snapshots hold modes -16..16 and
+    # |psi0^dagger x_n|^2 with x_n = M^n psi0 (the samples hold modes -16..16 and
     # the plateaus project on modes -10..10)
     boundaries = trace_v1[::MIN_SAMPLES_PER_CYCLE]
     n = np.arange(len(boundaries))
@@ -418,7 +431,7 @@ def full_cutoff_projections(state, params):
 
 @pytest.mark.parametrize("v0, f0", [(1.0, 0.383), (4.0, 1.0)])
 def test_trace_rows_match_full_cutoff_projections(v0, f0, monkeypatch):
-    # fast path: batched eigh over the snapshots at band cutoff 10, in bounded chunks;
+    # fast path: batched eigh over the samples at band cutoff 10, in bounded chunks;
     # oracle: one tridiagonal eigensolve per snapshot at the state's cutoff 32
     # (measured <= 7e-14)
     params = LatticeParams(v0, f0)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from blochdecay import (LatticeParams, SolverConfig, StepIngredients,
-                        SurvivalSeries, TraceTooShortError, band_survival,
+from blochdecay import (HoustonState, LatticeParams, SolverConfig, StepIngredients,
+                        SurvivalSeries, TraceTooShortError, band_projections, band_survival,
                         compare_models, default_window, evolve_lattice,
                         evolve_steps, extract_plateaus, fit_exponential,
                         gamma_asymptotic, spectral_decompose, step_operator,
@@ -39,6 +39,20 @@ def test_extract_plateaus_makes_one_eigensolver_call(trace_v1, paper_params, mon
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
     plate = extract_plateaus(trace_v1, paper_params)
     assert calls == [(len(plate), 21, 21)]
+
+
+def test_plateaus_read_the_sample_nearest_each_cycle_boundary(trace_v1, paper_params):
+    # inner samples moved 0.6 strides later: the sample before each boundary is now
+    # nearest n T_B; reference: one argmin over |t - n T_B| per plateau
+    t_bloch = paper_params.bloch_period
+    times = trace_v1.time.copy()
+    times[1:-1] += 0.6 * times[1]
+    shifted = HoustonState(trace_v1.amplitudes, times, trace_v1.n_folds,
+                           trace_v1.quasimomentum)
+    picks = [int(np.argmin(np.abs(times - n * t_bloch))) for n in range(11)]
+    assert picks == [0] + [64 * n - 1 for n in range(1, 10)] + [640]
+    want = band_projections(trace_v1[picks], paper_params)[:, 0]
+    assert np.array_equal(extract_plateaus(shifted, paper_params).probabilities, want)
 
 
 def test_trace_too_short_raises(paper_params):
