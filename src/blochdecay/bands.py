@@ -29,6 +29,9 @@ GAP_CONVERGENCE_TOL = 1e-12
 # dynamics.evolve_lattice.  Memory stays bounded whatever the grid, the
 # trace length or the number of cycles.
 _CHUNK_ELEMENTS = 2 ** 16
+# Most memory and work of one band table or mean gap, by check_band_grid's estimate.
+MAX_BAND_BYTES = 2 ** 28
+MAX_BAND_FLOPS = 5e9
 
 
 class EigensolverError(RuntimeError):
@@ -152,13 +155,39 @@ def lowest_bands(params: LatticeParams, k: np.ndarray, cutoff: int, n: int,
 
 
 def check_band_grid(n_bands: int, grid_size: int, cutoff: int) -> None:
-    """Raise ValueError unless band_energies can tabulate n_bands on this grid."""
+    """Raise ValueError unless band_energies can tabulate n_bands on this grid.
+
+    Also refuses a grid and cutoff whose band table or mean gap would hold
+    more than MAX_BAND_BYTES or take more than MAX_BAND_FLOPS.  Both
+    estimates bound both uses, made in floats before any allocation.  The
+    memory is 8 (dim + n_bands + 1) bytes per k point, for every eigenvalue
+    of the chunks kept until the table is joined, plus 16 bytes per element
+    of one chunk of hamiltonians at cutoff + 2; over grids 16 to 10^5 and
+    cutoffs 4 to 200 it came out between 0.2% below and 40% above
+    tracemalloc's peak of a bands, scaling or ret run.  The work is
+    4/3 d^3 + 3000 flops per eigensolve, d = 2 cutoff + 5, over grid_size + 2
+    of them: syevd's reduction plus a per-matrix overhead, from ~3 us per
+    solve at dim 9 and ~1 Gflop/s at dim 21 on 2 cores, so the limit is a
+    few seconds.  Ints beyond 1e300 count as 1e300.
+    """
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
     if n_bands < 1 or n_bands > cutoff:
         raise ValueError(f"need 1 <= n_bands <= cutoff, got n_bands={n_bands}, cutoff={cutoff}")
     if grid_size < 16:
         raise ValueError(f"grid_size >= 16 required, got {grid_size}")
+    grid, dim, bands = (float(min(x, 10 ** 300)) for x in (grid_size, 2 * cutoff + 1, n_bands))
+    big = dim + 4.0  # the mean gap's check at cutoff + 2
+    need = 8.0 * grid * (dim + bands + 1.0) + 16.0 * max(_CHUNK_ELEMENTS, big * big)
+    if not need <= MAX_BAND_BYTES:
+        raise ValueError(
+            f"grid {grid_size}, cutoff {cutoff} and {n_bands} bands need ~{need:.3g} bytes of "
+            f"band memory (limit {MAX_BAND_BYTES}); reduce the grid or the cutoff")
+    flops = (grid + 2.0) * (4.0 / 3.0 * big * big * big + 3e3)
+    if not flops <= MAX_BAND_FLOPS:
+        raise ValueError(
+            f"grid {grid_size} and cutoff {cutoff} need ~{flops:.3g} flops of band "
+            f"eigensolves (limit {MAX_BAND_FLOPS:.3g}); reduce the grid or the cutoff")
 
 
 def band_energies(params: LatticeParams, n_bands: int = 3,

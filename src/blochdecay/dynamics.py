@@ -375,18 +375,23 @@ def band_projections(states: HoustonState, params: LatticeParams, n_bands: int =
     """Populations (..., n_bands) of the lowest instantaneous Bloch bands.
 
     states is one snapshot or a stack of them.  One batched eigensolve
-    (bands.lowest_bands, in bounded chunks) gives every sample's bands on
-    the central 2b + 1 modes, b = min(band_cutoff, state cutoff), beyond
-    which the low band vectors vanish to roundoff.
+    (bands.lowest_bands, in bounded chunks) over the distinct quasimomenta
+    gives the bands on the central 2b + 1 modes, b = min(band_cutoff,
+    state cutoff), beyond which the low band vectors vanish to roundoff;
+    each sample gathers the vectors of its k.  An evolve_lattice trace
+    repeats the same 64 quasimomenta every cycle, so it takes 64
+    eigensolves whatever its length, and its cycle boundaries (all at
+    k = 0) take one.
     """
     c = states.cutoff
     b = min(band_cutoff, c)
     if n_bands < 1 or n_bands > b:
         raise ValueError(f"need 1 <= n_bands <= band cutoff={b}, got {n_bands}")
-    k = np.atleast_1d(states.quasimomentum)
-    amps = states.amplitudes.reshape(len(k), -1)[:, None, c - b:c + b + 1]
+    k, inverse = np.unique(states.quasimomentum, return_inverse=True)
+    inverse = inverse.ravel()  # some numpy versions shape it like the input
+    amps = states.amplitudes.reshape(len(inverse), -1)[:, None, c - b:c + b + 1]
     _, vec = lowest_bands(params, k, b, n_bands, vectors=True)
-    return (np.abs(amps @ vec.conj()) ** 2).reshape(np.shape(states.quasimomentum) + (n_bands,))
+    return (np.abs(amps @ vec[inverse]) ** 2).reshape(np.shape(states.quasimomentum) + (n_bands,))
 
 
 def band_survival(state: HoustonState, params: LatticeParams) -> float | np.ndarray:
@@ -395,8 +400,12 @@ def band_survival(state: HoustonState, params: LatticeParams) -> float | np.ndar
     return p if p.ndim else float(p)
 
 
-def trace_rows(states: HoustonState, params: LatticeParams, band_cutoff: int) -> list:
-    """Rows (tau, P1, P2, Prest, norm) of a trace stack, for serialization."""
+def trace_rows(states: HoustonState, params: LatticeParams, band_cutoff: int) -> np.ndarray:
+    """Columns tau, P1, P2, Prest, norm of a trace stack, as one (samples, 5) array.
+
+    P1 and P2 come from one band_projections call, so a trace of any
+    length costs one eigensolve per distinct quasimomentum (64).
+    """
     p1, p2 = band_projections(states, params, 2, band_cutoff).T
     norm = states.norm
-    return np.column_stack([states.time, p1, p2, norm ** 2 - (p1 + p2), norm]).tolist()
+    return np.column_stack([states.time, p1, p2, norm ** 2 - (p1 + p2), norm])

@@ -208,22 +208,29 @@ def evolve_steps(u: np.ndarray, n_steps: int, t_bloch: float = 1.0) -> SurvivalS
 def spectral_decompose(u: np.ndarray) -> SpectralData:
     """Eigenvalues ordered by modulus and their residues in <1|U^n|1>.
 
-    The cases n = 0, 1 of <1|U^n|1> = d1 e1^n + d2 e2^n give d1 + d2 = 1
-    and d1 e1 + d2 e2 = U_00, so no eigenvectors are needed.  |e1| and
-    |e2| coinciding within 1e-12 leaves the asymptotic rate and Z
-    undefined: a single operator raises DegenerateSpectrumError, a batch
-    flags the point in SpectralData.degenerate.
+    The eigenvalues of U = [[a, b], [c, d]] are tr/2 +- sqrt((a - d)^2/4 + bc)
+    in closed form: the sign that adds the root to tr/2 without cancelling
+    gives the larger one, and det U divided by it the smaller.  The cases
+    n = 0, 1 of <1|U^n|1> = d1 e1^n + d2 e2^n give d1 + d2 = 1 and
+    d1 e1 + d2 e2 = U_00, so no eigenvectors are needed.  |e1| and |e2|
+    coinciding within 1e-12 leaves the asymptotic rate and Z undefined: a
+    single operator raises DegenerateSpectrumError, a batch flags the point
+    in SpectralData.degenerate.
     """
-    lam = np.linalg.eigvals(u)
-    lam = np.take_along_axis(lam, np.argsort(-np.abs(lam), axis=-1), axis=-1)
-    mod = np.abs(lam)
-    degenerate = np.abs(mod[..., 0] - mod[..., 1]) < MODULUS_TIE_TOL
+    u = np.asarray(u, dtype=complex)
+    a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    half = 0.5 * (a + d)
+    root = np.sqrt(0.25 * (a - d) ** 2 + b * c)
+    root = np.where((half.conjugate() * root).real < 0.0, -root, root)
+    e1 = half + root  # |half + root| >= |half - root|
+    e2 = (a * d - b * c) / np.where(e1 == 0.0, 1.0, e1)  # e1 = 0: both roots are 0
+    mod1, mod2 = np.abs(e1), np.abs(e2)
+    degenerate = np.abs(mod1 - mod2) < MODULUS_TIE_TOL
     if degenerate.ndim == 0 and degenerate:
         raise DegenerateSpectrumError(
-            f"eigenvalue moduli coincide: |e1|={mod[0]}, |e2|={mod[1]}")
-    e1, e2 = lam[..., 0], lam[..., 1]
+            f"eigenvalue moduli coincide: |e1|={mod1}, |e2|={mod2}")
     split = np.where(degenerate, 1.0, e1 - e2)  # a tie may be a double eigenvalue
-    d1, d2 = (u[..., 0, 0] - e2) / split, (e1 - u[..., 0, 0]) / split
+    d1, d2 = (a - e2) / split, (e1 - a) / split
     # [()] turns the 0-d results of a single operator into scalars
     e1, e2, d1, d2 = (np.where(degenerate, np.nan, x)[()] for x in (e1, e2, d1, d2))
     return SpectralData(e1=e1, e2=e2, d1=d1, d2=d2, degenerate=degenerate)

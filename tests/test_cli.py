@@ -211,6 +211,32 @@ def test_ret_empty_range(tmp_path):
     assert len(rows) == 0
 
 
+def rowwise_csv(runspec, header, rows, comments=()):
+    """Reference: every value of every row by the per-value rule, %.17g for a float."""
+    def fmt(x):
+        return f"{x:.17g}" if isinstance(x, float) else str(x)
+    lines = [f"# runspec {runspec}", *(f"# {line}" for line in comments), header]
+    return "".join(line + "\n" for line in lines + [",".join(map(fmt, row)) for row in rows])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7, 2 * cli._CSV_CHUNK_VALUES // 5 + 3])
+def test_column_writer_matches_rowwise_rule(tmp_path, n_rows):
+    # columns of special floats, Python ints, int64 (ret's local_max) and ready text;
+    # 2 * 3276 + 3 rows of 5 columns cross two chunk boundaries
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-310, 1e300, 0.1, 1.0,
+                -2.5e-17, 0.30000000000000004]
+    floats = np.resize(np.array(specials), n_rows)
+    ints = [(-1) ** i * i for i in range(n_rows)]
+    int64 = np.arange(n_rows, dtype=np.int64) % 2
+    text = ["v" + str(i % 5) for i in range(n_rows)]
+    columns = [floats, ints, int64, text, floats[::-1].copy()]
+    path = cli._write_csv(str(tmp_path / "c.csv"), "{}", "a,b,c,d,e", columns,
+                          comments=["one", "two"])
+    want = rowwise_csv("{}", "a,b,c,d,e", zip(*columns), ["one", "two"])
+    assert path.read_text() == want
+    assert len(want.splitlines()) == 4 + n_rows
+
+
 def test_outdir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("BLOCHDECAY_OUTDIR", str(tmp_path))
     assert main(["bands", "--v0", "0", "--grid", "32", "--out", "sub/b.csv"]) == 0
@@ -311,13 +337,48 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error: parameters:" in err and "flops" in err
     assert not list(tmp_path.glob("slow*"))
+    # a --grid, --cutoff or --n-points whose band table, mean gap or sweep would hold
+    # gigabytes or take minutes is refused before any allocation; no band or step-model
+    # computation is reached
+    for name in ("band_energies", "mean_band_gap", "step_operator", "spectral_decompose"):
+        monkeypatch.setattr(cli, name, None)
+    huge = "1" + "0" * 400
+    refusals = [
+        (["bands", "--v0", "1", "--grid", "10000000"], "bytes of band memory"),
+        (["bands", "--v0", "1", "--grid", huge], "bytes of band memory"),
+        (["bands", "--v0", "1", "--cutoff", "1000"], "flops of band eigensolves"),
+        (["bands", "--v0", "1", "--cutoff", huge, "--n-bands", "2"], "bytes of band memory"),
+        (["scaling", "--grid", "10000000"], "bytes of band memory"),
+        (["scaling", "--cutoff", "1000"], "flops of band eigensolves"),
+        (["scaling", "--n-points", "100000000"], "bytes of sweep memory"),
+        (["scaling", "--n-points", huge], "bytes of sweep memory"),
+        # 10^5 forces pass at one depth, not at 64
+        (["scaling", "--v0", ",".join(["1"] * 64), "--n-points", "100000"],
+         "bytes of sweep memory"),
+        (["ret", "--grid", "10000000"], "bytes of band memory"),
+        (["ret", "--cutoff", "1000"], "flops of band eigensolves"),
+        (["ret", "--n-points", "100000000"], "bytes of sweep memory"),
+        (["run", "--v0", "1", "--f0", "0.4", "--grid", "10000000"], "bytes of band memory"),
+        (["run", "--v0", "1", "--f0", "0.4", "--band-cutoff", "1000"],
+         "flops of band eigensolves"),
+    ]
+    tracemalloc.start()
+    try:
+        for argv, what in refusals:
+            out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "huge")]
+            assert main(argv + out) == 2, argv
+            err = capsys.readouterr().err
+            assert "error: parameters:" in err and what in err, (argv, err)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert not list(tmp_path.glob("huge*"))
 
 
 # Each command starts from cheap valid flags; a case overrides some of them with
-# values from these pools, valid and invalid alike.  run refuses a --dt, f0 or
-# --cycles whose solver memory is too large; inputs whose work has no bound (a huge
-# --cutoff of bands, scaling or ret, --grid or --n-points) are left out: nothing
-# refuses them yet.
+# values from these pools, valid and invalid alike.  The huge values (f0 1e-300,
+# cycles 10000000, dt 1e-5, grid 10000000, cutoff and band-cutoff 1000, n-points
+# 100000000) are refused in the parameters stage before any work.
 _BASE_FLAGS = {
     "bands": {"v0": "1", "grid": "16", "cutoff": "4"},
     "run": {"v0": "1", "f0": "0.4", "cycles": "4", "cutoff": "6", "dt": "0.05",
@@ -327,12 +388,13 @@ _BASE_FLAGS = {
 }
 _FLAG_POOLS = {
     "v0": ["0", "0.5", "2", "200", "-1", "nan", "x"], "f0": ["0.7", "1.3", "0", "-1", "nan", "50", "1e-300"],
-    "n-bands": ["2", "4", "0", "9"], "grid": ["32", "24", "8", "-4", "x"],
-    "cutoff": ["4", "5", "8", "3", "-1"], "cycles": ["3", "5", "2", "0", "10000000"],
-    "dt": ["0.02", "0.1", "1", "0", "-0.01", "inf", "1e-5"], "band-cutoff": ["6", "8", "3"],
+    "n-bands": ["2", "4", "0", "9"], "grid": ["32", "24", "8", "-4", "x", "10000000"],
+    "cutoff": ["4", "5", "8", "3", "-1", "1000"], "cycles": ["3", "5", "2", "0", "10000000"],
+    "dt": ["0.02", "0.1", "1", "0", "-0.01", "inf", "1e-5"],
+    "band-cutoff": ["6", "8", "3", "1000"],
     "fit-window": ["2:9", "0:2", "3:3", "5:2", "-1:2", "x", "6:14"],
     "f0-min": ["0.9", "1e-310", "-1", "3", "nan"], "f0-max": ["2.5", "6", "inf", "0.4"],
-    "n-points": ["0", "1", "12", "-1"], "j-max": ["0", "1", "3"],
+    "n-points": ["0", "1", "12", "-1", "100000000"], "j-max": ["0", "1", "3"],
 }
 _SCALING_DEPTHS = ["1,2", "0.5,4", "200", "1,nan", "", "a"]
 _CONFIGS = ["# only a comment\n", "grid = 32\n", "cutoff 5\n", "grid\n", "grid = \n",

@@ -420,6 +420,41 @@ def test_trace_rows_shape(trace_v1, paper_params):
     assert abs(p1 + p2 + rest - norm ** 2) < 1e-12
 
 
+def test_exact_run_point_takes_64_band_eigensolves_and_1_for_the_plateaus(monkeypatch):
+    # v0 = 1, f0 = 0.383, cutoff 32, 20 cycles: 1,281 samples on 64 quasimomenta
+    params = LatticeParams(1.0, 0.383)
+    states = evolve_lattice(params, SolverConfig(cutoff=32, n_cycles=20))
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
+    trace_rows(states, params, 10)
+    assert len(states) == 1281 and sum(s[0] for s in shapes) == 64
+    shapes.clear()
+    extract_plateaus(states, params)
+    assert shapes == [(1, 21, 21)]
+
+
+def test_band_projections_chunk_many_distinct_k_and_match_one_at_a_time(monkeypatch):
+    # 400 samples on 300 distinct k: more than the 148 matrices of one chunk at band
+    # cutoff 10; reference: the same projection made one sample at a time
+    rng = np.random.default_rng(11)
+    params = LatticeParams(2.0, 0.5)
+    k = rng.uniform(-1.0, 1.0, 300)
+    k = np.concatenate([k, rng.choice(k, 100)])
+    amps = rng.normal(size=(400, 25)) + 1j * rng.normal(size=(400, 25))
+    states = HoustonState(amps, np.arange(400.0), np.zeros(400, int), k)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+    got = band_projections(states, params, 3)
+    assert len(calls) > 1 and all(h.size <= _CHUNK_ELEMENTS for h in calls)
+    assert np.array_equal(np.concatenate(calls),
+                          build_bloch_hamiltonian(params, np.unique(k), 10))
+    monkeypatch.undo()
+    one = np.array([band_projections(states[i], params, 3) for i in range(len(k))])
+    assert np.array_equal(got, one)
+
+
 def full_cutoff_projections(state, params):
     """P1, P2 of one snapshot on all 2c + 1 modes of its basis."""
     c = state.cutoff
@@ -431,7 +466,7 @@ def full_cutoff_projections(state, params):
 
 @pytest.mark.parametrize("v0, f0", [(1.0, 0.383), (4.0, 1.0)])
 def test_trace_rows_match_full_cutoff_projections(v0, f0, monkeypatch):
-    # fast path: batched eigh over the samples at band cutoff 10, in bounded chunks;
+    # fast path: one batched eigh over the distinct quasimomenta at band cutoff 10;
     # oracle: one tridiagonal eigensolve per snapshot at the state's cutoff 32
     # (measured <= 7e-14)
     params = LatticeParams(v0, f0)
@@ -439,11 +474,12 @@ def test_trace_rows_match_full_cutoff_projections(v0, f0, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
-    rows = np.array(list(trace_rows(states, params, 10)))
-    # the chunks hold every snapshot's hamiltonian exactly once, in order
-    assert np.array_equal(np.concatenate(calls), build_bloch_hamiltonian(
-        params, [st.quasimomentum for st in states], 10))
-    assert len(calls) > 1 and all(h.size <= _CHUNK_ELEMENTS for h in calls)
+    rows = trace_rows(states, params, 10)
+    # the calls hold each distinct quasimomentum's hamiltonian exactly once: the
+    # 64 of one cycle, which every cycle repeats
+    k = np.unique(states.quasimomentum)
+    assert len(k) == MIN_SAMPLES_PER_CYCLE
+    assert np.array_equal(np.concatenate(calls), build_bloch_hamiltonian(params, k, 10))
     monkeypatch.undo()
     want = np.array([full_cutoff_projections(st, params) for st in states])
     assert np.max(np.abs(rows[:, 1:3] - want)) < 1e-12

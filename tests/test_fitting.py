@@ -37,8 +37,8 @@ def test_extract_plateaus_makes_one_eigensolver_call(trace_v1, paper_params, mon
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
-    plate = extract_plateaus(trace_v1, paper_params)
-    assert calls == [(len(plate), 21, 21)]
+    extract_plateaus(trace_v1, paper_params)
+    assert calls == [(1, 21, 21)]  # the 11 plateaus all sit at k = 0
 
 
 def test_plateaus_read_the_sample_nearest_each_cycle_boundary(trace_v1, paper_params):

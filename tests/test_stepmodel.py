@@ -8,9 +8,11 @@ import pytest
 from blochdecay import (DegenerateSpectrumError, LatticeParams,
                         StepIngredients, bloch_phase, evolve_steps,
                         gamma_asymptotic, gamma_sequence, lz_probability,
+                        mean_band_gap,
                         p_lz_12, p_lz_23, renorm_fit, ret_resonances,
                         spectral_decompose, step_operator, z_exact,
                         z_first_order, z_running_estimate)
+from blochdecay.stepmodel import MODULUS_TIE_TOL
 
 
 def make_op(s12, s23, phi):
@@ -238,6 +240,59 @@ def test_broadcast_chain_matches_scalar_calls():
         assert abs(gamma[i] - gamma_asymptotic(one)) <= 1e-12
 
 
+def eigvals_spectrum(u):
+    """Oracle: (Z, gamma, degenerate) from np.linalg.eigvals ordered by modulus."""
+    lam = np.linalg.eigvals(u)
+    lam = np.take_along_axis(lam, np.argsort(-np.abs(lam), axis=-1), axis=-1)
+    mod = np.abs(lam)
+    degenerate = np.abs(mod[..., 0] - mod[..., 1]) < MODULUS_TIE_TOL
+    e1, e2 = lam[..., 0], lam[..., 1]
+    d1 = (u[..., 0, 0] - e2) / np.where(degenerate, 1.0, e1 - e2)
+    with np.errstate(divide="ignore"):  # the oracle may take log 0 at a degenerate point
+        return np.abs(d1) ** 2, -2.0 * np.log(mod[..., 0]), degenerate
+
+
+def sweep_operators(v0s, f0):
+    """The step operators of a scaling or ret sweep over f0 at each depth, stacked."""
+    ops = []
+    for v0 in v0s:
+        params = LatticeParams(v0, f0)
+        ops.append(step_operator(StepIngredients.from_lattice(
+            params, mean_gap=mean_band_gap(params))))
+    return np.concatenate(ops)
+
+
+@pytest.mark.parametrize("grid", ["z-scaling", "depth-scan", "ret", "random", "v0=0", "ties"])
+def test_closed_form_spectrum_matches_eigvals(grid):
+    # Z and gamma within 1e-13 absolute (measured <= 2.6e-14 and <= 3.7e-15) and the
+    # same degenerate points; ties and zero-trace operators must not warn
+    rng = np.random.default_rng(41)
+    u = {
+        "z-scaling": lambda: sweep_operators([1.0, 2.0, 3.0, 4.0], np.linspace(0.5, 4.0, 5000)),
+        "depth-scan": lambda: sweep_operators(0.5 * np.arange(1, 17), np.linspace(0.5, 4.0, 200)),
+        "ret": lambda: sweep_operators([1.0], np.linspace(0.8, 2.6, 200)),
+        "random": lambda: np.array([step_operator(random_ingredients(rng))
+                                    for _ in range(1000)]),
+        "v0=0": lambda: sweep_operators([0.0], np.linspace(0.5, 4.0, 50)),
+        # s12 = 1, s23 = 1: unit moduli; s12 = 0: zero trace; all zero but one entry
+        "ties": lambda: step_operator(StepIngredients(np.array([1.0, 0.0, 0.0, 1.0]),
+                                                      np.array([1.0, 0.5, 0.0, 0.0]),
+                                                      np.array([0.3, 0.7, 0.0, 0.0]))),
+    }[grid]()
+    sd = spectral_decompose(u)
+    z_ref, gamma_ref, degenerate_ref = eigvals_spectrum(u)
+    assert np.array_equal(sd.degenerate, degenerate_ref)
+    ok = ~degenerate_ref
+    assert np.max(np.abs(z_exact(sd)[ok] - z_ref[ok]), initial=0.0) <= 1e-13
+    assert np.max(np.abs(gamma_asymptotic(sd)[ok] - gamma_ref[ok]), initial=0.0) <= 1e-13
+    assert np.all(np.abs(sd.e1[ok]) >= np.abs(sd.e2[ok]))
+    assert np.all(np.isnan(sd.e1[~ok]))
+    if grid == "v0=0":
+        assert np.all(sd.degenerate)
+    if grid == "ties":
+        assert sd.degenerate.tolist() == [True, True, True, False]
+
+
 def test_broadcast_over_forces_and_scalar_results(mean_gap_v1):
     f0 = np.linspace(0.3, 4.0, 57)
     ing = StepIngredients.from_lattice(LatticeParams(1.0, f0), mean_gap=mean_gap_v1)
@@ -428,13 +483,13 @@ def test_renorm_fit_assembly(operator_v1):
 
 
 def test_series_serialization_roundtrip(tmp_path):
-    # the (n, t, P) rows of the run command's steps file read back exactly
+    # the (n, t, P) columns of the run command's steps file read back exactly
     from blochdecay.cli import _write_csv
     series = evolve_steps(make_op(0.7, 0.1, 0.3), 5, t_bloch=2.0)
-    rows = [(n, series.t_bloch * (n + 0.5), p) for n, p in enumerate(series.probabilities)]
-    assert rows[0] == (0, 1.0, 1.0)
-    assert rows[3][0] == 3
-    path = _write_csv(str(tmp_path / "steps.csv"), "{}", "n,t,P", rows)
+    n = np.arange(len(series))
+    columns = [n, series.t_bloch * (n + 0.5), series.probabilities]
+    assert [col[0] for col in columns] == [0, 1.0, 1.0]
+    path = _write_csv(str(tmp_path / "steps.csv"), "{}", "n,t,P", columns)
     back = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
     assert np.array_equal(back[:, 0], np.arange(len(series)))
     assert np.array_equal(back[:, 1], series.times + 1.0)
