@@ -17,7 +17,7 @@ from .fitting import (ExpFit, TraceTooShortError, compare_models,
 from .stepmodel import (DegenerateSpectrumError, RenormFit, SpectralData,
                         StepIngredients, SurvivalSeries, evolve_steps,
                         gamma_asymptotic, gamma_sequence, lz_probability,
-                        p_lz_12, p_lz_23, renorm_fit, ret_resonances,
+                        p_lz_12, renorm_fit, ret_resonances,
                         spectral_decompose, step_operator, z_exact,
                         z_first_order, z_running_estimate)
 

@@ -8,7 +8,10 @@ The lattice potential (V/2) cos(2 pi x / d_L) couples plane waves
 exp(i (k + 2n) pi x / d_L) that differ by one reciprocal-lattice vector
 with strength v0/4, giving a real symmetric tridiagonal Hamiltonian with
 diagonal (k + 2n)^2, n = -cutoff..cutoff, stored dense so that one LAPACK
-call diagonalizes a whole stack of quasimomenta.
+call diagonalizes a whole stack of quasimomenta.  lowest_eigenpairs is the
+package's one symmetric eigensolver: it serves every matrix of that form
+(band tables, band projections, the start state, the coupling matrix and
+the two-level sweep's end hamiltonians) and refines every vector it returns.
 """
 
 from __future__ import annotations
@@ -86,25 +89,29 @@ def build_bloch_hamiltonian(params: LatticeParams, k: float | np.ndarray,
 
 
 def lowest_eigenpairs(h: np.ndarray, n: int, vectors: bool = False):
-    """Lowest n eigenvalues of each symmetric matrix in h (..., dim, dim), ascending.
+    """Lowest n eigenvalues of each matrix in h (..., dim, dim), ascending.
 
-    With vectors=True returns (eigenvalues, eigenvectors as columns).
-    Raises EigensolverError when LAPACK fails.
+    Each matrix is real symmetric tridiagonal with a constant off-diagonal.
+    With vectors=True returns (eigenvalues, eigenvectors as columns), the
+    lowest min(n + 1, dim) vectors refined by _separate_neighbours: the
+    band-1 and band-2 vectors came within 1e-14 of 40-digit ones at every k
+    and v0 (0.1 to 30) checked, k = 0 and -+1 included.  Raises
+    EigensolverError when LAPACK fails.
     """
     try:
-        if vectors:
-            w, v = np.linalg.eigh(h)
-            return w[..., :n], v[..., :n]
-        return np.linalg.eigvalsh(h)[..., :n]
+        if not vectors:
+            return np.linalg.eigvalsh(h)[..., :n]
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed: {exc}") from exc
+    j = min(n + 1, h.shape[-1])
+    return w[..., :n], _separate_neighbours(h, w[..., :j], v[..., :j])[..., :n]
 
 
-def _separate_neighbours(h: np.ndarray, w: np.ndarray, v: np.ndarray,
-                         coupling: float) -> np.ndarray:
+def _separate_neighbours(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v (..., dim, j) after one Jacobi rotation of each pair of neighbouring columns.
 
-    h is tridiagonal with the constant off-diagonal coupling, and v holds its
+    h is tridiagonal with a constant off-diagonal, and v holds its
     eigenvectors for the ascending eigenvalues w.  LAPACK's vectors are
     accurate to ~eps ||h|| / gap, and ||h|| ~ 4 cutoff^2 is set by edge modes
     the low bands hardly touch: at cutoff 10, v0 = 1 the band-2 vector mixes
@@ -114,6 +121,7 @@ def _separate_neighbours(h: np.ndarray, w: np.ndarray, v: np.ndarray,
     tridiagonal from the shifted diagonal, so no large product cancels; each
     rotation is orthogonal, so the columns stay orthonormal.
     """
+    coupling = h[..., 1:2, :1]  # the off-diagonal, shaped to broadcast over (dim, j)
     v = v.copy()
     r = (np.diagonal(h, axis1=-2, axis2=-1)[..., :, None] - w[..., None, :]) * v
     r[..., 1:, :] += coupling * v[..., :-1, :]
@@ -134,41 +142,33 @@ def lowest_bands(params: LatticeParams, k: np.ndarray, cutoff: int, n: int,
                  vectors: bool = False):
     """lowest_eigenpairs of the Hamiltonians at the quasimomenta k (1-D), stacked over k.
 
-    Diagonalizes in chunks of at most _CHUNK_ELEMENTS matrix elements.  The
-    vectors are refined by _separate_neighbours over the lowest n + 1 bands,
-    which brought the band-1 and band-2 vectors within 1e-14 of 40-digit ones
-    at every k and v0 (0.1 to 30) checked, k = 0 and -+1 included.
+    Diagonalizes in chunks of at most _CHUNK_ELEMENTS matrix elements.
     """
-    dim = 2 * cutoff + 1
-    chunk = max(1, _CHUNK_ELEMENTS // dim ** 2)
-    parts = []
-    for i in range(0, len(k), chunk):
-        h = build_bloch_hamiltonian(params, k[i:i + chunk], cutoff)
-        if vectors:
-            w, v = lowest_eigenpairs(h, min(n + 1, dim), vectors=True)
-            parts.append((w[:, :n], _separate_neighbours(h, w, v, params.v0 / 4.0)[..., :n]))
-        else:
-            parts.append(lowest_eigenpairs(h, n))
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * cutoff + 1) ** 2)
+    parts = [lowest_eigenpairs(build_bloch_hamiltonian(params, k[i:i + chunk], cutoff), n, vectors)
+             for i in range(0, len(k), chunk)]
     if vectors:
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
 
 
-def check_band_grid(n_bands: int, grid_size: int, cutoff: int) -> None:
+def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1) -> None:
     """Raise ValueError unless band_energies can tabulate n_bands on this grid.
 
     Also refuses a grid and cutoff whose band table or mean gap would hold
-    more than MAX_BAND_BYTES or take more than MAX_BAND_FLOPS.  Both
-    estimates bound both uses, made in floats before any allocation.  The
-    memory is 8 (dim + n_bands + 1) bytes per k point, for every eigenvalue
-    of the chunks kept until the table is joined, plus 16 bytes per element
-    of one chunk of hamiltonians at cutoff + 2; over grids 16 to 10^5 and
-    cutoffs 4 to 200 it came out between 0.2% below and 40% above
-    tracemalloc's peak of a bands, scaling or ret run.  The work is
+    more than MAX_BAND_BYTES, or whose n_depths mean gaps (one per depth of a
+    scaling sweep) would take more than MAX_BAND_FLOPS.  Both estimates
+    bound both uses, made in floats before any allocation.  The memory is
+    8 (dim + n_bands + 1) bytes per k point, for every eigenvalue of the
+    chunks kept until the table is joined, plus 16 bytes per element of one
+    chunk of hamiltonians at cutoff + 2; over grids 16 to 10^5 and cutoffs
+    4 to 200 it came out between 0.2% below and 40% above tracemalloc's
+    peak of a bands, scaling or ret run.  The work is
     4/3 d^3 + 3000 flops per eigensolve, d = 2 cutoff + 5, over grid_size + 2
-    of them: syevd's reduction plus a per-matrix overhead, from ~3 us per
-    solve at dim 9 and ~1 Gflop/s at dim 21 on 2 cores, so the limit is a
-    few seconds.  Ints beyond 1e300 count as 1e300.
+    of them per depth: syevd's reduction plus a per-matrix overhead, from
+    ~3 us per solve at dim 9 and ~1 Gflop/s at dim 21 on 2 cores, so the
+    limit is a few seconds (about 408 depths at the default grid and
+    cutoff).  Ints beyond 1e300 count as 1e300.
     """
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
@@ -176,18 +176,20 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int) -> None:
         raise ValueError(f"need 1 <= n_bands <= cutoff, got n_bands={n_bands}, cutoff={cutoff}")
     if grid_size < 16:
         raise ValueError(f"grid_size >= 16 required, got {grid_size}")
-    grid, dim, bands = (float(min(x, 10 ** 300)) for x in (grid_size, 2 * cutoff + 1, n_bands))
+    grid, dim, bands, depths = (float(min(x, 10 ** 300))
+                                for x in (grid_size, 2 * cutoff + 1, n_bands, n_depths))
     big = dim + 4.0  # the mean gap's check at cutoff + 2
     need = 8.0 * grid * (dim + bands + 1.0) + 16.0 * max(_CHUNK_ELEMENTS, big * big)
     if not need <= MAX_BAND_BYTES:
         raise ValueError(
             f"grid {grid_size}, cutoff {cutoff} and {n_bands} bands need ~{need:.3g} bytes of "
             f"band memory (limit {MAX_BAND_BYTES}); reduce the grid or the cutoff")
-    flops = (grid + 2.0) * (4.0 / 3.0 * big * big * big + 3e3)
+    flops = depths * (grid + 2.0) * (4.0 / 3.0 * big * big * big + 3e3)
     if not flops <= MAX_BAND_FLOPS:
         raise ValueError(
-            f"grid {grid_size} and cutoff {cutoff} need ~{flops:.3g} flops of band "
-            f"eigensolves (limit {MAX_BAND_FLOPS:.3g}); reduce the grid or the cutoff")
+            f"grid {grid_size} and cutoff {cutoff} at {n_depths} depth(s) need ~{flops:.3g} "
+            f"flops of band eigensolves (limit {MAX_BAND_FLOPS:.3g}); reduce the grid, the "
+            f"cutoff or the depths")
 
 
 def band_energies(params: LatticeParams, n_bands: int = 3,

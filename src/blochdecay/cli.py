@@ -376,7 +376,7 @@ def cmd_scaling(opts: dict) -> int:
                          stage="parameters")
     f0_grid = _force_grid(opts, len(v0_list))
     depths = [_stage("parameters", LatticeParams, v0, f0_grid) for v0 in v0_list]
-    _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"])
+    _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"], len(depths))
     phis, zm1s = [], []
     for params in depths:
         gap = _stage("band-structure", mean_band_gap, params,

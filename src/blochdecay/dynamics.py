@@ -19,7 +19,10 @@ composition of Strang steps).  The kinetic part is diagonal and its time
 dependence integrates in closed form, the coupling part is constant with
 a precomputed exponential, so every step is a product of exact unitaries:
 norm is conserved to roundoff and the only possible probability loss is
-the (monitored) drop of an edge mode at a fold.
+the (monitored) drop of an edge mode at a fold.  Every eigenvector here
+(of the coupling matrix, the start state psi0, the band projections and
+the sweep's two ends) comes from one solver, bands.lowest_eigenpairs,
+which refines the vectors it returns.
 
 The hamiltonian repeats every Bloch period, and the fold falls on the same
 step of every cycle, so one cycle is a fixed linear map M on the 2c+1
@@ -124,21 +127,6 @@ class HoustonState:
                             self.quasimomentum[index])
 
 
-def _adiabatic_pair(alpha: float, delta: float, t: float):
-    """Normalized (lower, upper) eigenvectors of [[-alpha t, delta], [delta, alpha t]]."""
-    a = alpha * t
-    if delta == 0.0:
-        lower = (1.0, 0.0) if a > 0 else (0.0, 1.0)
-        upper = (0.0, 1.0) if a > 0 else (1.0, 0.0)
-        return lower, upper
-    omega = math.hypot(a, delta)
-    lo = (delta, a - omega)
-    up = (delta, a + omega)
-    nlo = math.hypot(*lo)
-    nup = math.hypot(*up)
-    return (lo[0] / nlo, lo[1] / nlo), (up[0] / nup, up[1] / nup)
-
-
 def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
                      dt: float) -> float:
     """Asymptotic jump probability between the instantaneous eigenstates.
@@ -147,7 +135,10 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     projects onto the upper eigenstate at t_span[1].  The span must be
     symmetric and wide enough that the residual eigenbasis dressing at
     the edges is negligible: |t_edge| >= 20 max(delta/alpha, 1/sqrt(alpha)).
-    A dt above 0.5 / hypot(alpha t_edge, delta) is refused up front.
+    A dt above 0.5 / hypot(alpha t_edge, delta) is refused up front.  Both
+    end bases come from one stacked lowest_eigenpairs call on the
+    hamiltonians [[-alpha t, delta], [delta, alpha t]] at t_span[0] and
+    t_span[1].
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"sweep rate must be > 0, got alpha={alpha}")
@@ -174,7 +165,7 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
 
     n = int(math.ceil(width / dt))
     h = width / n
-    b_long, b_back = _coupling_exponentials(4.0 * delta, 2, h)  # entries v0/4 = delta
+    b_long, b_back = _coupling_exponentials(delta, 2, h)
     u = np.eye(2, dtype=complex)
     chunk = _CHUNK_ELEMENTS // 4  # steps per call: its block is (2, chunk, 2)
     for j in range(0, n, chunk):
@@ -186,9 +177,9 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
             steps = np.concatenate([steps[1::2] @ steps[:-1:2],
                                     steps[len(steps) - len(steps) % 2:]])
         u = steps[0] @ u
-    (l1, l2), _ = _adiabatic_pair(alpha, delta, t0)
-    _, (u1r, u2r) = _adiabatic_pair(alpha, delta, t1)
-    return float(abs(np.array([u1r, u2r]) @ u @ np.array([l1, l2])) ** 2)
+    ends = np.array([[[-alpha * t, delta], [delta, alpha * t]] for t in (t0, t1)])
+    _, basis = lowest_eigenpairs(ends, 2, vectors=True)
+    return float(abs(basis[1, :, 1] @ u @ basis[0, :, 0]) ** 2)
 
 
 def _sweep_phases(alpha: float, t: np.ndarray, h: float) -> np.ndarray:
@@ -202,15 +193,16 @@ def _sweep_phases(alpha: float, t: np.ndarray, h: float) -> np.ndarray:
     return np.stack([-ph, ph], axis=1)
 
 
-def _coupling_exponentials(v0: float, dim: int, dt: float):
+def _coupling_exponentials(coupling: float, dim: int, dt: float):
     """exp(-i T h) for the two Yoshida substep widths.
 
-    T is the constant off-diagonal coupling matrix with entries v0/4.
+    T is the tridiagonal coupling matrix with zero diagonal and the constant
+    off-diagonal coupling (v0/4 in the lattice, delta in the sweep).  Its
+    eigenvectors are the DST-I basis sqrt(2/(dim+1)) sin(pi i j/(dim+1)).
     """
     t_mat = np.zeros((dim, dim))
     idx = np.arange(dim - 1)
-    t_mat[idx, idx + 1] = v0 / 4.0
-    t_mat[idx + 1, idx] = v0 / 4.0
+    t_mat[idx, idx + 1] = t_mat[idx + 1, idx] = coupling
     lam, vec = lowest_eigenpairs(t_mat, dim, vectors=True)
     def expt(h):
         return (vec * np.exp(-1j * lam * h)) @ vec.T
@@ -227,14 +219,15 @@ def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
     m bytes for the phase table and its temporaries, the segment maps and
     the trace); or when the half cycle's m steps of three dim^3 complex
     gemms, 24 m dim^3 flops, exceed MAX_SOLVER_FLOPS.  Both estimates are
-    made in floats, before any allocation, as an f0 near 0 makes T_B
-    infinite; at dt = 0.01 and 0.001 and cutoffs 8 to 64 the memory one
-    fell at most 15% below tracemalloc's peak.
+    made in Python floats, before any allocation, as an f0 near 0 makes T_B
+    infinite; a cutoff or cycle count beyond 1e300 counts as 1e300.  At
+    dt = 0.01 and 0.001 and cutoffs 8 to 64 the memory one fell at most 15%
+    below tracemalloc's peak.
     """
     half = params.bloch_period / 2.0 / cfg.dt
-    m = _HALF_SEGMENTS * np.ceil(half / _HALF_SEGMENTS)
-    dim = 2 * cfg.cutoff + 1
-    samples = MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1
+    m = float(_HALF_SEGMENTS * np.ceil(half / _HALF_SEGMENTS))
+    dim, samples = (float(min(x, 10 ** 300)) for x in
+                    (2 * cfg.cutoff + 1, MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1))
     need = 64.0 * dim * m + 16.0 * _HALF_SEGMENTS * dim * dim + samples * (16.0 * dim + 24.0)
     if not need <= MAX_SOLVER_BYTES:
         raise ValueError(
@@ -323,7 +316,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     n_seg = _HALF_SEGMENTS
     per = m // n_seg
 
-    b_long, b_back = _coupling_exponentials(params.v0, dim, dt)
+    b_long, b_back = _coupling_exponentials(params.v0 / 4.0, dim, dt)
     phases = _kinetic_phases(np.arange(m) / m, params.f0 / math.pi, dt, cfg.cutoff)
     phases = phases.reshape(4, dim, n_seg, per)  # step i of segment j at [:, :, j, i]
 

@@ -52,6 +52,7 @@ def _lz_exponent_12(params: LatticeParams) -> float | np.ndarray:
 
 
 def _lz_exponent_23(params: LatticeParams) -> float | np.ndarray:
+    """Zener exponent of the band-2/3 crossing at the zone center, half-gap v0^2/64."""
     return math.pi ** 2 * params.v0 ** 4 / (16384.0 * params.f0)
 
 
@@ -63,16 +64,6 @@ def p_lz_12(params: LatticeParams) -> float | np.ndarray:
     Bragg-reflects) and to 0 in the adiabatic limit f0 -> 0.
     """
     return np.exp(-_lz_exponent_12(params))
-
-
-def p_lz_23(params: LatticeParams) -> float | np.ndarray:
-    """Zener jump probability from band 2 to band 3 at the zone-center crossing.
-
-    exp(-pi^2 v0^4 / (2^14 f0)); the band-2/3 half-gap is v0^2/64 (second
-    order in the lattice coupling).  The band-2 survival amplitude per
-    cycle is s23 = sqrt(1 - p_lz_23).
-    """
-    return np.exp(-_lz_exponent_23(params))
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,8 @@ class StepIngredients:
         """Derive the step amplitudes from the lattice parameters.
 
         Surviving band 1 means following the adiabatic branch through the
-        edge crossing, so s12^2 = 1 - p_lz_12; likewise s23^2 = 1 - p_lz_23.
+        edge crossing, so s12^2 = 1 - p_lz_12; band 2 survives its crossing
+        with band 3 likewise, s23^2 = 1 - exp(-pi^2 v0^4 / (2^14 f0)).
         Both are formed as -expm1(-x) from the Zener exponent x, which keeps
         full precision at shallow depth, where p is close to 1.
         mean_gap is computed from the band structure when not supplied.

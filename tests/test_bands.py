@@ -232,9 +232,12 @@ FROZEN_BAND_VECTORS = {
 
 
 def test_band_vectors_match_high_precision_values():
+    # the batched band vectors, and the single solve at k = 0 that gives the start state
+    params = LatticeParams(1.0, 1.0)
     k = np.array(sorted(FROZEN_BAND_VECTORS))
-    _, vec = bands.lowest_bands(LatticeParams(1.0, 1.0), k, 10, 2, vectors=True)
-    for ki, v in zip(k, vec):
+    _, vec = bands.lowest_bands(params, k, 10, 2, vectors=True)
+    _, at_zero = lowest_eigenpairs(build_bloch_hamiltonian(params, 0.0, 10), 2, vectors=True)
+    for ki, v in [*zip(k, vec), (0.0, at_zero)]:
         want = np.array(FROZEN_BAND_VECTORS[ki]).T
         got = v[6:15] * np.sign(np.sum(v[6:15] * want, axis=0))
         assert np.max(np.abs(got - want)) < 2e-14, ki

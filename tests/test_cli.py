@@ -314,14 +314,15 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "p")]
         assert main(argv + out) == 2
         assert "error: parameters:" in capsys.readouterr().err
-    # runs whose solver would hold gigabytes (a 0.87 GB phase table at --dt 1e-5, a
-    # period of 1e300, 64e7 samples, 2 GB of segment maps) are refused before any of it
-    # is allocated
+    # runs whose solver would hold gigabytes (a 0.87 GB phase table at --dt 1e-5, forces
+    # of 1e-300 and 1e-303, 64e7 samples, 2 GB of segment maps) are refused before any of
+    # it is allocated, and without a numpy overflow warning
     tracemalloc.start()
     try:
         for flags in (["--f0", "0.383", "--dt", "1e-5"], ["--f0", "1e-300"],
                       ["--f0", "5e-324"], ["--f0", "0.4", "--dt", "5e-324"],
-                      ["--f0", "0.4", "--cycles", "10000000"], ["--f0", "0.4", "--cutoff", "1000"]):
+                      ["--f0", "0.4", "--cycles", "10000000"], ["--f0", "0.4", "--cutoff", "1000"],
+                      ["--f0", "1e-303"]):  # 64 dim m would overflow a numpy float
             argv = ["run", "--v0", "1", *flags, "--out-prefix", str(tmp_path / "big")]
             assert main(argv) == 2, argv
             assert "bytes of solver memory" in capsys.readouterr().err
@@ -361,6 +362,12 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         (["run", "--v0", "1", "--f0", "0.4", "--grid", "10000000"], "bytes of band memory"),
         (["run", "--v0", "1", "--f0", "0.4", "--band-cutoff", "1000"],
          "flops of band eigensolves"),
+        # a cutoff or cycle count beyond a float is counted as 1e300, not converted
+        (["run", "--v0", "1", "--f0", "0.4", "--cutoff", huge], "bytes of solver memory"),
+        (["run", "--v0", "1", "--f0", "0.4", "--cycles", huge], "bytes of solver memory"),
+        # each depth is a mean gap: 409 of them at the default grid and cutoff need
+        # ~5.0e9 flops (408 pass), ~3.5 s at the measured ~8.6 ms per depth
+        (["scaling", "--v0", ",".join(["1"] * 409)], "flops of band eigensolves"),
     ]
     tracemalloc.start()
     try:
@@ -373,6 +380,7 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert not list(tmp_path.glob("huge*"))
+    cli.check_band_grid(2, cli.DEFAULT_GRID_SIZE, cli.DEFAULT_CUTOFF, 408)  # the last that passes
 
 
 # Each command starts from cheap valid flags; a case overrides some of them with

@@ -66,6 +66,35 @@ def test_sweep_norm_drift_error_advises_smaller_dt():
         lz_two_level_ode(1.0, 1.0, (-20.0, 20.0), 0.5)
 
 
+def recorded_bases(monkeypatch):
+    """A list that gets the eigenvectors of every dynamics.lowest_eigenpairs call."""
+    bases, solve = [], dynamics.lowest_eigenpairs
+    def record(h, n, vectors=False):
+        w, v = solve(h, n, vectors)
+        bases.append(v)
+        return w, v
+    monkeypatch.setattr(dynamics, "lowest_eigenpairs", record)
+    return bases
+
+
+def test_sweep_end_bases_match_closed_form(monkeypatch):
+    # the sweep starts in the lower eigenvector of [[-alpha t, delta], [delta, alpha t]]
+    # at t0 < 0 and ends on the upper one at t1 > 0.  On those two branches the closed
+    # form (delta, alpha t + sign(t) hypot(alpha t, delta)) cancels nothing (measured
+    # <= 2.2e-16); on the other two it does (8.8e-12 off at alpha t = 600, delta = 1e-3),
+    # so they are not checked
+    ends = recorded_bases(monkeypatch)
+    for alpha, delta, edge in ((1.0, 0.0, 20.0), (1.0, 1.0, 20.0), (0.05, 1.0, 400.0),
+                               (10.0, 1e-3, 60.0)):
+        lz_two_level_ode(alpha, delta, (-edge, edge), 0.4 / math.hypot(alpha * edge, delta))
+        basis = ends[-1]  # the last call: both ends, stacked
+        for t, got in ((-edge, basis[0, :, 0]), (edge, basis[1, :, 1])):
+            a = alpha * t
+            want = np.array([delta, a + math.copysign(math.hypot(a, delta), a)])
+            want /= np.linalg.norm(want)
+            assert np.max(np.abs(got * np.sign(got @ want) - want)) < 1e-15, (alpha, delta, t)
+
+
 def expm_product(alpha, delta, t_start, h, n=4000):
     """Reference propagator of the sweep over [t_start, t_start + h]: n midpoint exponentials."""
     tm = t_start + h / n * (np.arange(n) + 0.5)
@@ -82,13 +111,13 @@ def test_shared_step_is_fourth_order():
     errors = []
     for h in (0.2, 0.1, 0.05):
         step = _step(np.eye(2)[:, None], _sweep_phases(alpha, np.array([t_start]), h),
-                     *_coupling_exponentials(4.0 * delta, 2, h))
+                     *_coupling_exponentials(delta, 2, h))
         errors.append(np.max(np.abs(step[:, 0] - expm_product(alpha, delta, t_start, h))))
     assert errors[0] / errors[1] >= 16 and errors[1] / errors[2] >= 16, errors
     # block i of a batch of k steps, modes first, takes its own phases only:
     # a batch whose every block steps with step i's phases gives it bit for bit
     t, h = t_start + 0.1 * np.arange(7), 0.1
-    ph, coupling = _sweep_phases(alpha, t, h), _coupling_exponentials(4.0 * delta, 2, h)
+    ph, coupling = _sweep_phases(alpha, t, h), _coupling_exponentials(delta, 2, h)
     eyes = np.broadcast_to(np.eye(2)[:, None], (2, 7, 2))
     batch = _step(eyes, ph, *coupling)
     assert all(np.array_equal(batch[:, i], _step(eyes, np.repeat(ph[:, :, i:i + 1], 7, axis=2),
@@ -115,7 +144,7 @@ def oracle_steps(params, cfg, psi, k0=0.0):
     dt = params.bloch_period / 2.0 / m
     n_modes = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=float)
     c = params.f0 / math.pi
-    b_long, b_back = _coupling_exponentials(params.v0, len(psi), dt)
+    b_long, b_back = _coupling_exponentials(params.v0 / 4.0, len(psi), dt)
     seg = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2]) * dt
     bounds = np.concatenate([[0.0], np.cumsum(seg)])
     k_start = k0 + np.arange(2 * m) / m
@@ -488,12 +517,22 @@ def test_trace_rows_match_full_cutoff_projections(v0, f0, monkeypatch):
     assert np.array_equal(rows[:, 4], norms)
 
 
-def test_coupling_exponentials_unitary_to_roundoff():
-    # the exact-run operating point: dim 65, v0 = 1, dt = T_B / (2m) <= 0.01
+def test_coupling_exponentials_unitary_to_roundoff(monkeypatch):
+    # the exact-run operating point: dim 65, v0 = 1, dt = T_B / (2m) <= 0.01; and the
+    # default run's dim 21 at band cutoff 10.  The coupling matrix's eigenbasis is the
+    # DST-I basis sqrt(2/(dim+1)) sin(pi i j/(dim+1)), eigenvalue 2 (v0/4) cos(pi j/(dim+1)),
+    # so column p of the ascending basis is j = dim - p (refined: <= 5.7e-15 measured)
     params = LatticeParams(1.0, 0.383)
-    m = step_grid(params, SolverConfig(cutoff=32, n_cycles=20))
-    for b in _coupling_exponentials(1.0, 65, params.bloch_period / 2.0 / m):
-        assert np.max(np.abs(b.conj().T @ b - np.eye(65))) < 1e-14
+    dt = params.bloch_period / 2.0 / step_grid(params, SolverConfig(cutoff=32, n_cycles=20))
+    bases = recorded_bases(monkeypatch)
+    for dim in (21, 65):
+        for b in _coupling_exponentials(0.25, dim, dt):
+            assert np.max(np.abs(b.conj().T @ b - np.eye(dim))) < 1e-14
+        i = np.arange(1, dim + 1)
+        want = math.sqrt(2.0 / (dim + 1)) * np.sin(np.pi * np.outer(i, i[::-1]) / (dim + 1))
+        got = bases.pop()
+        got = got * np.sign(np.sum(got * want, axis=0))
+        assert np.max(np.abs(got - want)) < 1e-14, dim
 
 
 def test_ode_cross_checks_deep_suppression():

@@ -9,7 +9,7 @@ from blochdecay import (DegenerateSpectrumError, LatticeParams,
                         StepIngredients, bloch_phase, evolve_steps,
                         gamma_asymptotic, gamma_sequence, lz_probability,
                         mean_band_gap,
-                        p_lz_12, p_lz_23, renorm_fit, ret_resonances,
+                        p_lz_12, renorm_fit, ret_resonances,
                         spectral_decompose, step_operator, z_exact,
                         z_first_order, z_running_estimate)
 from blochdecay.stepmodel import MODULUS_TIE_TOL
@@ -53,12 +53,14 @@ def test_p_lz_12_values():
 
 
 def test_p_lz_23_values():
-    params = LatticeParams(1.0, 0.383)
-    assert p_lz_23(params) == pytest.approx(0.9984284089685025, rel=1e-12)
-    ing = StepIngredients.from_lattice(params, mean_gap=2.106303516768004)
+    # the band-2 -> 3 Zener probability p23 = 1 - s23^2 of StepIngredients.from_lattice
+    def p23(v0, f0):
+        return 1.0 - StepIngredients.from_lattice(LatticeParams(v0, f0), mean_gap=1.0).s23 ** 2
+    assert p23(1.0, 0.383) == pytest.approx(0.9984284089685025, rel=1e-12)
+    ing = StepIngredients.from_lattice(LatticeParams(1.0, 0.383), mean_gap=2.106303516768004)
     assert ing.s23 == pytest.approx(0.03964329743471789, rel=1e-12)
-    assert p_lz_23(LatticeParams(0.0, 0.7)) == 1.0  # fully open second band
-    assert p_lz_23(LatticeParams(4.0, 1.0)) == pytest.approx(0.8570898111217011, rel=1e-12)
+    assert p23(0.0, 0.7) == 1.0  # fully open second band
+    assert p23(4.0, 1.0) == pytest.approx(0.8570898111217011, rel=1e-12)
 
 
 def test_ingredients_validation():
@@ -75,12 +77,13 @@ def test_ingredients_validation():
 def test_from_lattice_survival_split(paper_params, mean_gap_v1, ingredients_v1):
     # band-1 survival and the Zener jump exhaust the unit probability
     assert ingredients_v1.s12 ** 2 + p_lz_12(paper_params) == pytest.approx(1.0, abs=1e-14)
-    assert ingredients_v1.s23 ** 2 + p_lz_23(paper_params) == pytest.approx(1.0, abs=1e-14)
+    p23 = math.exp(-math.pi ** 2 * paper_params.v0 ** 4 / (16384.0 * paper_params.f0))
+    assert ingredients_v1.s23 ** 2 + p23 == pytest.approx(1.0, abs=1e-14)
     assert ingredients_v1.phi == bloch_phase(paper_params, mean_gap_v1)
 
 
 def test_shallow_survival_amplitude_keeps_full_precision():
-    # p_lz_23 = exp(-x) with x ~ 1e-5 here: 1 - p would cancel five digits
+    # p23 = exp(-x) with x ~ 1e-5 here: 1 - p23 would cancel five digits
     ing = StepIngredients.from_lattice(LatticeParams(0.5, 3.9), mean_gap=1.0)
     x = math.pi ** 2 * 0.5 ** 4 / (16384.0 * 3.9)
     assert ing.s23 ** 2 == pytest.approx(-math.expm1(-x), rel=1e-14, abs=0.0)
