@@ -28,9 +28,9 @@ MIN_CUTOFF = 4
 # Largest relative change of the mean gap from cutoff c to c + 2.
 GAP_CONVERGENCE_TOL = 1e-12
 # Most matrix elements one batched call works on (512 kB of float64): the
-# stack lowest_bands diagonalizes, and the block of one wide step of
-# dynamics.evolve_lattice.  Memory stays bounded whatever the grid, the
-# trace length or the number of cycles.
+# stack lowest_bands diagonalizes, and the block of 2x2 identities one call of
+# dynamics.lz_two_level_ode steps.  Memory stays bounded whatever the grid,
+# the trace length or the span of the sweep.
 _CHUNK_ELEMENTS = 2 ** 16
 # Most memory and work of one band table or mean gap, by check_band_grid's estimate.
 MAX_BAND_BYTES = 2 ** 28

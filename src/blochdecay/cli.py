@@ -69,7 +69,12 @@ def _fmt(x) -> str:
 
 
 def _column_text(column) -> list[str]:
-    """_fmt of each value of a column; a float array goes through one tolist."""
+    """_fmt of each value of a column; a float array goes through one tolist.
+
+    A list of strings is returned as it is.
+    """
+    if isinstance(column, list) and (not column or isinstance(column[0], str)):
+        return column
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return list(map(_FLOAT_FMT, column.tolist()))
     return list(map(_fmt, column))

@@ -34,16 +34,19 @@ the Yoshida step is palindromic, so the steps of the second half (k from
 A the half-cycle map (k from 0 to 1) and F the fold, M = P A^T P F A.
 
 evolve_lattice therefore steps half a cycle once, on the identity.  Its m
-steps are K = 32 segments of m / K steps, stepped in groups, the mode axis
-first, so every coupling exponential is one (dim, dim) x (dim, group cols)
-gemm; the groups give the segment maps G_0..G_{K-1}, whose product is A.
+steps are K = 32 segments of m / K steps, stepped together as one
+(dim, K, dim) block, the mode axis first, so every coupling exponential is
+one (dim, dim) x (dim, K dim) gemm written into a second block of the same
+shape, and each kinetic factor multiplies in place: the two blocks are
+allocated once and no step allocates another.  The block ends as the
+segment maps G_0..G_{K-1}, whose product is A.
 The cycle starts psi0, M psi0, ... are matrix-vector products, and the
 trace's samples, m / K steps apart, are the ends of the cycle's 2K
 segments: the block of cycle starts walked through G_0..G_{K-1}, folded,
 then through the second half's maps P G_j^T P, j descending.  The last
 segment ends on the next cycle start, so every cycle boundary n T_B (k = 0)
 is a sample.  That costs about one dim^3 build of half a cycle in m / K
-wide steps per group, plus 2K - 1 dim^2 N gemms.
+wide steps, plus 2K - 1 dim^2 N gemms.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ _SEGMENTS = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2])
 MIN_SAMPLES_PER_CYCLE = 64
 # Segments of the half cycle; their ends and their mirror images are the samples.
 _HALF_SEGMENTS = MIN_SAMPLES_PER_CYCLE // 2
-# Most memory evolve_lattice may hold, by step_grid's estimate: its kinetic phase
-# table, segment maps and trace.
+# Most memory evolve_lattice may hold, by step_grid's estimate: its two blocks of
+# segment maps and its trace.
 MAX_SOLVER_BYTES = 2 ** 28
 # Most flops of the half-cycle build, 24 m dim^3 by step_grid's estimate.
 MAX_SOLVER_FLOPS = 1e11
@@ -171,8 +174,9 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     for j in range(0, n, chunk):
         t = t0 + h * np.arange(j, min(n, j + chunk))
         # one step of each 2x2 identity gives every step's unitary
-        steps = _step(np.broadcast_to(np.eye(2)[:, None], (2, len(t), 2)),
-                      _sweep_phases(alpha, t, h), b_long, b_back).transpose(1, 0, 2)
+        block = _identities(2, len(t))
+        steps = _step(block, np.empty_like(block), _sweep_phases(alpha, t, h),
+                      b_long, b_back).transpose(1, 0, 2)
         while len(steps) > 1:  # ordered pairwise product; an odd last step waits a round
             steps = np.concatenate([steps[1::2] @ steps[:-1:2],
                                     steps[len(steps) - len(steps) % 2:]])
@@ -215,30 +219,33 @@ def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
     m is ceil(T_B / (2 cfg.dt)) rounded up to a multiple of K = 32, so
     each of the half cycle's K segments has m / K steps.  Raises ValueError
     when cfg.dt itself gives fewer than MIN_SAMPLES_PER_CYCLE steps per
-    cycle; when evolve_lattice would hold more than MAX_SOLVER_BYTES (64 dim
-    m bytes for the phase table and its temporaries, the segment maps and
-    the trace); or when the half cycle's m steps of three dim^3 complex
-    gemms, 24 m dim^3 flops, exceed MAX_SOLVER_FLOPS.  Both estimates are
-    made in Python floats, before any allocation, as an f0 near 0 makes T_B
-    infinite; a cutoff or cycle count beyond 1e300 counts as 1e300.  At
-    dt = 0.01 and 0.001 and cutoffs 8 to 64 the memory one fell at most 15%
-    below tracemalloc's peak.
+    cycle; when evolve_lattice would hold more than MAX_SOLVER_BYTES (its
+    two (dim, K, dim) complex blocks, 16 K dim^2 bytes each, and the trace;
+    nothing it holds grows with m); or when the half cycle's m steps of
+    three dim^3 complex gemms, 24 m dim^3 flops, exceed MAX_SOLVER_FLOPS.
+    Both estimates are made in Python floats, before any allocation, as an
+    f0 near 0 makes T_B infinite; a cutoff or cycle count beyond 1e300
+    counts as 1e300.  At dt = 0.01 and 0.001 (where the flops allow it),
+    cutoffs 8 to 64 and 1 or 4 cycles, the memory estimate fell below
+    tracemalloc's peak by at most 11% from cutoff 24 up and by up to 36% at
+    cutoff 8 (315 kB against 491 kB): the per-step phases and the coupling
+    eigensolve, which the estimate leaves out, grow slower than dim^2.
     """
     half = params.bloch_period / 2.0 / cfg.dt
     m = float(_HALF_SEGMENTS * np.ceil(half / _HALF_SEGMENTS))
     dim, samples = (float(min(x, 10 ** 300)) for x in
                     (2 * cfg.cutoff + 1, MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1))
-    need = 64.0 * dim * m + 16.0 * _HALF_SEGMENTS * dim * dim + samples * (16.0 * dim + 24.0)
+    need = 2.0 * 16.0 * _HALF_SEGMENTS * dim * dim + samples * (16.0 * dim + 24.0)
     if not need <= MAX_SOLVER_BYTES:
         raise ValueError(
-            f"dt={cfg.dt}, cutoff {cfg.cutoff} and {cfg.n_cycles} cycles need ~{need:.3g} "
-            f"bytes of solver memory (limit {MAX_SOLVER_BYTES}); increase dt or reduce the "
-            f"cutoff or the cycles")
+            f"cutoff {cfg.cutoff} and {cfg.n_cycles} cycles need ~{need:.3g} bytes of "
+            f"solver memory (limit {MAX_SOLVER_BYTES}); reduce the cutoff or the cycles")
     flops = 24.0 * m * dim * dim * dim
     if not flops <= MAX_SOLVER_FLOPS:
         raise ValueError(
-            f"dt={cfg.dt} and cutoff {cfg.cutoff} need ~{flops:.3g} flops to build the "
-            f"half-cycle map (limit {MAX_SOLVER_FLOPS:.3g}); increase dt or reduce the cutoff")
+            f"dt={cfg.dt}, f0={params.f0} and cutoff {cfg.cutoff} need ~{flops:.3g} flops "
+            f"to build the half-cycle map (limit {MAX_SOLVER_FLOPS:.3g}); increase dt or f0 "
+            f"or reduce the cutoff")
     if 2 * math.ceil(half) < MIN_SAMPLES_PER_CYCLE:
         raise ValueError(f"dt={cfg.dt} gives {2 * math.ceil(half)} steps per cycle; "
                          f"need >= {MIN_SAMPLES_PER_CYCLE}")
@@ -275,18 +282,33 @@ def _fold(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _step(x: np.ndarray, ph: np.ndarray, b_long: np.ndarray, b_back: np.ndarray) -> np.ndarray:
-    """One Yoshida step of the blocks x (dim, K, cols) with the kinetic phases ph (4, dim, K).
+def _identities(dim: int, k: int) -> np.ndarray:
+    """A writable (dim, k, dim) complex block of k identities, the mode axis first."""
+    block = np.empty((dim, k, dim), complex)
+    block[...] = np.eye(dim)[:, None]
+    return block
 
+
+def _step(x: np.ndarray, y: np.ndarray, ph: np.ndarray, b_long: np.ndarray,
+          b_back: np.ndarray) -> np.ndarray:
+    """One Yoshida step of the block x (dim, K, cols) with the kinetic phases ph (4, dim, K).
+
+    x and y are distinct C-contiguous blocks of one shape; y is scratch.
     Block j takes the phases ph[:, :, j].  The mode axis comes first, so
-    each coupling exponential is one gemm over all K cols columns.
+    each coupling exponential is one gemm over all K cols columns, written
+    from one buffer into the other, and each kinetic factor multiplies in
+    place.  The step ends in y, which is returned; x is left as scratch.
     """
     e = np.exp(-1j * ph)[..., None]
-    x = e[0] * x
-    for b, ek in ((b_long, e[1]), (b_back, e[2]), (b_long, e[3])):
-        x = (b @ x.reshape(len(x), -1)).reshape(x.shape)
-        x *= ek
-    return x
+    flat_x, flat_y = x.reshape(len(x), -1), y.reshape(len(y), -1)
+    x *= e[0]
+    np.matmul(b_long, flat_x, out=flat_y)
+    y *= e[1]
+    np.matmul(b_back, flat_y, out=flat_x)
+    x *= e[2]
+    np.matmul(b_long, flat_x, out=flat_y)
+    y *= e[3]
+    return y
 
 
 def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
@@ -300,11 +322,11 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     the escaped population for the requested number of cycles).
 
     The half cycle's m steps (k from 0 to 1) are cut into K = 32
-    contiguous segments of m / K steps.  Groups of at most
-    _CHUNK_ELEMENTS // dim^2 segments step their identities together to the
-    segment maps G_j, whose product is the half-cycle map A.  The cycle map
-    is M = P A^T P F A, and the cycle starts x_n = M^n psi0 give the
-    per-cycle norm monitor.  The block (dim, N) of cycle starts walks
+    contiguous segments of m / K steps.  Their identities step together,
+    one (dim, K, dim) block against one scratch block of the same shape,
+    to the segment maps G_j, whose product is the half-cycle map A.  The
+    cycle map is M = P A^T P F A, and the cycle starts x_n = M^n psi0 give
+    the per-cycle norm monitor.  The block (dim, N) of cycle starts walks
     through G_0 .. G_{K-1}, is folded, and walks back through the mirror
     images x[::-1] <- G_j^T x[::-1], j = K-1 .. 1; the mirror of G_0 ends on
     x_{n+1}.  Times, fold counts and quasimomenta are those of a stepwise
@@ -317,16 +339,14 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     per = m // n_seg
 
     b_long, b_back = _coupling_exponentials(params.v0 / 4.0, dim, dt)
-    phases = _kinetic_phases(np.arange(m) / m, params.f0 / math.pi, dt, cfg.cutoff)
-    phases = phases.reshape(4, dim, n_seg, per)  # step i of segment j at [:, :, j, i]
-
-    maps = np.empty((n_seg, dim, dim), complex)
-    group = max(1, _CHUNK_ELEMENTS // (dim * dim))
-    for lo in range(0, n_seg, group):
-        block = np.broadcast_to(np.eye(dim)[:, None], (dim, min(group, n_seg - lo), dim))
-        for i in range(per):
-            block = _step(block, phases[:, :, lo:lo + group, i], b_long, b_back)
-        maps[lo:lo + group] = block.transpose(1, 0, 2)
+    block = _identities(dim, n_seg)
+    scratch = np.empty_like(block)
+    seg_starts = per * np.arange(n_seg)
+    for i in range(per):  # step i of every segment j, step j m / K + i of the half cycle
+        ph = _kinetic_phases((seg_starts + i) / m, params.f0 / math.pi, dt, cfg.cutoff)
+        block, scratch = _step(block, scratch, ph, b_long, b_back), block
+    del scratch  # freed before the trace is allocated
+    maps = block.transpose(1, 0, 2)  # maps[j] = G_j
     half_map = maps[0]
     for g in maps[1:]:
         half_map = g @ half_map

@@ -60,7 +60,7 @@ def extract_plateaus(trace, params: LatticeParams | None = None, *,
         return trace
     if params is None:
         raise ValueError("params required to extract plateaus from a solver trace")
-    if len(trace) < 2:
+    if np.ndim(trace.time) == 0 or len(trace) < 2:  # a snapshot has no sample axis
         raise TraceTooShortError("trace has fewer than 2 samples")
     t_bloch = params.bloch_period
     times = trace.time

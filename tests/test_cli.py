@@ -235,6 +235,7 @@ def test_column_writer_matches_rowwise_rule(tmp_path, n_rows):
     want = rowwise_csv("{}", "a,b,c,d,e", zip(*columns), ["one", "two"])
     assert path.read_text() == want
     assert len(want.splitlines()) == 4 + n_rows
+    assert cli._column_text(text) is text  # ready text is not formatted again
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch):
@@ -314,18 +315,22 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "p")]
         assert main(argv + out) == 2
         assert "error: parameters:" in capsys.readouterr().err
-    # runs whose solver would hold gigabytes (a 0.87 GB phase table at --dt 1e-5, forces
-    # of 1e-300 and 1e-303, 64e7 samples, 2 GB of segment maps) are refused before any of
-    # it is allocated, and without a numpy overflow warning
+    # runs whose half cycle would take 7e11 flops or more (m = 820,288 at --dt 1e-5,
+    # forces of 1e-300 and 1e-303) or whose solver would hold gigabytes (64e7 samples,
+    # 4 GB of segment maps) are refused before any of it is allocated, and without a
+    # numpy overflow warning
     tracemalloc.start()
     try:
-        for flags in (["--f0", "0.383", "--dt", "1e-5"], ["--f0", "1e-300"],
-                      ["--f0", "5e-324"], ["--f0", "0.4", "--dt", "5e-324"],
-                      ["--f0", "0.4", "--cycles", "10000000"], ["--f0", "0.4", "--cutoff", "1000"],
-                      ["--f0", "1e-303"]):  # 64 dim m would overflow a numpy float
+        for flags, limit in (
+                (["--f0", "0.383", "--dt", "1e-5"], "flops"), (["--f0", "1e-300"], "flops"),
+                (["--f0", "5e-324"], "flops"), (["--f0", "0.4", "--dt", "5e-324"], "flops"),
+                (["--f0", "0.4", "--cycles", "10000000"], "bytes of solver memory"),
+                (["--f0", "0.4", "--cutoff", "1000"], "bytes of solver memory"),
+                (["--f0", "1e-303"], "flops")):  # 24 m dim^3 would overflow a numpy float
             argv = ["run", "--v0", "1", *flags, "--out-prefix", str(tmp_path / "big")]
             assert main(argv) == 2, argv
-            assert "bytes of solver memory" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "error: parameters:" in err and limit in err, argv
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -17,7 +17,7 @@ from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         lz_two_level_ode, trace_rows)
 from blochdecay.bands import _CHUNK_ELEMENTS
 from blochdecay.dynamics import (_SEGMENTS, _W0, _W1, MIN_SAMPLES_PER_CYCLE,
-                                 NORM_TOLERANCE, _coupling_exponentials,
+                                 NORM_TOLERANCE, _coupling_exponentials, _identities,
                                  _kinetic_phases, _step, _sweep_phases, step_grid)
 
 
@@ -108,21 +108,22 @@ def test_shared_step_is_fourth_order():
     # one batched step of the sweep, the kernel the lattice solver runs, has
     # local error O(h^5): halving h must cut it by ~32, and at least by 16
     alpha, delta, t_start = 1.0, 1.0, -0.3
+    def step_identities(ph, coupling):
+        block = _identities(2, ph.shape[2])
+        return _step(block, np.empty_like(block), ph, *coupling)
     errors = []
     for h in (0.2, 0.1, 0.05):
-        step = _step(np.eye(2)[:, None], _sweep_phases(alpha, np.array([t_start]), h),
-                     *_coupling_exponentials(delta, 2, h))
+        step = step_identities(_sweep_phases(alpha, np.array([t_start]), h),
+                               _coupling_exponentials(delta, 2, h))
         errors.append(np.max(np.abs(step[:, 0] - expm_product(alpha, delta, t_start, h))))
     assert errors[0] / errors[1] >= 16 and errors[1] / errors[2] >= 16, errors
     # block i of a batch of k steps, modes first, takes its own phases only:
     # a batch whose every block steps with step i's phases gives it bit for bit
     t, h = t_start + 0.1 * np.arange(7), 0.1
     ph, coupling = _sweep_phases(alpha, t, h), _coupling_exponentials(delta, 2, h)
-    eyes = np.broadcast_to(np.eye(2)[:, None], (2, 7, 2))
-    batch = _step(eyes, ph, *coupling)
-    assert all(np.array_equal(batch[:, i], _step(eyes, np.repeat(ph[:, :, i:i + 1], 7, axis=2),
-                                                 *coupling)[:, i])
-               for i in range(7))
+    batch = step_identities(ph, coupling)
+    assert all(np.array_equal(batch[:, i], step_identities(
+        np.repeat(ph[:, :, i:i + 1], 7, axis=2), coupling)[:, i]) for i in range(7))
 
 
 # --------------------------------------------------------- lattice evolution
@@ -202,10 +203,10 @@ PARITY_CASES = [pytest.param(k0, v0, dt, cycles, 8 if cycles == 1 else 20,
                 [(k0, v0, dt, cycles) for k0 in (0.0, -1.0, 1.0) for v0 in (0.0, 1.0)
                  for dt, cycles in ((0.13, 1), (0.13, 10), (0.01, 1))]
                 + [(0.0, 1.0, 0.01, 10), (-1.0, 1.0, 0.01, 10)]]
-# How the identity pass groups the 32 half-cycle segments, and where the fold falls:
+# The identity block at its widest, the shortest segments, and a wide walk:
 PARITY_CASES += [
-    # the operating point: 65 modes give groups of 15, 15 and 2 segments of 26 steps
-    pytest.param(0.0, 1.0, 0.01, 3, 32, id="groups-15-15-2-at-cutoff-32"),
+    # the operating point: one (65, 32, 65) block steps the 32 segments of 26 steps
+    pytest.param(0.0, 1.0, 0.01, 3, 32, id="one-block-at-cutoff-32"),
     # 64 steps per cycle at cutoff 4: every segment is one step
     pytest.param(0.0, 1.0, 0.26, 1, 4, id="one-step-segments"),
     # 14 cycle starts on 11 modes: the walk's blocks are wider than they are tall
@@ -237,21 +238,40 @@ def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff):
 
 
 def test_cycle_map_steps_half_a_cycle(monkeypatch):
-    # only the identity blocks are stepped, the m steps of k in [0, 1] once each: the
-    # mirror gives the rest of the cycle, and the samples are gemms on the segment maps.
-    # At cutoff 32 the 32 segments step in groups of at most 15.
+    # only the identities are stepped, the m steps of k in [0, 1] once each: the mirror
+    # gives the rest of the cycle, and the samples are gemms on the segment maps.  All
+    # 32 segments step as one (dim, 32, dim) block against one scratch block, m / 32 times
     step = dynamics._step
-    stepped = Counter()  # segments stepped, by the columns of their blocks
-    def count(x, *args):
-        assert x.shape[1] * x.shape[0] * x.shape[2] <= _CHUNK_ELEMENTS
-        stepped[x.shape[2]] += x.shape[1]
-        return step(x, *args)
-    monkeypatch.setattr(dynamics, "_step", count)
+    blocks = []  # (x, y) of every call, held so that no id is reused
+    def record(x, y, *args):
+        blocks.append((x, y))
+        return step(x, y, *args)
+    monkeypatch.setattr(dynamics, "_step", record)
     for cutoff in (8, 32):
         params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=2)
-        stepped.clear()
+        blocks.clear()
         evolve_lattice(params, cfg)
-        assert stepped == {2 * cutoff + 1: step_grid(params, cfg)}
+        dim = 2 * cutoff + 1
+        assert len(blocks) == step_grid(params, cfg) // 32
+        assert {(x.shape, y.shape) for x, y in blocks} == {((dim, 32, dim), (dim, 32, dim))}
+        # the two buffers trade places every step; no step gets a new one
+        assert len({id(a) for pair in blocks for a in pair}) == 2
+
+
+def test_solver_memory_does_not_grow_with_the_step_count():
+    # the build holds two blocks of segment maps whatever m is: tenfold the steps
+    # (m = 832 -> 8224 at cutoff 16, 4 cycles) leaves the traced peak within 10%
+    params = LatticeParams(1.0, 0.383)
+    peaks = []
+    for dt in (0.01, 0.001):
+        cfg = SolverConfig(cutoff=16, dt=dt, n_cycles=4)
+        tracemalloc.start()
+        try:
+            evolve_lattice(params, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_kinetic_phases_match_exact_arithmetic():

@@ -61,6 +61,13 @@ def test_trace_too_short_raises(paper_params):
         extract_plateaus(states, paper_params)
 
 
+def test_single_snapshot_is_too_short(trace_v1, paper_params):
+    # one HoustonState snapshot has no sample axis: refused like a one-sample stack
+    for trace in (trace_v1[0], trace_v1[:1]):
+        with pytest.raises(TraceTooShortError, match="fewer than 2 samples"):
+            extract_plateaus(trace, paper_params)
+
+
 def test_plateaus_insensitive_to_sampling_phase(trace_v1, paper_params):
     # residual interband beating limits plateau flatness to ~2.5e-3 relative
     t_bloch = paper_params.bloch_period
