@@ -32,9 +32,12 @@ GAP_CONVERGENCE_TOL = 1e-12
 # dynamics.lz_two_level_ode steps.  Memory stays bounded whatever the grid,
 # the trace length or the span of the sweep.
 _CHUNK_ELEMENTS = 2 ** 16
-# Most memory and work of one band table or mean gap, by check_band_grid's estimate.
-MAX_BAND_BYTES = 2 ** 28
-MAX_BAND_FLOPS = 5e9
+# The work budget of any one estimate check_work is given: memory and time.
+MAX_WORK_BYTES = 2 ** 28
+MAX_WORK_SECONDS = 3.0
+# Seconds per call and flop/s of the two kernels check_work's table calibrates.
+WIDE_STEP_S, WIDE_STEP_FLOP_RATE = 2.5e-4, 6e10
+BAND_SOLVE_S, BAND_SOLVE_FLOP_RATE = 4e-6, 2e9
 
 
 class EigensolverError(RuntimeError):
@@ -152,23 +155,46 @@ def lowest_bands(params: LatticeParams, k: np.ndarray, cutoff: int, n: int,
     return np.concatenate(parts)
 
 
+def check_work(flags: str, cost, *sizes: int) -> None:
+    """Raise ValueError unless cost(*sizes), an estimate (bytes, seconds), fits the budget.
+
+    The one refusal of oversized work, before anything is allocated:
+    step_grid, check_band_grid and the CLI's sweeps and resonance list each
+    state their own cost through it, naming the flags that set it.  Each
+    size is counted as a float in [0, 1e300], so a 401-digit flag neither
+    raises nor converts, and a cost that overflows is inf and refused.
+    Nothing is timed at run time, so a refusal depends on the input alone:
+    seconds are calls times (seconds per call + flops per call / flop/s),
+    with constants fixed per kernel.  Fitted on 2 cores (numpy 2.4.6,
+    OpenBLAS) to the best of 3-5 in-process timings:
+
+      kernel (flops per call)            per call  flop/s  model / measured
+      half-cycle wide step (24 K dim^3)  0.25 ms   6e10    0.65-1.5, cutoffs 4 to 160
+      band eigensolve (4/3 d^3)          4 us      2e9     0.6-1.4 to d = 69, 3.5 at 201
+      sweep force, output row (cli)      1.5, 2.3 us       0.9-1.05 at 1 to 32 depths
+      ret comment line (cli)             10 us             1.1 at --j-max 10^5
+
+    A mean gap at the default grid and cutoff measured 6.5-7.2 ms against
+    the model's 7.4 ms, so 404 depths of a scaling sweep pass and 405 do not.
+    """
+    n_bytes, seconds = cost(*(float(min(max(n, 0), 10 ** 300)) for n in sizes))
+    if not (n_bytes <= MAX_WORK_BYTES and seconds <= MAX_WORK_SECONDS):
+        raise ValueError(f"{flags} need ~{n_bytes:.3g} bytes / ~{seconds:.3g} s (limit "
+                         f"{MAX_WORK_BYTES} bytes / {MAX_WORK_SECONDS:g} s); reduce {flags}")
+
+
 def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1) -> None:
     """Raise ValueError unless band_energies can tabulate n_bands on this grid.
 
-    Also refuses a grid and cutoff whose band table or mean gap would hold
-    more than MAX_BAND_BYTES, or whose n_depths mean gaps (one per depth of a
-    scaling sweep) would take more than MAX_BAND_FLOPS.  Both estimates
-    bound both uses, made in floats before any allocation.  The memory is
-    8 (dim + n_bands + 1) bytes per k point, for every eigenvalue of the
-    chunks kept until the table is joined, plus 16 bytes per element of one
-    chunk of hamiltonians at cutoff + 2; over grids 16 to 10^5 and cutoffs
-    4 to 200 it came out between 0.2% below and 40% above tracemalloc's
-    peak of a bands, scaling or ret run.  The work is
-    4/3 d^3 + 3000 flops per eigensolve, d = 2 cutoff + 5, over grid_size + 2
-    of them per depth: syevd's reduction plus a per-matrix overhead, from
-    ~3 us per solve at dim 9 and ~1 Gflop/s at dim 21 on 2 cores, so the
-    limit is a few seconds (about 408 depths at the default grid and
-    cutoff).  Ints beyond 1e300 count as 1e300.
+    Also refuses, through check_work, a grid and cutoff whose band table or
+    n_depths mean gaps (one per depth of a scaling sweep) would not fit the
+    work budget.  The memory is 8 (dim + n_bands + 1) bytes per k point, for
+    every eigenvalue of the chunks kept until the table is joined, plus 16
+    bytes per element of one chunk of hamiltonians at cutoff + 2; over grids
+    16 to 10^5 and cutoffs 4 to 200 it came out between 0.2% below and 40%
+    above tracemalloc's peak of a bands, scaling or ret run.  The time is
+    grid_size + 2 band eigensolves per depth at d = 2 cutoff + 5, the mean
+    gap's check at cutoff + 2.
     """
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
@@ -176,20 +202,13 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
         raise ValueError(f"need 1 <= n_bands <= cutoff, got n_bands={n_bands}, cutoff={cutoff}")
     if grid_size < 16:
         raise ValueError(f"grid_size >= 16 required, got {grid_size}")
-    grid, dim, bands, depths = (float(min(x, 10 ** 300))
-                                for x in (grid_size, 2 * cutoff + 1, n_bands, n_depths))
-    big = dim + 4.0  # the mean gap's check at cutoff + 2
-    need = 8.0 * grid * (dim + bands + 1.0) + 16.0 * max(_CHUNK_ELEMENTS, big * big)
-    if not need <= MAX_BAND_BYTES:
-        raise ValueError(
-            f"grid {grid_size}, cutoff {cutoff} and {n_bands} bands need ~{need:.3g} bytes of "
-            f"band memory (limit {MAX_BAND_BYTES}); reduce the grid or the cutoff")
-    flops = depths * (grid + 2.0) * (4.0 / 3.0 * big * big * big + 3e3)
-    if not flops <= MAX_BAND_FLOPS:
-        raise ValueError(
-            f"grid {grid_size} and cutoff {cutoff} at {n_depths} depth(s) need ~{flops:.3g} "
-            f"flops of band eigensolves (limit {MAX_BAND_FLOPS:.3g}); reduce the grid, the "
-            f"cutoff or the depths")
+    def cost(grid, dim, bands, depths):
+        big = dim + 4.0
+        return (8.0 * grid * (dim + bands + 1.0) + 16.0 * max(_CHUNK_ELEMENTS, big * big),
+                depths * (grid + 2.0) * (BAND_SOLVE_S + 4.0 / 3.0 * big * big * big
+                                         / BAND_SOLVE_FLOP_RATE))
+    check_work("the grid, the cutoff and the depths", cost,
+               grid_size, 2 * cutoff + 1, n_bands, n_depths)
 
 
 def band_energies(params: LatticeParams, n_bands: int = 3,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, LatticeParams, band_energies,
-                    check_band_grid, mean_band_gap)
+                    check_band_grid, check_work, mean_band_gap)
 from .dynamics import SolverConfig, evolve_lattice, step_grid, trace_rows
 from .fitting import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, MIN_CYCLES,
                       compare_models, extract_plateaus, fit_exponential)
@@ -35,12 +35,6 @@ from .stepmodel import (DegenerateSpectrumError, StepIngredients, evolve_steps,
 OUTDIR_ENV = "BLOCHDECAY_OUTDIR"
 # Values _write_csv formats at a time: 4,096 rows of 4 columns.
 _CSV_CHUNK_VALUES = 4 * 4096
-# Most memory of a scaling or ret sweep by _force_grid's estimate, and its terms:
-# bytes per force at one depth, and per output row (phi and Z - 1, twice, and two
-# text references).
-MAX_SWEEP_BYTES = 2 ** 28
-_SWEEP_BYTES_PER_FORCE = 320
-_SWEEP_BYTES_PER_ROW = 48
 
 
 class StageError(RuntimeError):
@@ -352,23 +346,20 @@ def _sweep(params: LatticeParams, gap: float, quantity):
 def _force_grid(opts: dict, n_depths: int = 1) -> np.ndarray:
     """The checked sweep forces linspace(f0-min, f0-max, n-points) of scaling and ret.
 
-    Refuses, before any allocation, a sweep whose step-model arrays and
-    output columns would hold more than MAX_SWEEP_BYTES: _SWEEP_BYTES_PER_FORCE
-    per force (one depth's temporaries and the formatted force) plus
-    _SWEEP_BYTES_PER_ROW per output row.  The sweep's work is proportional
-    to the same rows.  At 1 to 32 depths and 10^4 to 10^5 forces the
-    estimate came out 4-47% above tracemalloc's peak.
+    Refuses, through check_work, a sweep whose step-model arrays and output
+    columns would not fit the work budget: 320 bytes and 1.5 us per force
+    (one depth's temporaries and the formatted force) plus 48 bytes (phi and
+    Z - 1, twice, and two text references) and 2.3 us per output row.  At 1
+    to 32 depths and 10^4 to 10^5 forces the memory came out 4-47% above
+    tracemalloc's peak.
     """
     if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
         raise StageError("parameters: need n-points >= 0 and 0 < f0-min <= f0-max < inf, got "
                          f"n-points {opts['n_points']}, f0-min {opts['f0_min']}, "
                          f"f0-max {opts['f0_max']}", stage="parameters")
-    need = (float(min(opts["n_points"], 10 ** 300))
-            * (_SWEEP_BYTES_PER_FORCE + n_depths * _SWEEP_BYTES_PER_ROW))
-    if not need <= MAX_SWEEP_BYTES:
-        raise StageError(f"parameters: n-points {opts['n_points']} at {n_depths} depth(s) needs "
-                         f"~{need:.3g} bytes of sweep memory (limit {MAX_SWEEP_BYTES}); "
-                         "reduce n-points", stage="parameters")
+    _stage("parameters", check_work, "--n-points and the depths",
+           lambda n, depths: (n * (320.0 + 48.0 * depths), n * (1.5e-6 + 2.3e-6 * depths)),
+           opts["n_points"], n_depths)
     return np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
 
 
@@ -401,14 +392,13 @@ def cmd_scaling(opts: dict) -> int:
 def cmd_ret(opts: dict) -> int:
     runspec = _runspec_json("ret", opts)
     f0_grid = _force_grid(opts)
-    if opts["j_max"] < 1:
-        raise StageError(f"parameters: need j-max >= 1, got {opts['j_max']}",
-                         stage="parameters")
+    # one comment line per resonance: 300 bytes of text at its peak and 10 us each
+    _stage("parameters", check_work, "--j-max", lambda j: (300.0 * j, 1e-5 * j), opts["j_max"])
     params = _stage("parameters", LatticeParams, opts["v0"], f0_grid)
     _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"])
     gap = _stage("band-structure", mean_band_gap, params,
                  grid_size=opts["grid"], cutoff=opts["cutoff"])
-    predicted = ret_resonances(params, gap, opts["j_max"])
+    predicted = _stage("parameters", ret_resonances, params, gap, opts["j_max"])
     _, gammas = _stage("sweep", _sweep, params, gap, gamma_asymptotic)
     is_max = np.zeros(len(gammas), dtype=int)
     is_max[1:-1] = (gammas[1:-1] > gammas[:-2]) & (gammas[1:-1] > gammas[2:])

@@ -56,8 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, LatticeParams,
-                    build_bloch_hamiltonian, lowest_bands, lowest_eigenpairs)
+from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, WIDE_STEP_FLOP_RATE,
+                    WIDE_STEP_S, LatticeParams, build_bloch_hamiltonian, check_work,
+                    lowest_bands, lowest_eigenpairs)
 
 # Yoshida composition weights for the fourth-order splitting.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -68,11 +69,6 @@ _SEGMENTS = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2])
 MIN_SAMPLES_PER_CYCLE = 64
 # Segments of the half cycle; their ends and their mirror images are the samples.
 _HALF_SEGMENTS = MIN_SAMPLES_PER_CYCLE // 2
-# Most memory evolve_lattice may hold, by step_grid's estimate: its two blocks of
-# segment maps and its trace.
-MAX_SOLVER_BYTES = 2 ** 28
-# Most flops of the half-cycle build, 24 m dim^3 by step_grid's estimate.
-MAX_SOLVER_FLOPS = 1e11
 # Largest change of the state norm allowed in one Bloch cycle.
 NORM_TOLERANCE = 1e-8
 
@@ -219,13 +215,12 @@ def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
     m is ceil(T_B / (2 cfg.dt)) rounded up to a multiple of K = 32, so
     each of the half cycle's K segments has m / K steps.  Raises ValueError
     when cfg.dt itself gives fewer than MIN_SAMPLES_PER_CYCLE steps per
-    cycle; when evolve_lattice would hold more than MAX_SOLVER_BYTES (its
-    two (dim, K, dim) complex blocks, 16 K dim^2 bytes each, and the trace;
-    nothing it holds grows with m); or when the half cycle's m steps of
-    three dim^3 complex gemms, 24 m dim^3 flops, exceed MAX_SOLVER_FLOPS.
-    Both estimates are made in Python floats, before any allocation, as an
-    f0 near 0 makes T_B infinite; a cutoff or cycle count beyond 1e300
-    counts as 1e300.  At dt = 0.01 and 0.001 (where the flops allow it),
+    cycle, or, through bands.check_work, when evolve_lattice would not fit
+    the work budget.  Its memory is its two (dim, K, dim) complex blocks,
+    16 K dim^2 bytes each, and the trace; nothing it holds grows with m.
+    Its time is the half cycle's m / K wide steps, each three complex
+    (dim, dim) x (dim, K dim) gemms, 24 K dim^3 flops.  An f0 near 0 makes
+    T_B and m inf, which the budget refuses.  At dt = 0.01 and 0.001,
     cutoffs 8 to 64 and 1 or 4 cycles, the memory estimate fell below
     tracemalloc's peak by at most 11% from cutoff 24 up and by up to 36% at
     cutoff 8 (315 kB against 491 kB): the per-step phases and the coupling
@@ -233,19 +228,12 @@ def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
     """
     half = params.bloch_period / 2.0 / cfg.dt
     m = float(_HALF_SEGMENTS * np.ceil(half / _HALF_SEGMENTS))
-    dim, samples = (float(min(x, 10 ** 300)) for x in
-                    (2 * cfg.cutoff + 1, MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1))
-    need = 2.0 * 16.0 * _HALF_SEGMENTS * dim * dim + samples * (16.0 * dim + 24.0)
-    if not need <= MAX_SOLVER_BYTES:
-        raise ValueError(
-            f"cutoff {cfg.cutoff} and {cfg.n_cycles} cycles need ~{need:.3g} bytes of "
-            f"solver memory (limit {MAX_SOLVER_BYTES}); reduce the cutoff or the cycles")
-    flops = 24.0 * m * dim * dim * dim
-    if not flops <= MAX_SOLVER_FLOPS:
-        raise ValueError(
-            f"dt={cfg.dt}, f0={params.f0} and cutoff {cfg.cutoff} need ~{flops:.3g} flops "
-            f"to build the half-cycle map (limit {MAX_SOLVER_FLOPS:.3g}); increase dt or f0 "
-            f"or reduce the cutoff")
+    def cost(dim, samples):
+        k = _HALF_SEGMENTS
+        return (2.0 * 16.0 * k * dim * dim + samples * (16.0 * dim + 24.0),
+                m / k * (WIDE_STEP_S + 24.0 * k * dim * dim * dim / WIDE_STEP_FLOP_RATE))
+    check_work("the cutoff, the cycles and the steps per cycle 2 pi / (f0 dt)", cost,
+               2 * cfg.cutoff + 1, MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1)
     if 2 * math.ceil(half) < MIN_SAMPLES_PER_CYCLE:
         raise ValueError(f"dt={cfg.dt} gives {2 * math.ceil(half)} steps per cycle; "
                          f"need >= {MIN_SAMPLES_PER_CYCLE}")

@@ -315,64 +315,73 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "p")]
         assert main(argv + out) == 2
         assert "error: parameters:" in capsys.readouterr().err
-    # runs whose half cycle would take 7e11 flops or more (m = 820,288 at --dt 1e-5,
-    # forces of 1e-300 and 1e-303) or whose solver would hold gigabytes (64e7 samples,
-    # 4 GB of segment maps) are refused before any of it is allocated, and without a
-    # numpy overflow warning
+    # runs whose half cycle would take ~18 s or more (m = 820,288 at --dt 1e-5, forces of
+    # 1e-300 and 1e-303) or whose solver would hold gigabytes (64e7 samples, 4 GB of
+    # segment maps) are refused before any of it is allocated, and without a numpy
+    # overflow warning
+    budget = re.compile(r"error: parameters: .* need ~\S+ bytes / ~\S+ s \(limit "
+                        r"268435456 bytes / 3 s\); reduce ")
+    solver = "the cutoff, the cycles and the steps per cycle"
     tracemalloc.start()
     try:
-        for flags, limit in (
-                (["--f0", "0.383", "--dt", "1e-5"], "flops"), (["--f0", "1e-300"], "flops"),
-                (["--f0", "5e-324"], "flops"), (["--f0", "0.4", "--dt", "5e-324"], "flops"),
-                (["--f0", "0.4", "--cycles", "10000000"], "bytes of solver memory"),
-                (["--f0", "0.4", "--cutoff", "1000"], "bytes of solver memory"),
-                (["--f0", "1e-303"], "flops")):  # 24 m dim^3 would overflow a numpy float
+        for flags in (["--f0", "0.383", "--dt", "1e-5"], ["--f0", "1e-300"], ["--f0", "5e-324"],
+                      ["--f0", "0.4", "--dt", "5e-324"], ["--f0", "0.4", "--cycles", "10000000"],
+                      ["--f0", "0.4", "--cutoff", "1000"],
+                      ["--f0", "1e-303"]):  # m dim^3 would overflow a numpy float
             argv = ["run", "--v0", "1", *flags, "--out-prefix", str(tmp_path / "big")]
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
-            assert "error: parameters:" in err and limit in err, argv
+            assert budget.search(err) and solver in err, argv
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
     assert not list(tmp_path.glob("big*"))
-    # a half-cycle build of ~6.6e11 flops (cutoff 160, ~9 s on 2 cores) is refused before
-    # any work; the solver is never reached
+    # a half-cycle build of ~11 s (cutoff 160) is refused before any work; the solver is
+    # never reached
     monkeypatch.setattr(cli, "evolve_lattice", None)
     assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "3", "--cutoff", "160",
                  "--out-prefix", str(tmp_path / "slow")]) == 2
     err = capsys.readouterr().err
-    assert "error: parameters:" in err and "flops" in err
+    assert budget.search(err) and solver in err
     assert not list(tmp_path.glob("slow*"))
-    # a --grid, --cutoff or --n-points whose band table, mean gap or sweep would hold
-    # gigabytes or take minutes is refused before any allocation; no band or step-model
-    # computation is reached
-    for name in ("band_energies", "mean_band_gap", "step_operator", "spectral_decompose"):
+    # a --grid, --cutoff, --n-points or --j-max whose band table, mean gap, sweep or
+    # resonance list would hold gigabytes or take minutes is refused before any
+    # allocation; no band or step-model computation is reached
+    for name in ("band_energies", "mean_band_gap", "step_operator", "spectral_decompose",
+                 "ret_resonances"):
         monkeypatch.setattr(cli, name, None)
     huge = "1" + "0" * 400
+    band = "the grid, the cutoff and the depths"
+    sweep = "--n-points and the depths"
     refusals = [
-        (["bands", "--v0", "1", "--grid", "10000000"], "bytes of band memory"),
-        (["bands", "--v0", "1", "--grid", huge], "bytes of band memory"),
-        (["bands", "--v0", "1", "--cutoff", "1000"], "flops of band eigensolves"),
-        (["bands", "--v0", "1", "--cutoff", huge, "--n-bands", "2"], "bytes of band memory"),
-        (["scaling", "--grid", "10000000"], "bytes of band memory"),
-        (["scaling", "--cutoff", "1000"], "flops of band eigensolves"),
-        (["scaling", "--n-points", "100000000"], "bytes of sweep memory"),
-        (["scaling", "--n-points", huge], "bytes of sweep memory"),
+        (["bands", "--v0", "1", "--grid", "10000000"], band),
+        (["bands", "--v0", "1", "--grid", huge], band),
+        (["bands", "--v0", "1", "--cutoff", "1000"], band),
+        (["bands", "--v0", "1", "--cutoff", huge, "--n-bands", "2"], band),
+        (["scaling", "--grid", "10000000"], band),
+        (["scaling", "--cutoff", "1000"], band),
+        (["scaling", "--n-points", "100000000"], sweep),
+        (["scaling", "--n-points", huge], sweep),
         # 10^5 forces pass at one depth, not at 64
-        (["scaling", "--v0", ",".join(["1"] * 64), "--n-points", "100000"],
-         "bytes of sweep memory"),
-        (["ret", "--grid", "10000000"], "bytes of band memory"),
-        (["ret", "--cutoff", "1000"], "flops of band eigensolves"),
-        (["ret", "--n-points", "100000000"], "bytes of sweep memory"),
-        (["run", "--v0", "1", "--f0", "0.4", "--grid", "10000000"], "bytes of band memory"),
-        (["run", "--v0", "1", "--f0", "0.4", "--band-cutoff", "1000"],
-         "flops of band eigensolves"),
+        (["scaling", "--v0", ",".join(["1"] * 64), "--n-points", "100000"], sweep),
+        (["ret", "--grid", "10000000"], band),
+        (["ret", "--cutoff", "1000"], band),
+        (["ret", "--n-points", "100000000"], sweep),
+        # one comment line per resonance: 10^7 of them would take ~100 s, and 401 digits
+        # are counted as 1e300, not passed to numpy
+        (["ret", "--j-max", "10000000"], "--j-max"),
+        (["ret", "--j-max", huge], "--j-max"),
+        (["run", "--v0", "1", "--f0", "0.4", "--grid", "10000000"], band),
+        (["run", "--v0", "1", "--f0", "0.4", "--band-cutoff", "1000"], band),
         # a cutoff or cycle count beyond a float is counted as 1e300, not converted
-        (["run", "--v0", "1", "--f0", "0.4", "--cutoff", huge], "bytes of solver memory"),
-        (["run", "--v0", "1", "--f0", "0.4", "--cycles", huge], "bytes of solver memory"),
-        # each depth is a mean gap: 409 of them at the default grid and cutoff need
-        # ~5.0e9 flops (408 pass), ~3.5 s at the measured ~8.6 ms per depth
-        (["scaling", "--v0", ",".join(["1"] * 409)], "flops of band eigensolves"),
+        (["run", "--v0", "1", "--f0", "0.4", "--cutoff", huge], solver),
+        (["run", "--v0", "1", "--f0", "0.4", "--cycles", huge], solver),
+        # 24,544 wide steps at cutoff 6, only 4.1e10 flops: priced at ~6.8 s, it ran 8.4 s
+        (["run", "--v0", "1", "--f0", "0.4", "--cycles", "4", "--cutoff", "6", "--dt", "1e-5",
+          "--fit-window", "1:3"], solver),
+        # each depth is a mean gap, priced at 7.4 ms at the default grid and cutoff
+        (["scaling", "--v0", ",".join(["1"] * 409)], band),
+        (["scaling", "--v0", ",".join(["1"] * 405)], band),
     ]
     tracemalloc.start()
     try:
@@ -380,18 +389,49 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
             out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "huge")]
             assert main(argv + out) == 2, argv
             err = capsys.readouterr().err
-            assert "error: parameters:" in err and what in err, (argv, err)
+            assert budget.search(err) and what in err, (argv, err)
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
     assert not list(tmp_path.glob("huge*"))
-    cli.check_band_grid(2, cli.DEFAULT_GRID_SIZE, cli.DEFAULT_CUTOFF, 408)  # the last that passes
+    cli.check_band_grid(2, cli.DEFAULT_GRID_SIZE, cli.DEFAULT_CUTOFF, 404)  # the last that passes
 
+
+# Every documented command: the README quickstart, the scipy-free CI step, the CLI calls
+# of test_acceptance.py and perfbench's workloads at seed 0 (exact-run, z-scaling and
+# depth-scan's 16-depth scaling and ret).
+_DOCUMENTED = [
+    "bands --v0 1", "run --v0 1 --f0 0.383 --cycles 10",
+    "scaling --v0 1,2,3,4 --f0-min 0.5 --f0-max 4 --n-points 200",
+    "ret --v0 1 --f0-min 0.8 --f0-max 2.6 --n-points 200",
+    "run --v0 1 --f0 0.383 --cycles 6 --fit-window 5:6", "scaling --n-points 50",
+    "scaling --v0 0,1 --n-points 50", "ret --n-points 20",
+    "run --v0 1 --f0 0.383 --cycles 6 --cutoff 32 --fit-window 5:6",
+    "ret --v0 1 --f0-min 0.8 --f0-max 2.6 --n-points 14 --j-max 2",
+    "run --v0 1 --f0 0.383 --cycles 20 --cutoff 32", "scaling --v0 1,2,3,4 --n-points 5000",
+    "scaling --v0 " + ",".join(f"{0.5 * i:g}" for i in range(1, 17)) + " --n-points 200",
+    "ret --v0 1",
+]
+
+
+def test_work_budget_admits_every_documented_input(tmp_path, capsys, monkeypatch):
+    # every estimator of a command runs before its first band computation, which here
+    # only raises: reaching it means the budget admitted the input, and no work ran
+    def heavy(*args, **kwargs):
+        raise RuntimeError("admitted")
+    monkeypatch.setattr(cli, "band_energies", heavy)
+    monkeypatch.setattr(cli, "mean_band_gap", heavy)
+    for command in _DOCUMENTED:
+        argv = command.split()
+        out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "doc")]
+        assert main(argv + out) == 3, command
+        assert "error: band-structure: admitted" in capsys.readouterr().err, command
 
 # Each command starts from cheap valid flags; a case overrides some of them with
 # values from these pools, valid and invalid alike.  The huge values (f0 1e-300,
 # cycles 10000000, dt 1e-5, grid 10000000, cutoff and band-cutoff 1000, n-points
-# 100000000) are refused in the parameters stage before any work.
+# 100000000, j-max 10000000 and 10^400) are refused in the parameters stage before any
+# work.
 _BASE_FLAGS = {
     "bands": {"v0": "1", "grid": "16", "cutoff": "4"},
     "run": {"v0": "1", "f0": "0.4", "cycles": "4", "cutoff": "6", "dt": "0.05",
@@ -407,7 +447,8 @@ _FLAG_POOLS = {
     "band-cutoff": ["6", "8", "3", "1000"],
     "fit-window": ["2:9", "0:2", "3:3", "5:2", "-1:2", "x", "6:14"],
     "f0-min": ["0.9", "1e-310", "-1", "3", "nan"], "f0-max": ["2.5", "6", "inf", "0.4"],
-    "n-points": ["0", "1", "12", "-1", "100000000"], "j-max": ["0", "1", "3"],
+    "n-points": ["0", "1", "12", "-1", "100000000"],
+    "j-max": ["0", "1", "3", "10000000", "1" + "0" * 400],
 }
 _SCALING_DEPTHS = ["1,2", "0.5,4", "200", "1,nan", "", "a"]
 _CONFIGS = ["# only a comment\n", "grid = 32\n", "cutoff 5\n", "grid\n", "grid = \n",
