@@ -28,9 +28,8 @@ MIN_CUTOFF = 4
 # Largest relative change of the mean gap from cutoff c to c + 2.
 GAP_CONVERGENCE_TOL = 1e-12
 # Most matrix elements one batched call works on (512 kB of float64): the
-# stack lowest_bands diagonalizes, and the block of 2x2 identities one call of
-# dynamics.lz_two_level_ode steps.  Memory stays bounded whatever the grid,
-# the trace length or the span of the sweep.
+# stack lowest_bands diagonalizes.  Memory stays bounded whatever the grid or
+# the trace length.
 _CHUNK_ELEMENTS = 2 ** 16
 # The work budget of any one estimate check_work is given: memory and time.
 MAX_WORK_BYTES = 2 ** 28
@@ -234,7 +233,7 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
     diagonalized: k = 1 (the same as -1) and, for even G, k = 0 count
     once, every other point twice.  Raises ValueError naming the cutoff
     when the mean at cutoff + 2 differs by more than GAP_CONVERGENCE_TOL
-    relative.
+    relative, or when a mean is not finite (it overflows near v0 = 1e308).
     """
     check_band_grid(2, grid_size, cutoff)
     k_half = 1.0 - 2.0 * np.arange(grid_size // 2 + 1) / grid_size
@@ -242,11 +241,14 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
     weights[0] = 1.0
     if grid_size % 2 == 0:
         weights[-1] = 1.0
-    gap, check = (float(np.sum(weights * np.diff(lowest_bands(params, k_half, c, 2))[:, 0]))
-                  / grid_size for c in (cutoff, cutoff + 2))
-    if abs(check - gap) > GAP_CONVERGENCE_TOL * abs(check):
-        raise ValueError(f"mean band gap not converged at cutoff {cutoff}: it moves by "
-                         f"{abs(check - gap) / abs(check):.1e} relative at cutoff {cutoff + 2} "
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, refused below
+        gap, check = (float(np.sum(weights * np.diff(lowest_bands(params, k_half, c, 2))[:, 0]))
+                      / grid_size for c in (cutoff, cutoff + 2))
+    if not abs(check - gap) <= GAP_CONVERGENCE_TOL * abs(check):  # nan fails it too
+        moved = (f"is not finite at cutoff {cutoff} or {cutoff + 2}"
+                 if not math.isfinite(check - gap) else
+                 f"moves by {abs(check - gap) / abs(check):.1e} relative at cutoff {cutoff + 2}")
+        raise ValueError(f"mean band gap not converged at cutoff {cutoff}: it {moved} "
                          f"(tolerance {GAP_CONVERGENCE_TOL}); increase the cutoff")
     return gap
 

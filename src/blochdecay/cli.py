@@ -217,21 +217,19 @@ def _merge_options(command: str, args: argparse.Namespace,
             except ValueError:
                 parser.error(f"config: bad value for {key!r}: {raw!r}")
     merged.update(given)
-    if command == "run":
-        try:
-            lo, hi = _parse_window(merged["fit_window"])
-        except ValueError:
-            parser.error(f"parameters: bad --fit-window {merged['fit_window']!r}, "
-                         "expected LO:HI")
-        if not 0 <= lo < hi:  # a fit needs two plateaus; HI is clamped later
-            parser.error(f"parameters: bad --fit-window {merged['fit_window']!r}, "
-                         "need 0 <= LO < HI")
     return merged
 
 
 def _parse_window(text: str) -> tuple[int, int]:
+    """LO, HI of --fit-window LO:HI; a fit needs two plateaus, and cmd_run clamps HI."""
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"bad --fit-window {text!r}, expected LO:HI") from None
+    if not 0 <= lo < hi:
+        raise ValueError(f"bad --fit-window {text!r}, need 0 <= LO < HI")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +252,7 @@ def cmd_bands(opts: dict) -> int:
 
 def cmd_run(opts: dict) -> int:
     runspec = _runspec_json("run", opts)
+    lo, hi = _stage("parameters", _parse_window, opts["fit_window"])
     params = _stage("parameters", LatticeParams, opts["v0"], opts["f0"])
     cfg = _stage("parameters", SolverConfig, cutoff=opts["cutoff"],
                  dt=opts["dt"], n_cycles=opts["cycles"])
@@ -262,7 +261,6 @@ def cmd_run(opts: dict) -> int:
     if opts["cycles"] < MIN_CYCLES:
         raise StageError(f"parameters: need cycles >= {MIN_CYCLES} to extract plateaus, "
                          f"got {opts['cycles']}", stage="parameters")
-    lo, hi = _parse_window(opts["fit_window"])
     if lo >= opts["cycles"]:
         raise StageError(f"parameters: fit window {opts['fit_window']} needs cycles >= {lo + 1}, "
                          f"got {opts['cycles']}", stage="parameters")
@@ -312,11 +310,12 @@ def cmd_run(opts: dict) -> int:
         } if fit_eff else None,
         "mean_gap": gap,
         "phi": ing.phi,
-        "comparison_max_rel_dev": None if math.isnan(max_dev) else max_dev,
+        "comparison_max_rel_dev": max_dev,
     }
-    def write_fit():
+    def write_fit():  # strict JSON: every nan or -+inf is written as null
+        doc = json.loads(json.dumps(fit_doc), parse_constant=lambda _: None)
         target = _resolve_out(f"{prefix}_fit.json")
-        target.write_text(json.dumps(fit_doc, sort_keys=True, indent=2) + "\n")
+        target.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
         return target
     f_json = _stage("write", write_fit)
     print(f"wrote {t_csv} {s_csv} {f_json} {c_csv}")

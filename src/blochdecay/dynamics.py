@@ -4,9 +4,10 @@ Two solvers live here, on one step kernel:
 
   * lz_two_level_ode -- the textbook two-level sweep, H(t) with diagonal
     -+ alpha t and constant coupling delta, from the lower instantaneous
-    eigenstate.  It is the dimension-2 case of the lattice's step, so the
-    closed form exp(-pi delta^2 / alpha) for the asymptotic jump
-    probability checks the integrator the lattice solver runs.
+    eigenstate.  It is the dimension-2 case of the lattice's step, built
+    by the same half-span builder and mirror, so the closed form
+    exp(-pi delta^2 / alpha) for the asymptotic jump probability checks the
+    integrator the lattice solver runs.
 
   * evolve_lattice -- the band-1 Bloch state at k = 0 in the accelerated
     lattice, expanded over plane waves exp(i (k(tau) + 2n) pi x / d_L) with
@@ -32,21 +33,17 @@ the 2m steps of a cycle from k = 0 lie mirror-symmetric about k = 0 and
 the Yoshida step is palindromic, so the steps of the second half (k from
 -1 to 0) are P U^T P of the first half's steps U in reverse order.  With
 A the half-cycle map (k from 0 to 1) and F the fold, M = P A^T P F A.
+The sweep's H(t) is real with H(-t) = P H(t) P, P the swap, so its map
+over [-t1, t1] is A P A^T P, with A the map over [0, t1].
 
-evolve_lattice therefore steps half a cycle once, on the identity.  Its m
-steps are K = 32 segments of m / K steps, stepped together as one
-(dim, K, dim) block, the mode axis first, so every coupling exponential is
-one (dim, dim) x (dim, K dim) gemm written into a second block of the same
-shape, and each kinetic factor multiplies in place: the two blocks are
-allocated once and no step allocates another.  The block ends as the
-segment maps G_0..G_{K-1}, whose product is A.
-The cycle starts psi0, M psi0, ... are matrix-vector products, and the
-trace's samples, m / K steps apart, are the ends of the cycle's 2K
-segments: the block of cycle starts walked through G_0..G_{K-1}, folded,
-then through the second half's maps P G_j^T P, j descending.  The last
-segment ends on the next cycle start, so every cycle boundary n T_B (k = 0)
-is a sample.  That costs about one dim^3 build of half a cycle in m / K
-wide steps, plus 2K - 1 dim^2 N gemms.
+Both solvers therefore step half their span once, on the identity, in
+_half_span, which returns its K = 32 segment maps G_j and their product A.
+evolve_lattice's trace samples, m / K steps apart, are the ends of the
+cycle's 2K segments: the block of cycle starts walked through
+G_0..G_{K-1}, folded, then through the second half's maps P G_j^T P, j
+descending.  The last segment ends on the next cycle start, so every cycle
+boundary n T_B (k = 0) is a sample.  That costs about one dim^3 build of
+half a cycle in m / K wide steps, plus 2K - 1 dim^2 N gemms.
 """
 
 from __future__ import annotations
@@ -56,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, WIDE_STEP_FLOP_RATE,
-                    WIDE_STEP_S, LatticeParams, build_bloch_hamiltonian, check_work,
+from .bands import (DEFAULT_CUTOFF, MIN_CUTOFF, WIDE_STEP_FLOP_RATE, WIDE_STEP_S,
+                    LatticeParams, build_bloch_hamiltonian, check_work,
                     lowest_bands, lowest_eigenpairs)
 
 # Yoshida composition weights for the fourth-order splitting.
@@ -134,10 +131,12 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     projects onto the upper eigenstate at t_span[1].  The span must be
     symmetric and wide enough that the residual eigenbasis dressing at
     the edges is negligible: |t_edge| >= 20 max(delta/alpha, 1/sqrt(alpha)).
-    A dt above 0.5 / hypot(alpha t_edge, delta) is refused up front.  Both
-    end bases come from one stacked lowest_eigenpairs call on the
-    hamiltonians [[-alpha t, delta], [delta, alpha t]] at t_span[0] and
-    t_span[1].
+    A dt above 0.5 / hypot(alpha t_edge, delta) is refused up front.  The
+    half span [0, t_edge] takes m steps of t_edge / m <= dt, m rounded up
+    to a multiple of K = 32 as in step_grid; _half_span builds its map A,
+    and the span's map is A P A^T P.  Both end bases come from one stacked
+    lowest_eigenpairs call on the hamiltonians [[-alpha t, delta],
+    [delta, alpha t]] at -+t_edge.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"sweep rate must be > 0, got alpha={alpha}")
@@ -162,22 +161,12 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
             f"dt={dt} too coarse: {edge_rate * dt:.3g} rad per step at the span edge "
             f"(> 0.5); reduce dt below {0.5 / edge_rate:.3g}")
 
-    n = int(math.ceil(width / dt))
-    h = width / n
+    m = _HALF_SEGMENTS * math.ceil(math.ceil(t1 / dt) / _HALF_SEGMENTS)
+    h = t1 / m
     b_long, b_back = _coupling_exponentials(delta, 2, h)
-    u = np.eye(2, dtype=complex)
-    chunk = _CHUNK_ELEMENTS // 4  # steps per call: its block is (2, chunk, 2)
-    for j in range(0, n, chunk):
-        t = t0 + h * np.arange(j, min(n, j + chunk))
-        # one step of each 2x2 identity gives every step's unitary
-        block = _identities(2, len(t))
-        steps = _step(block, np.empty_like(block), _sweep_phases(alpha, t, h),
-                      b_long, b_back).transpose(1, 0, 2)
-        while len(steps) > 1:  # ordered pairwise product; an odd last step waits a round
-            steps = np.concatenate([steps[1::2] @ steps[:-1:2],
-                                    steps[len(steps) - len(steps) % 2:]])
-        u = steps[0] @ u
-    ends = np.array([[[-alpha * t, delta], [delta, alpha * t]] for t in (t0, t1)])
+    _, half_map = _half_span(2, m, lambda j: _sweep_phases(alpha, h * j, h), b_long, b_back)
+    u = half_map @ half_map.T[::-1, ::-1]
+    ends = np.array([[[-alpha * t, delta], [delta, alpha * t]] for t in (-t1, t1)])
     _, basis = lowest_eigenpairs(ends, 2, vectors=True)
     return float(abs(basis[1, :, 1] @ u @ basis[0, :, 0]) ** 2)
 
@@ -270,13 +259,6 @@ def _fold(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _identities(dim: int, k: int) -> np.ndarray:
-    """A writable (dim, k, dim) complex block of k identities, the mode axis first."""
-    block = np.empty((dim, k, dim), complex)
-    block[...] = np.eye(dim)[:, None]
-    return block
-
-
 def _step(x: np.ndarray, y: np.ndarray, ph: np.ndarray, b_long: np.ndarray,
           b_back: np.ndarray) -> np.ndarray:
     """One Yoshida step of the block x (dim, K, cols) with the kinetic phases ph (4, dim, K).
@@ -299,6 +281,33 @@ def _step(x: np.ndarray, y: np.ndarray, ph: np.ndarray, b_long: np.ndarray,
     return y
 
 
+def _half_span(dim: int, m: int, phases, b_long: np.ndarray, b_back: np.ndarray):
+    """Segment maps G_j (K, dim, dim) and their product A of m steps from the identity.
+
+    The m steps (a multiple of K = 32) are K contiguous segments of m / K
+    steps; phases(j) gives the kinetic phases (4, dim, K) of the steps j.
+    The segments' identities step together, one (dim, K, dim) block, the
+    mode axis first, against one scratch block of the same shape, so every
+    coupling exponential is one (dim, dim) x (dim, K dim) gemm and each
+    kinetic factor multiplies in place: the two blocks are allocated once
+    and no step allocates another.  Step i of every segment j is step
+    j m / K + i of the span.  The block ends as the segment maps, and A =
+    G_{K-1} ... G_0.
+    """
+    per = m // _HALF_SEGMENTS
+    block = np.empty((dim, _HALF_SEGMENTS, dim), complex)
+    block[...] = np.eye(dim)[:, None]  # block[:, j] is segment j's identity
+    scratch = np.empty_like(block)
+    seg_starts = per * np.arange(_HALF_SEGMENTS)
+    for i in range(per):
+        block, scratch = _step(block, scratch, phases(seg_starts + i), b_long, b_back), block
+    maps = block.transpose(1, 0, 2)  # maps[j] = G_j
+    half_map = maps[0]
+    for g in maps[1:]:
+        half_map = g @ half_map
+    return maps, half_map
+
+
 def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     """Propagate the band-1 Bloch state at k = 0 through cfg.n_cycles Bloch periods.
 
@@ -309,16 +318,14 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     exceeds NORM_TOLERANCE (the usual cause is a cutoff too small to hold
     the escaped population for the requested number of cycles).
 
-    The half cycle's m steps (k from 0 to 1) are cut into K = 32
-    contiguous segments of m / K steps.  Their identities step together,
-    one (dim, K, dim) block against one scratch block of the same shape,
-    to the segment maps G_j, whose product is the half-cycle map A.  The
-    cycle map is M = P A^T P F A, and the cycle starts x_n = M^n psi0 give
-    the per-cycle norm monitor.  The block (dim, N) of cycle starts walks
-    through G_0 .. G_{K-1}, is folded, and walks back through the mirror
-    images x[::-1] <- G_j^T x[::-1], j = K-1 .. 1; the mirror of G_0 ends on
-    x_{n+1}.  Times, fold counts and quasimomenta are those of a stepwise
-    loop over all cycles; amplitudes agree with it to roundoff.
+    _half_span steps the half cycle (k from 0 to 1) to the segment maps G_j
+    and the half-cycle map A.  The cycle map is M = P A^T P F A, and the
+    cycle starts x_n = M^n psi0 give the per-cycle norm monitor.  The block
+    (dim, N) of cycle starts walks through G_0 .. G_{K-1}, is folded, and
+    walks back through the mirror images x[::-1] <- G_j^T x[::-1], j = K-1
+    .. 1; the mirror of G_0 ends on x_{n+1}.  Times, fold counts and
+    quasimomenta are those of a stepwise loop over all cycles; amplitudes
+    agree with it to roundoff.
     """
     m = step_grid(params, cfg)
     dt = params.bloch_period / 2.0 / m
@@ -327,17 +334,9 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     per = m // n_seg
 
     b_long, b_back = _coupling_exponentials(params.v0 / 4.0, dim, dt)
-    block = _identities(dim, n_seg)
-    scratch = np.empty_like(block)
-    seg_starts = per * np.arange(n_seg)
-    for i in range(per):  # step i of every segment j, step j m / K + i of the half cycle
-        ph = _kinetic_phases((seg_starts + i) / m, params.f0 / math.pi, dt, cfg.cutoff)
-        block, scratch = _step(block, scratch, ph, b_long, b_back), block
-    del scratch  # freed before the trace is allocated
-    maps = block.transpose(1, 0, 2)  # maps[j] = G_j
-    half_map = maps[0]
-    for g in maps[1:]:
-        half_map = g @ half_map
+    maps, half_map = _half_span(
+        dim, m, lambda j: _kinetic_phases(j / m, params.f0 / math.pi, dt, cfg.cutoff),
+        b_long, b_back)
     cycle_map = half_map.T[::-1, ::-1] @ _fold(half_map.copy())
 
     # Row 64 n is cycle n's start; row 64 n + 1 + i its state at the end of segment i.

@@ -125,6 +125,18 @@ def test_fit_window_clamps_only_hi(tmp_path):
     assert json.loads((tmp_path / "w_fit.json").read_text())["full_fit"]["window"] == [4, 6]
 
 
+def test_fit_json_is_strict_json_when_a_deviation_is_infinite(tmp_path):
+    # at v0 = 1e-200 the step model's P_eff reaches 0 while P_full does not, so the
+    # largest relative deviation is inf: it is written as null, like nan
+    prefix = tmp_path / "inf"
+    assert main(["run", "--v0", "1e-200", "--f0", "0.383", "--cycles", "6",
+                 "--fit-window", "1:5", "--out-prefix", str(prefix)]) == 0
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    fit = json.loads((tmp_path / "inf_fit.json").read_text(), parse_constant=refuse)
+    assert fit["comparison_max_rel_dev"] is None
+
+
 def test_run_iterates_step_model_once(tmp_path, monkeypatch):
     calls = []
     evolve_steps = stepmodel.evolve_steps
@@ -281,10 +293,10 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--v0", "1", "--f0", "0.4", "--k0", "0"])  # the flag is gone
     assert exc.value.code == 2
+    capsys.readouterr()
     for window in ("junk", "5:2", "-1:3", "3:3"):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--v0", "1", "--f0", "0.4", "--fit-window", window])
-        assert exc.value.code == 2
+        assert main(["run", "--v0", "1", "--f0", "0.4", f"--fit-window={window}"]) == 2
+        assert f"error: parameters: bad --fit-window {window!r}" in capsys.readouterr().err
     # semantic parameter errors also count as invalid arguments
     assert main(["run", "--v0", "-1", "--f0", "0.4",
                  "--out-prefix", str(tmp_path / "x")]) == 2
@@ -508,9 +520,11 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
 
 def test_gap_check_exits_three_naming_stage_and_cutoff(tmp_path, capsys):
     out = ["--n-points", "5", "--out", str(tmp_path / "s.csv")]
-    assert main(["scaling", "--v0", "200"] + out) == 3
-    err = capsys.readouterr().err
-    assert "band-structure" in err and "cutoff 10" in err
+    # at v0 = 1e308 the mean gap's sum overflows: not finite is not converged either
+    for depth in ("200", "1e308"):
+        assert main(["scaling", "--v0", depth] + out) == 3
+        err = capsys.readouterr().err
+        assert "band-structure" in err and "cutoff 10" in err and "nan" not in err
     assert main(["scaling", "--v0", "100"] + out) == 0
 
 

@@ -17,7 +17,7 @@ from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         lz_two_level_ode, trace_rows)
 from blochdecay.bands import _CHUNK_ELEMENTS
 from blochdecay.dynamics import (_SEGMENTS, _W0, _W1, MIN_SAMPLES_PER_CYCLE,
-                                 NORM_TOLERANCE, _coupling_exponentials, _identities,
+                                 NORM_TOLERANCE, _coupling_exponentials,
                                  _kinetic_phases, _step, _sweep_phases, step_grid)
 
 
@@ -66,6 +66,42 @@ def test_sweep_norm_drift_error_advises_smaller_dt():
         lz_two_level_ode(1.0, 1.0, (-20.0, 20.0), 0.5)
 
 
+def full_span_oracle(alpha, delta, t1, m):
+    """The sweep's jump probability from all 2m steps of [-t1, t1] in turn, no mirror.
+
+    Each step's factors are formed here, the kinetic phase of a segment [s1, s2]
+    as -+alpha (s2 - s1) (s1 + s2) / 2, and applied to the state one step at a time.
+    """
+    h = t1 / m
+    b_long, b_back = _coupling_exponentials(delta, 2, h)
+    seg_bounds = np.concatenate([[0.0], np.cumsum(_SEGMENTS * h)])
+    bounds = -t1 + h * np.arange(2 * m)[:, None] + seg_bounds  # (2m, 5)
+    ph = alpha * np.diff(bounds) * (bounds[:, 1:] + bounds[:, :-1]) / 2.0  # (2m, 4)
+    e = np.exp(-1j * np.stack([-ph, ph], axis=-1))[..., None]  # (2m, 4, 2, 1): diagonals
+    steps = b_long * e[:, 0].swapaxes(1, 2)  # the factors of _step, first to last
+    steps = e[:, 3] * (b_long @ (e[:, 2] * (b_back @ (e[:, 1] * steps))))
+    start, end = (scipy.linalg.eigh([[-alpha * t, delta], [delta, alpha * t]])[1]
+                  for t in (-t1, t1))
+    psi = start[:, 0].tolist()
+    for (a, b), (c, d) in steps.tolist():
+        psi = [a * psi[0] + b * psi[1], c * psi[0] + d * psi[1]]
+    return float(abs(end[:, 1] @ np.array(psi)) ** 2)
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 1.0, 2.0])
+def test_sweep_matches_full_span_stepwise_oracle(ratio):
+    # criterion 1's sweeps (delta^2 / alpha = ratio): the half span's map and its mirror
+    # A P A^T P against the 2m steps of the whole span applied one by one, on the same
+    # grid; only roundoff separates them (measured <= 4.5e-14)
+    alpha, delta = 1.0, math.sqrt(ratio)
+    t1 = 20.0 * max(delta, 1.0)
+    dt = 0.02 / math.hypot(alpha * t1, delta)
+    m = 32 * math.ceil(math.ceil(t1 / dt) / 32)  # the half span's steps, whole segments
+    want = full_span_oracle(alpha, delta, t1, m)
+    got = lz_two_level_ode(alpha, delta, (-t1, t1), dt)
+    assert abs(got - want) < 1e-12, (got, want)
+
+
 def recorded_bases(monkeypatch):
     """A list that gets the eigenvectors of every dynamics.lowest_eigenpairs call."""
     bases, solve = [], dynamics.lowest_eigenpairs
@@ -109,7 +145,8 @@ def test_shared_step_is_fourth_order():
     # local error O(h^5): halving h must cut it by ~32, and at least by 16
     alpha, delta, t_start = 1.0, 1.0, -0.3
     def step_identities(ph, coupling):
-        block = _identities(2, ph.shape[2])
+        block = np.empty((2, ph.shape[2], 2), complex)
+        block[...] = np.eye(2)[:, None]
         return _step(block, np.empty_like(block), ph, *coupling)
     errors = []
     for h in (0.2, 0.1, 0.05):
@@ -256,6 +293,14 @@ def test_cycle_map_steps_half_a_cycle(monkeypatch):
         assert {(x.shape, y.shape) for x, y in blocks} == {((dim, 32, dim), (dim, 32, dim))}
         # the two buffers trade places every step; no step gets a new one
         assert len({id(a) for pair in blocks for a in pair}) == 2
+    # the sweep steps its half span [0, t1] through the same build: m rounded up to
+    # whole segments, m / 32 steps of one (2, 32, 2) block, and the mirror for [-t1, 0]
+    blocks.clear()
+    span, dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
+    lz_two_level_ode(1.0, 1.0, span, dt)
+    assert len(blocks) == math.ceil(math.ceil(span[1] / dt) / 32)
+    assert {(x.shape, y.shape) for x, y in blocks} == {((2, 32, 2), (2, 32, 2))}
+    assert len({id(a) for pair in blocks for a in pair}) == 2
 
 
 def test_solver_memory_does_not_grow_with_the_step_count():
