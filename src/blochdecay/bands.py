@@ -34,8 +34,8 @@ _CHUNK_ELEMENTS = 2 ** 16
 # The work budget of any one estimate check_work is given: memory and time.
 MAX_WORK_BYTES = 2 ** 28
 MAX_WORK_SECONDS = 3.0
-# Seconds per call and flop/s of the two kernels check_work's table calibrates.
-WIDE_STEP_S, WIDE_STEP_FLOP_RATE = 2.5e-4, 6e10
+# Seconds per call and flop/s of the kernels check_work's table calibrates.
+WIDE_STEP_S, SWEEP_STEP_S, WIDE_STEP_FLOP_RATE = 2.5e-4, 6e-5, 6e10
 BAND_SOLVE_S, BAND_SOLVE_FLOP_RATE = 4e-6, 2e9
 
 
@@ -158,8 +158,8 @@ def check_work(flags: str, cost, *sizes: int) -> None:
     """Raise ValueError unless cost(*sizes), an estimate (bytes, seconds), fits the budget.
 
     The one refusal of oversized work, before anything is allocated:
-    step_grid, check_band_grid and the CLI's sweeps and resonance list each
-    state their own cost through it, naming the flags that set it.  Each
+    dynamics._half_steps, check_band_grid and the CLI's sweeps and resonance
+    list each state their own cost through it, naming the flags that set it.  Each
     size is counted as a float in [0, 1e300], so a 401-digit flag neither
     raises nor converts, and a cost that overflows is inf and refused.
     Nothing is timed at run time, so a refusal depends on the input alone:
@@ -169,6 +169,7 @@ def check_work(flags: str, cost, *sizes: int) -> None:
 
       kernel (flops per call)            per call  flop/s  model / measured
       half-cycle wide step (24 K dim^3)  0.25 ms   6e10    0.65-1.5, cutoffs 4 to 160
+      sweep wide step (dim 2)            60 us     6e10    0.91-1.08 at 625 to 62,500 calls
       band eigensolve (4/3 d^3)          4 us      2e9     0.6-1.4 to d = 69, 3.5 at 201
       sweep force, output row (cli)      1.5, 2.3 us       0.9-1.05 at 1 to 32 depths
       ret comment line (cli)             10 us             1.1 at --j-max 10^5
@@ -233,7 +234,7 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
     diagonalized: k = 1 (the same as -1) and, for even G, k = 0 count
     once, every other point twice.  Raises ValueError naming the cutoff
     when the mean at cutoff + 2 differs by more than GAP_CONVERGENCE_TOL
-    relative, or when a mean is not finite (it overflows near v0 = 1e308).
+    relative, or naming the depth when a mean is not finite (v0 near 1e308).
     """
     check_band_grid(2, grid_size, cutoff)
     k_half = 1.0 - 2.0 * np.arange(grid_size // 2 + 1) / grid_size
@@ -244,11 +245,12 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
     with np.errstate(over="ignore"):  # a sum past the float range is inf, refused below
         gap, check = (float(np.sum(weights * np.diff(lowest_bands(params, k_half, c, 2))[:, 0]))
                       / grid_size for c in (cutoff, cutoff + 2))
-    if not abs(check - gap) <= GAP_CONVERGENCE_TOL * abs(check):  # nan fails it too
-        moved = (f"is not finite at cutoff {cutoff} or {cutoff + 2}"
-                 if not math.isfinite(check - gap) else
-                 f"moves by {abs(check - gap) / abs(check):.1e} relative at cutoff {cutoff + 2}")
-        raise ValueError(f"mean band gap not converged at cutoff {cutoff}: it {moved} "
+    if not math.isfinite(check - gap):  # a larger cutoff cannot help here
+        raise ValueError(f"mean band gap not finite at cutoff {cutoff} or {cutoff + 2}: the "
+                         f"sum of gaps overflows at depth v0={params.v0}; reduce the depth")
+    if not abs(check - gap) <= GAP_CONVERGENCE_TOL * abs(check):
+        raise ValueError(f"mean band gap not converged at cutoff {cutoff}: it moves by "
+                         f"{abs(check - gap) / abs(check):.1e} relative at cutoff {cutoff + 2} "
                          f"(tolerance {GAP_CONVERGENCE_TOL}); increase the cutoff")
     return gap
 

@@ -264,6 +264,9 @@ def cmd_run(opts: dict) -> int:
     if lo >= opts["cycles"]:
         raise StageError(f"parameters: fit window {opts['fit_window']} needs cycles >= {lo + 1}, "
                          f"got {opts['cycles']}", stage="parameters")
+    if params.bloch_period < math.sqrt(sys.float_info.min):  # from f0 ~ 4.2e154
+        raise StageError(f"parameters: f0={opts['f0']} too large: the fit squares the plateau "
+                         "times n T_B = 2 pi n / f0, which underflow", stage="parameters")
     hi = min(hi, opts["cycles"])  # only HI is clamped, to the last plateau
     gap = _stage("band-structure", mean_band_gap, params,
                  grid_size=opts["grid"], cutoff=opts["band_cutoff"])

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (DEFAULT_CUTOFF, MIN_CUTOFF, WIDE_STEP_FLOP_RATE, WIDE_STEP_S,
-                    LatticeParams, build_bloch_hamiltonian, check_work,
+from .bands import (DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S, WIDE_STEP_FLOP_RATE,
+                    WIDE_STEP_S, LatticeParams, build_bloch_hamiltonian, check_work,
                     lowest_bands, lowest_eigenpairs)
 
 # Yoshida composition weights for the fourth-order splitting.
@@ -96,14 +96,13 @@ class HoustonState:
     """Plane-wave amplitudes at time tau: one snapshot, or a stack of them.
 
     amplitudes[..., i] belongs to mode n = i - cutoff at momentum
-    quasimomentum + 2n; n_folds counts the zone-edge relabelings applied
-    so far, so quasimomentum = f0 tau / pi - 2 n_folds stays in B.  A stack
-    (a trace) has a leading sample axis on every field and indexes like a list.
+    quasimomentum + 2n; quasimomentum is f0 tau / pi less the zone-edge
+    relabelings so far, 2 each, so it stays in B.  A stack (a trace) has a
+    leading sample axis on every field and indexes like a list.
     """
 
     amplitudes: np.ndarray
     time: float | np.ndarray
-    n_folds: int | np.ndarray
     quasimomentum: float | np.ndarray
 
     @property
@@ -119,8 +118,7 @@ class HoustonState:
         return len(self.time)
 
     def __getitem__(self, index) -> HoustonState:
-        return HoustonState(self.amplitudes[index], self.time[index], self.n_folds[index],
-                            self.quasimomentum[index])
+        return HoustonState(self.amplitudes[index], self.time[index], self.quasimomentum[index])
 
 
 def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
@@ -132,8 +130,8 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     symmetric and wide enough that the residual eigenbasis dressing at
     the edges is negligible: |t_edge| >= 20 max(delta/alpha, 1/sqrt(alpha)).
     A dt above 0.5 / hypot(alpha t_edge, delta) is refused up front.  The
-    half span [0, t_edge] takes m steps of t_edge / m <= dt, m rounded up
-    to a multiple of K = 32 as in step_grid; _half_span builds its map A,
+    half span [0, t_edge] takes _half_steps' m steps, as in step_grid but
+    priced at SWEEP_STEP_S per wide step; _half_span builds its map A,
     and the span's map is A P A^T P.  Both end bases come from one stacked
     lowest_eigenpairs call on the hamiltonians [[-alpha t, delta],
     [delta, alpha t]] at -+t_edge.
@@ -161,7 +159,7 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
             f"dt={dt} too coarse: {edge_rate * dt:.3g} rad per step at the span edge "
             f"(> 0.5); reduce dt below {0.5 / edge_rate:.3g}")
 
-    m = _HALF_SEGMENTS * math.ceil(math.ceil(t1 / dt) / _HALF_SEGMENTS)
+    m = _half_steps(t1, dt, 2, 0, SWEEP_STEP_S, "the sweep's steps t_edge / dt")
     h = t1 / m
     b_long, b_back = _coupling_exponentials(delta, 2, h)
     _, half_map = _half_span(2, m, lambda j: _sweep_phases(alpha, h * j, h), b_long, b_back)
@@ -198,35 +196,32 @@ def _coupling_exponentials(coupling: float, dim: int, dt: float):
     return expt(_W1 * dt), expt(_W0 * dt)
 
 
-def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
-    """Checked m of the solver: 2m steps of T_B / (2m) <= cfg.dt per cycle.
+def _half_steps(span: float, dt: float, dim: int, samples: int, step_s: float, flags: str) -> int:
+    """Steps m of a half span, ceil(span / dt) rounded up to a multiple of K = 32, priced.
 
-    m is ceil(T_B / (2 cfg.dt)) rounded up to a multiple of K = 32, so
-    each of the half cycle's K segments has m / K steps.  Raises ValueError
-    when cfg.dt itself gives fewer than MIN_SAMPLES_PER_CYCLE steps per
-    cycle, or, through bands.check_work, when evolve_lattice would not fit
-    the work budget.  Its memory is its two (dim, K, dim) complex blocks,
-    16 K dim^2 bytes each, and the trace; nothing it holds grows with m.
-    Its time is the half cycle's m / K wide steps, each three complex
-    (dim, dim) x (dim, K dim) gemms, 24 K dim^3 flops.  An f0 near 0 makes
-    T_B and m inf, which the budget refuses.  At dt = 0.01 and 0.001,
-    cutoffs 8 to 64 and 1 or 4 cycles, the memory estimate fell below
-    tracemalloc's peak by at most 11% from cutoff 24 up and by up to 36% at
-    cutoff 8 (315 kB against 491 kB): the per-step phases and the coupling
-    eigensolve, which the estimate leaves out, grow slower than dim^2.
+    bands.check_work refuses, naming flags, a build whose two (dim, K, dim)
+    blocks (16 K dim^2 bytes each) and samples (16 dim + 24 bytes each) or
+    m / K wide steps (step_s + 24 K dim^3 flops each) exceed the budget.
     """
-    half = params.bloch_period / 2.0 / cfg.dt
-    m = float(_HALF_SEGMENTS * np.ceil(half / _HALF_SEGMENTS))
+    m = float(_HALF_SEGMENTS * np.ceil(span / dt / _HALF_SEGMENTS))
     def cost(dim, samples):
         k = _HALF_SEGMENTS
         return (2.0 * 16.0 * k * dim * dim + samples * (16.0 * dim + 24.0),
-                m / k * (WIDE_STEP_S + 24.0 * k * dim * dim * dim / WIDE_STEP_FLOP_RATE))
-    check_work("the cutoff, the cycles and the steps per cycle 2 pi / (f0 dt)", cost,
-               2 * cfg.cutoff + 1, MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1)
-    if 2 * math.ceil(half) < MIN_SAMPLES_PER_CYCLE:
-        raise ValueError(f"dt={cfg.dt} gives {2 * math.ceil(half)} steps per cycle; "
-                         f"need >= {MIN_SAMPLES_PER_CYCLE}")
+                m / k * (step_s + 24.0 * k * dim * dim * dim / WIDE_STEP_FLOP_RATE))
+    check_work(flags, cost, dim, samples)
     return int(m)
+
+
+def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
+    """Checked m of the solver, _half_steps of T_B / 2: 2m steps of T_B / (2m) <= cfg.dt per cycle.
+
+    m >= K, so every dt gives at least 64 steps per cycle, one per sample.
+    The memory estimate fell below tracemalloc's peak by up to 36% at
+    cutoff 8 and 11% from cutoff 24 up (dt 0.01, 0.001; 1 or 4 cycles).
+    """
+    return _half_steps(params.bloch_period / 2.0, cfg.dt, 2 * cfg.cutoff + 1,
+                       MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1, WIDE_STEP_S,
+                       "the cutoff, the cycles and the steps per cycle 2 pi / (f0 dt)")
 
 
 def _kinetic_phases(k_start: np.ndarray, c: float, dt: float, cutoff: int) -> np.ndarray:
@@ -323,9 +318,9 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     cycle starts x_n = M^n psi0 give the per-cycle norm monitor.  The block
     (dim, N) of cycle starts walks through G_0 .. G_{K-1}, is folded, and
     walks back through the mirror images x[::-1] <- G_j^T x[::-1], j = K-1
-    .. 1; the mirror of G_0 ends on x_{n+1}.  Times, fold counts and
-    quasimomenta are those of a stepwise loop over all cycles; amplitudes
-    agree with it to roundoff.
+    .. 1; the mirror of G_0 ends on x_{n+1}.  Times and quasimomenta are
+    those of a stepwise loop over all cycles; amplitudes agree with it to
+    roundoff.
     """
     m = step_grid(params, cfg)
     dt = params.bloch_period / 2.0 / m
@@ -367,7 +362,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
         samples[:, 2 * n_seg - 1 - j] = x.T
     steps = per * np.arange(len(amplitudes))
     folds = (steps + m) // (2 * m)
-    return HoustonState(amplitudes, steps * dt, folds, steps / m - 2.0 * folds)
+    return HoustonState(amplitudes, steps * dt, steps / m - 2.0 * folds)
 
 
 def band_projections(states: HoustonState, params: LatticeParams, n_bands: int = 2,

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,9 +314,7 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         assert main(["scaling", "--v0", depths, "--out", str(tmp_path / "e.csv")]) == 2
         assert f"error: parameters: bad depth list {depths!r}" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
-    for argv in (["run", "--v0", "1", "--f0", "0.4", "--dt", "1"],
-                 ["run", "--v0", "1", "--f0", "50"],
-                 ["run", "--v0", "1", "--f0", "0.4", "--cycles", "2"],
+    for argv in (["run", "--v0", "1", "--f0", "0.4", "--cycles", "2"],
                  ["run", "--v0", "1", "--f0", "0.4", "--cycles", "4", "--fit-window", "4:9"],
                  ["ret", "--v0", "1", "--n-points", "0", "--f0-min", "-1"],
                  ["run", "--v0", "1", "--f0", "0.4", "--grid", "8"],
@@ -327,6 +326,21 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "p")]
         assert main(argv + out) == 2
         assert "error: parameters:" in capsys.readouterr().err
+    # a dt above T_B / 64 and a strong force run on the 64-step grid, one step a sample
+    for argv in (["run", "--v0", "1", "--f0", "0.4", "--dt", "1", "--cycles", "6",
+                  "--fit-window", "1:5"], ["run", "--v0", "1", "--f0", "50"]):
+        assert main(argv + ["--out-prefix", str(tmp_path / "coarse")]) == 0, argv
+    capsys.readouterr()
+    # from f0 ~ 4.2e154 the fit's squared plateau times (n T_B)^2 underflow: refused before
+    # any work, with no warning and nothing on stdout, where the fit's LAPACK call prints
+    for f0 in ("1e200", "1.7e308"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--v0", "1", "--f0", f0,
+                         "--out-prefix", str(tmp_path / "fast")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: parameters: f0=" in err and not caught, (f0, caught)
+    assert not list(tmp_path.glob("fast*"))
     # runs whose half cycle would take ~18 s or more (m = 820,288 at --dt 1e-5, forces of
     # 1e-300 and 1e-303) or whose solver would hold gigabytes (64e7 samples, 4 GB of
     # segment maps) are refused before any of it is allocated, and without a numpy
@@ -525,6 +539,8 @@ def test_gap_check_exits_three_naming_stage_and_cutoff(tmp_path, capsys):
         assert main(["scaling", "--v0", depth] + out) == 3
         err = capsys.readouterr().err
         assert "band-structure" in err and "cutoff 10" in err and "nan" not in err
+    # the overflow is in the depth, not the basis: the advice names the depth
+    assert "increase the cutoff" not in err and "v0=1e+308" in err
     assert main(["scaling", "--v0", "100"] + out) == 0
 
 

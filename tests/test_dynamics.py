@@ -61,6 +61,19 @@ def test_sweep_validates_span_and_inputs():
         lz_two_level_ode(1.0, 1.0, (-20.0, 20.0), 0.0)
 
 
+def test_sweep_step_count_is_priced_before_any_step(monkeypatch):
+    # the half span's m, ceil(t1 / dt) rounded up to whole segments, goes through the
+    # work budget: 2e8 steps at dt = 1e-7 (~6 minutes) and an m past the float range are
+    # refused before the first step
+    def never(*args):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(dynamics, "_step", never)
+    budget = r"the sweep's steps t_edge / dt need ~\S+ bytes / ~\S+ s \(limit "
+    for dt in (1e-7, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match=budget):
+            lz_two_level_ode(1.0, 1.0, (-20.0, 20.0), dt)
+
+
 def test_sweep_norm_drift_error_advises_smaller_dt():
     with pytest.raises(ValueError, match="reduce dt"):
         lz_two_level_ode(1.0, 1.0, (-20.0, 20.0), 0.5)
@@ -170,8 +183,8 @@ def oracle_steps(params, cfg, psi, k0=0.0):
 
     k0 = 0 starts the run at step s = 0.  k0 = -1, the zone edge, resumes it at
     s = m, after its first fold; k0 = 1 is the same edge state labeled from the
-    right, relabeled to -1 first.  Times, fold counts and quasimomenta are the
-    run's from k = 0, and the state at the start comes first; the kinetic phases
+    right, relabeled to -1 first.  Times and quasimomenta are the run's from
+    k = 0, and the state at the start comes first; the kinetic phases
     are the loop's own, on the steps from k0.  The run ends with cycle
     cfg.n_cycles; a norm change in one of its cycles raises NormDriftError.
     """
@@ -192,7 +205,7 @@ def oracle_steps(params, cfg, psi, k0=0.0):
     phases = seg[:, None] / 3.0 * (x1 ** 2 + x1 * x2 + x2 ** 2)
     start = 0 if k0 == 0.0 else m
     folds, norm_prev = int(start > 0), 1.0
-    yield start, HoustonState(psi.copy(), start * dt, folds, start / m - 2.0 * folds)
+    yield start, HoustonState(psi.copy(), start * dt, start / m - 2.0 * folds)
     for j in range(2 * m * cfg.n_cycles - start):
         ph = phases[j % (2 * m)]
         psi = b_long @ (np.exp(-1j * ph[0]) * psi)
@@ -211,7 +224,7 @@ def oracle_steps(params, cfg, psi, k0=0.0):
             if abs(norm_now - norm_prev) > NORM_TOLERANCE:
                 raise NormDriftError(f"norm changed in cycle {s // (2 * m)} ")
             norm_prev = norm_now
-        yield s, HoustonState(psi.copy(), s * dt, folds, k_now)
+        yield s, HoustonState(psi.copy(), s * dt, k_now)
 
 
 def stepwise_oracle(params, cfg, psi, k0=0.0):
@@ -231,10 +244,10 @@ def stepwise_oracle(params, cfg, psi, k0=0.0):
 # dt = 0.13 gives m = 64: 32 segments of 2 steps.  dt = 0.01 gives m = 832 = 32 * 26
 # (ceil(T_B / 0.02) = 821, rounded up).  The stepwise oracle takes ~1 s for 10 cycles at
 # dt = 0.01, so two cases cover that.
-# (k0, v0, dt, cycles, cutoff); the escaped population moves one mode outwards per cycle.
+# (k0, v0, dt, cycles, cutoff, f0); the escaped population moves one mode outwards per cycle.
 # The solver starts at k0 = 0 only; from the zone edge k0 = -+1 the oracle resumes
 # its run half a cycle in and follows it for `cycles` more (see the test).
-PARITY_CASES = [pytest.param(k0, v0, dt, cycles, 8 if cycles == 1 else 20,
+PARITY_CASES = [pytest.param(k0, v0, dt, cycles, 8 if cycles == 1 else 20, 0.383,
                              id=f"{k0}-{v0}-{dt}-{cycles}")
                 for k0, v0, dt, cycles in
                 [(k0, v0, dt, cycles) for k0 in (0.0, -1.0, 1.0) for v0 in (0.0, 1.0)
@@ -243,17 +256,19 @@ PARITY_CASES = [pytest.param(k0, v0, dt, cycles, 8 if cycles == 1 else 20,
 # The identity block at its widest, the shortest segments, and a wide walk:
 PARITY_CASES += [
     # the operating point: one (65, 32, 65) block steps the 32 segments of 26 steps
-    pytest.param(0.0, 1.0, 0.01, 3, 32, id="one-block-at-cutoff-32"),
+    pytest.param(0.0, 1.0, 0.01, 3, 32, 0.383, id="one-block-at-cutoff-32"),
     # 64 steps per cycle at cutoff 4: every segment is one step
-    pytest.param(0.0, 1.0, 0.26, 1, 4, id="one-step-segments"),
+    pytest.param(0.0, 1.0, 0.26, 1, 4, 0.383, id="one-step-segments"),
     # 14 cycle starts on 11 modes: the walk's blocks are wider than they are tall
-    pytest.param(0.0, 18.0, 0.01, 14, 5, id="more-cycles-than-modes"),
+    pytest.param(0.0, 18.0, 0.01, 14, 5, 0.383, id="more-cycles-than-modes"),
+    # a strong force: T_B / 2 = 0.105 asks for 11 steps of dt, and m rounds up to 32
+    pytest.param(0.0, 40.0, 0.01, 3, 8, 30.0, id="strong-force-one-step-segments"),
 ]
 
 
-@pytest.mark.parametrize("k0, v0, dt, cycles, cutoff", PARITY_CASES)
-def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff):
-    params = LatticeParams(v0, 0.383)
+@pytest.mark.parametrize("k0, v0, dt, cycles, cutoff, f0", PARITY_CASES)
+def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff, f0):
+    params = LatticeParams(v0, f0)
     cfg = SolverConfig(cutoff=cutoff, dt=dt, n_cycles=cycles if k0 == 0.0 else cycles + 1)
     states = evolve_lattice(params, cfg)
     psi = states[0].amplitudes
@@ -269,8 +284,7 @@ def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff):
     states = [state for state in states if state.time >= expected[0].time]
     assert len(states) == len(expected)
     for got, want in zip(states, expected):
-        assert (got.time, got.n_folds, got.quasimomentum) == (
-            want.time, want.n_folds, want.quasimomentum)
+        assert (got.time, got.quasimomentum) == (want.time, want.quasimomentum)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-11
 
 
@@ -417,8 +431,13 @@ def test_sampling_density_and_final_sample(paper_params):
     t_bloch = paper_params.bloch_period
     assert len(states) == 3 * MIN_SAMPLES_PER_CYCLE + 1
     assert states[-1].time == pytest.approx(3 * t_bloch, rel=1e-12)
-    with pytest.raises(ValueError):
-        evolve_lattice(paper_params, SolverConfig(dt=1.0))  # < 64 steps per cycle
+    # a dt above T_B / 64 still gets 64 steps per cycle, one per sample: dt = 1 runs the
+    # grid of dt = T_B / 64, bit for bit
+    coarse, fine = (evolve_lattice(paper_params, SolverConfig(dt=dt, n_cycles=3))
+                    for dt in (1.0, t_bloch / 64))
+    assert len(coarse) == 3 * MIN_SAMPLES_PER_CYCLE + 1
+    for field in ("amplitudes", "time", "quasimomentum"):
+        assert np.array_equal(getattr(coarse, field), getattr(fine, field)), field
 
 
 def test_step_grid_rounds_m_up_to_whole_segments(paper_params):
@@ -429,11 +448,10 @@ def test_step_grid_rounds_m_up_to_whole_segments(paper_params):
     m = step_grid(paper_params, SolverConfig(dt=dt))
     assert m == 64 and m % 32 == 0
     assert t_bloch / (2 * m) <= dt
-    # the 64-step floor holds for the requested dt: 61 steps per cycle would round up
-    # to 64, and are refused
-    for coarse in (t_bloch / 61, 1.0):
-        with pytest.raises(ValueError, match="steps per cycle"):
-            step_grid(paper_params, SolverConfig(dt=coarse))
+    # a dt of T_B / 64 or more gives the fewest whole segments, m = 32 of one step each:
+    # 61 steps per cycle or dt = 1 round up to dt = T_B / 64's grid, and the step shrinks
+    for coarse in (t_bloch / 64, t_bloch / 61, 1.0):
+        assert step_grid(paper_params, SolverConfig(dt=coarse)) == 32
 
 
 def test_projections_complete_and_consistent(trace_v1, paper_params):
@@ -456,12 +474,11 @@ def test_eigensolver_failure_maps_to_eigensolver_error(trace_v1, paper_params,
 def test_gauge_fold_invariance(paper_params):
     # every fold step is a sample
     states = evolve_lattice(paper_params, SolverConfig(dt=0.13, n_cycles=2))
-    folded = next(s for s in states if s.n_folds >= 1 and s.quasimomentum == -1.0)
+    folded = next(s for s in states if s.quasimomentum == -1.0)
     # undo the relabeling: same physical momenta expressed at k = +1
     pre = np.zeros_like(folded.amplitudes)
     pre[:-1] = folded.amplitudes[1:]
-    unfolded = HoustonState(amplitudes=pre, time=folded.time, n_folds=folded.n_folds - 1,
-                            quasimomentum=1.0)
+    unfolded = HoustonState(amplitudes=pre, time=folded.time, quasimomentum=1.0)
     assert band_survival(unfolded, paper_params) == pytest.approx(
         band_survival(folded, paper_params), abs=1e-10)
 
@@ -474,7 +491,6 @@ def test_cycle_boundaries_are_samples_and_plateaus_are_overlaps(trace_v1, paper_
     n = np.arange(len(boundaries))
     assert len(boundaries) == 11 and len(trace_v1) == 641
     assert [st.quasimomentum for st in boundaries] == [0.0] * 11
-    assert [st.n_folds for st in boundaries] == n.tolist()
     t_bloch = paper_params.bloch_period
     assert np.allclose([st.time for st in boundaries], n * t_bloch, rtol=1e-14, atol=0)
     psi0 = trace_v1[0].amplitudes
@@ -498,9 +514,11 @@ def test_plateau_structure(trace_v1, paper_params):
 
 
 def test_folded_k_consistent_with_stored_quasimomentum(trace_v1, paper_params):
+    # the stored k is f0 tau / pi less 2 per fold so far, and lies in B = [-1, 1)
     for state in trace_v1[::37]:
-        k = paper_params.f0 * state.time / math.pi - 2 * state.n_folds
-        assert k == pytest.approx(state.quasimomentum, abs=1e-9)
+        folds = (paper_params.f0 * state.time / math.pi - state.quasimomentum) / 2.0
+        assert folds == pytest.approx(round(folds), abs=1e-9)
+        assert -1.0 <= state.quasimomentum < 1.0
 
 
 def test_trace_rows_shape(trace_v1, paper_params):
@@ -536,7 +554,7 @@ def test_band_projections_chunk_many_distinct_k_and_match_one_at_a_time(monkeypa
     k = rng.uniform(-1.0, 1.0, 300)
     k = np.concatenate([k, rng.choice(k, 100)])
     amps = rng.normal(size=(400, 25)) + 1j * rng.normal(size=(400, 25))
-    states = HoustonState(amps, np.arange(400.0), np.zeros(400, int), k)
+    states = HoustonState(amps, np.arange(400.0), k)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))

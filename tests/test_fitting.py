@@ -47,8 +47,7 @@ def test_plateaus_read_the_sample_nearest_each_cycle_boundary(trace_v1, paper_pa
     t_bloch = paper_params.bloch_period
     times = trace_v1.time.copy()
     times[1:-1] += 0.6 * times[1]
-    shifted = HoustonState(trace_v1.amplitudes, times, trace_v1.n_folds,
-                           trace_v1.quasimomentum)
+    shifted = HoustonState(trace_v1.amplitudes, times, trace_v1.quasimomentum)
     picks = [int(np.argmin(np.abs(times - n * t_bloch))) for n in range(11)]
     assert picks == [0] + [64 * n - 1 for n in range(1, 10)] + [640]
     want = band_projections(trace_v1[picks], paper_params)[:, 0]
