@@ -324,7 +324,7 @@ def cmd_run(opts: dict) -> int:
     print(f"wrote {t_csv} {s_csv} {f_json} {c_csv}")
     if fit_full:
         print(f"z={fit_full.z:.6g} gamma={fit_full.gamma:.6g} "
-              f"max_rel_dev={max_dev:.4g}")
+              f"max_rel_dev={max_dev:.4g} residual={fit_full.residual:.3g}")
     return 0
 
 

@@ -247,7 +247,7 @@ def _fold(x: np.ndarray) -> np.ndarray:
 
     It ends the half cycle, in the cycle map and on the samples at k = 1.
     The top mode's amplitude is dropped; the norm monitor on the cycle
-    starts catches a loss that matters.
+    starts (rows 64 n of the trace) catches a loss that matters.
     """
     x[1:] = x[:-1]
     x[0] = 0.0
@@ -309,18 +309,18 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     Returns one HoustonState stack: the start and MIN_SAMPLES_PER_CYCLE
     samples per cycle, m / K steps apart at the ends of the cycle's
     segments; sample 64 n is n T_B, where k is back at 0, and 64 n - 32 the
-    fold at k = 1.  Raises NormDriftError when the per-cycle norm change
-    exceeds NORM_TOLERANCE (the usual cause is a cutoff too small to hold
-    the escaped population for the requested number of cycles).
+    fold at k = 1.  Raises NormDriftError naming the first cycle whose norm
+    change exceeds NORM_TOLERANCE: the cutoff is too small for the escaped
+    population, which climbs one mode per cycle (a smaller dt does not help).
 
     _half_span steps the half cycle (k from 0 to 1) to the segment maps G_j
-    and the half-cycle map A.  The cycle map is M = P A^T P F A, and the
-    cycle starts x_n = M^n psi0 give the per-cycle norm monitor.  The block
-    (dim, N) of cycle starts walks through G_0 .. G_{K-1}, is folded, and
-    walks back through the mirror images x[::-1] <- G_j^T x[::-1], j = K-1
-    .. 1; the mirror of G_0 ends on x_{n+1}.  Times and quasimomenta are
-    those of a stepwise loop over all cycles; amplitudes agree with it to
-    roundoff.
+    and the half-cycle map A.  The cycle map is M = P A^T P F A; the cycle
+    starts x_n = M^n psi0 fill rows 64 n, and the norm monitor reads their
+    norms as one array.  The block (dim, N) of cycle starts walks through
+    G_0 .. G_{K-1}, is folded, and walks back through the mirror images
+    x[::-1] <- G_j^T x[::-1], j = K-1 .. 1; the mirror of G_0 ends on
+    x_{n+1}.  Times and quasimomenta are those of a stepwise loop over all
+    cycles; amplitudes agree with it to roundoff.
     """
     m = step_grid(params, cfg)
     dt = params.bloch_period / 2.0 / m
@@ -340,16 +340,13 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     _, vec = lowest_eigenpairs(build_bloch_hamiltonian(params, 0.0, cfg.cutoff), 1,
                                vectors=True)
     starts[0] = vec[:, 0]
-    norm_prev = 1.0
     for n in range(1, cfg.n_cycles + 1):
         starts[n] = cycle_map @ starts[n - 1]
-        norm_now = float(np.linalg.norm(starts[n]))
-        if abs(norm_now - norm_prev) > NORM_TOLERANCE:
-            raise NormDriftError(
-                f"norm changed by {abs(norm_now - norm_prev):.2e} in cycle "
-                f"{n} (tolerance {NORM_TOLERANCE}); increase the "
-                f"cutoff or reduce dt")
-        norm_prev = norm_now
+    drift = np.abs(np.diff(np.linalg.norm(starts, axis=1)))
+    n = int(np.argmax(drift > NORM_TOLERANCE))  # the first cycle over tolerance, if any
+    if drift[n] > NORM_TOLERANCE:
+        raise NormDriftError(f"norm changed by {drift[n]:.2e} in cycle {n + 1} "
+                             f"(tolerance {NORM_TOLERANCE}); increase the cutoff")
 
     samples = amplitudes[1:].reshape(cfg.n_cycles, 2 * n_seg, dim)
     x = starts[:-1].T

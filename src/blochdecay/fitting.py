@@ -1,14 +1,14 @@
 """Plateau extraction and exponential fits of stepped survival curves.
 
 The survival probability of the driven lattice is flat between zone-edge
-crossings; the plateau centers sit at t = n T_B.  Fitting ln P against t
+crossings; the plateau centers sit at t = n T_B, the cycle starts that
+every evolve_lattice trace holds in rows 64 n.  Fitting ln P against t
 over a late window gives the asymptotic rate gamma and the intercept
 z = exp(ln P extrapolated to t = 0), the wave-function renormalization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +49,11 @@ def extract_plateaus(trace, params: LatticeParams | None = None, *,
                      band_cutoff: int = DEFAULT_CUTOFF) -> SurvivalSeries:
     """Plateau values from a solver trace; a SurvivalSeries is returned as it is.
 
-    For a HoustonState stack in time order, picks the sample nearest each
-    t = n T_B (in an evolve_lattice trace, the sample at n T_B itself) and
-    projects them all onto the two lowest instantaneous bands in one
-    band_projections call, the one the trace's P1 comes from; requires at
-    least MIN_CYCLES cycles of coverage with MIN_SAMPLES_PER_CYCLE samples
-    per cycle.
+    The plateaus of an evolve_lattice trace are its cycle starts, rows 64 n
+    at t = n T_B (k = 0), projected onto the two lowest instantaneous bands
+    in one band_projections call, the one the trace's P1 comes from.  Needs
+    MIN_CYCLES whole cycles; rows 64 n not at n T_B of params (1e-12
+    relative), as in a trace made at another force, raise ValueError.
     """
     if isinstance(trace, SurvivalSeries):
         return trace
@@ -62,20 +61,16 @@ def extract_plateaus(trace, params: LatticeParams | None = None, *,
         raise ValueError("params required to extract plateaus from a solver trace")
     if np.ndim(trace.time) == 0 or len(trace) < 2:  # a snapshot has no sample axis
         raise TraceTooShortError("trace has fewer than 2 samples")
+    starts = trace[::MIN_SAMPLES_PER_CYCLE]
+    if len(starts) <= MIN_CYCLES:
+        raise TraceTooShortError(
+            f"trace covers {len(starts) - 1} whole Bloch cycles, need >= {MIN_CYCLES}")
     t_bloch = params.bloch_period
-    times = trace.time
-    t_max = float(times[-1])
-    n_cycles = t_max / t_bloch
-    if n_cycles < MIN_CYCLES - 1e-9:
-        raise TraceTooShortError(
-            f"trace covers {n_cycles:.2f} Bloch cycles, need >= {MIN_CYCLES}")
-    per_cycle = (len(trace) - 1) / n_cycles
-    if per_cycle < MIN_SAMPLES_PER_CYCLE - 1e-3:  # n_cycles may exceed an integer by roundoff
-        raise TraceTooShortError(
-            f"trace has {per_cycle:.1f} samples per cycle, need >= {MIN_SAMPLES_PER_CYCLE}")
-    centers = t_bloch * np.arange(int(math.floor(n_cycles + 1e-9)) + 1)
-    nearest = np.rint(np.interp(centers, times, np.arange(len(times)))).astype(int)
-    values = band_projections(trace[nearest], params, 2, band_cutoff)[:, 0]
+    centers = t_bloch * np.arange(len(starts))
+    if not np.all(np.abs(starts.time - centers) <= 1e-12 * centers):
+        raise ValueError(f"trace rows {MIN_SAMPLES_PER_CYCLE} n are not at n T_B of params "
+                         f"(T_B = {t_bloch:.6g}): not this lattice's cycle starts")
+    values = band_projections(starts, params, 2, band_cutoff)[:, 0]
     return SurvivalSeries(probabilities=values, t_bloch=t_bloch)
 
 

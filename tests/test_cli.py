@@ -126,6 +126,19 @@ def test_fit_window_clamps_only_hi(tmp_path):
     assert json.loads((tmp_path / "w_fit.json").read_text())["full_fit"]["window"] == [4, 6]
 
 
+def test_summary_line_shows_the_fit_residual(tmp_path, capsys):
+    # at v0 = 40, f0 = 30 the exact plateaus oscillate instead of decaying: the fit's
+    # residual, 0.13, is on the summary line next to z and gamma, as in fit.json
+    prefix = tmp_path / "strong"
+    assert main(["run", "--v0", "40", "--f0", "30", "--cycles", "6", "--fit-window", "1:5",
+                 "--out-prefix", str(prefix)]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    residual = float(re.search(r" residual=(\S+)$", summary)[1])
+    assert residual > 0.1
+    fit = json.loads((tmp_path / "strong_fit.json").read_text())["full_fit"]
+    assert residual == float(f"{fit['residual']:.3g}")
+
+
 def test_fit_json_is_strict_json_when_a_deviation_is_infinite(tmp_path):
     # at v0 = 1e-200 the step model's P_eff reaches 0 while P_full does not, so the
     # largest relative deviation is inf: it is written as null, like nan
@@ -530,6 +543,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "full-solver" in err
+    assert "increase the cutoff" in err and "reduce dt" not in err
 
 
 def test_gap_check_exits_three_naming_stage_and_cutoff(tmp_path, capsys):

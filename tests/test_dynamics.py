@@ -74,7 +74,7 @@ def test_sweep_step_count_is_priced_before_any_step(monkeypatch):
             lz_two_level_ode(1.0, 1.0, (-20.0, 20.0), dt)
 
 
-def test_sweep_norm_drift_error_advises_smaller_dt():
+def test_sweep_coarse_dt_error_advises_smaller_dt():
     with pytest.raises(ValueError, match="reduce dt"):
         lz_two_level_ode(1.0, 1.0, (-20.0, 20.0), 0.5)
 

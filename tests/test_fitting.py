@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochdecay import (HoustonState, LatticeParams, SolverConfig, StepIngredients,
-                        SurvivalSeries, TraceTooShortError, band_projections, band_survival,
+                        SurvivalSeries, TraceTooShortError, band_survival,
                         compare_models, default_window, evolve_lattice,
                         evolve_steps, extract_plateaus, fit_exponential,
                         gamma_asymptotic, spectral_decompose, step_operator,
@@ -41,17 +41,24 @@ def test_extract_plateaus_makes_one_eigensolver_call(trace_v1, paper_params, mon
     assert calls == [(1, 21, 21)]  # the 11 plateaus all sit at k = 0
 
 
-def test_plateaus_read_the_sample_nearest_each_cycle_boundary(trace_v1, paper_params):
-    # inner samples moved 0.6 strides later: the sample before each boundary is now
-    # nearest n T_B; reference: one argmin over |t - n T_B| per plateau
-    t_bloch = paper_params.bloch_period
+def test_plateaus_refuse_rows_off_the_cycle_boundaries(trace_v1, paper_params):
+    # the plateaus are rows 64 n; a trace whose rows 64 n are not at n T_B of params
+    # is refused, not searched for the sample nearest each boundary
     times = trace_v1.time.copy()
-    times[1:-1] += 0.6 * times[1]
+    times[1:-1] += 0.6 * times[1]  # inner samples moved 0.6 strides later
     shifted = HoustonState(trace_v1.amplitudes, times, trace_v1.quasimomentum)
-    picks = [int(np.argmin(np.abs(times - n * t_bloch))) for n in range(11)]
-    assert picks == [0] + [64 * n - 1 for n in range(1, 10)] + [640]
-    want = band_projections(trace_v1[picks], paper_params)[:, 0]
-    assert np.array_equal(extract_plateaus(shifted, paper_params).probabilities, want)
+    with pytest.raises(ValueError, match="not at n T_B"):
+        extract_plateaus(shifted, paper_params)
+    # the trace made at f0 = 0.383 read with the params of another force
+    with pytest.raises(ValueError, match="not at n T_B"):
+        extract_plateaus(trace_v1, LatticeParams(paper_params.v0, 0.3))
+
+
+def test_trace_cut_mid_cycle_gives_its_whole_cycles_plateaus(trace_v1, paper_params):
+    # rows 0 .. 199 hold the cycle starts 0, 64, 128 and 192
+    cut = extract_plateaus(trace_v1[:200], paper_params).probabilities
+    full = extract_plateaus(trace_v1, paper_params).probabilities
+    assert np.array_equal(cut, full[:4])
 
 
 def test_trace_too_short_raises(paper_params):
