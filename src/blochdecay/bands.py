@@ -37,6 +37,7 @@ MAX_WORK_SECONDS = 3.0
 # Seconds per call and flop/s of the kernels check_work's table calibrates.
 WIDE_STEP_S, SWEEP_STEP_S, WIDE_STEP_FLOP_RATE = 2.5e-4, 6e-5, 6e10
 BAND_SOLVE_S, BAND_SOLVE_FLOP_RATE = 4e-6, 2e9
+TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S = 1100.0, 8.5e-6  # a trace sample, projected and written
 
 
 class EigensolverError(RuntimeError):
@@ -171,6 +172,7 @@ def check_work(flags: str, cost, *sizes: int) -> None:
       half-cycle wide step (24 K dim^3)  0.25 ms   6e10    0.65-1.5, cutoffs 4 to 160
       sweep wide step (dim 2)            60 us     6e10    0.91-1.08 at 625 to 62,500 calls
       band eigensolve (4/3 d^3)          4 us      2e9     0.6-1.4 to d = 69, 3.5 at 201
+      trace sample: P1, P2, CSV row      8.5 us            1.3-2.0 at cutoffs 8 to 32
       sweep force, output row (cli)      1.5, 2.3 us       0.9-1.05 at 1 to 32 depths
       ret comment line (cli)             10 us             1.1 at --j-max 10^5
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,13 +25,12 @@ import numpy as np
 from . import __version__
 from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, LatticeParams, band_energies,
                     check_band_grid, check_work, mean_band_gap)
-from .dynamics import SolverConfig, evolve_lattice, step_grid, trace_rows
-from .fitting import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, MIN_CYCLES,
-                      compare_models, extract_plateaus, fit_exponential)
-from .stepmodel import (DegenerateSpectrumError, StepIngredients, evolve_steps,
-                        gamma_asymptotic, renorm_fit, ret_resonances,
-                        spectral_decompose, step_operator, z_exact,
-                        z_first_order)
+from .dynamics import (MIN_CYCLES, SolverConfig, evolve_lattice, extract_plateaus, step_grid,
+                       trace_rows)
+from .stepmodel import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, DegenerateSpectrumError,
+                        StepIngredients, compare_models, evolve_steps, fit_exponential,
+                        gamma_asymptotic, renorm_fit, ret_resonances, spectral_decompose,
+                        step_operator, z_exact, z_first_order)
 
 OUTDIR_ENV = "BLOCHDECAY_OUTDIR"
 # Values _write_csv formats at a time: 4,096 rows of 4 columns.
@@ -171,16 +171,20 @@ def build_parser() -> argparse.ArgumentParser:
     for command, spec in _SPECS.items():
         sp = sub.add_parser(command)
         for name, typ, default, help_text in spec:
-            sp.add_argument(f"--{name}", type=typ, default=argparse.SUPPRESS,
-                            required=default is None, help=help_text,
-                            dest=name.replace("-", "_"))
-        sp.set_defaults(handler=handlers[command])
+            sp.add_argument(f"--{name}", type=typ, default=default,
+                            required=default is None, help=help_text)
+        sp.set_defaults(handler=handlers[command], subparser=sp)
     return parser
 
 
-def _read_config(path: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+def _config_defaults(command: str, path: str, parser: argparse.ArgumentParser) -> dict:
+    """A config file's `key = value` lines as command's typed defaults; all read before a check."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:  # ValueError covers bad bytes
+        parser.error(f"config: cannot read {path}: {exc}")
+    pairs = {}
+    for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -191,33 +195,17 @@ def _read_config(path: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         val = val.strip()
         if not key or not val:
-            raise ValueError(f"malformed config line: {raw!r}")
+            parser.error(f"config: cannot read {path}: malformed config line: {raw!r}")
         pairs[key] = val
-    return pairs
-
-
-def _merge_options(command: str, args: argparse.Namespace,
-                   parser: argparse.ArgumentParser) -> dict:
-    spec = {name.replace("-", "_"): (typ, default)
-            for name, typ, default, _ in _SPECS[command]}
-    merged = {key: default for key, (_, default) in spec.items() if default is not None}
-    given = {k: v for k, v in vars(args).items() if k in spec}
-    config_path = given.get("config", "")
-    if config_path:
+    types = {name.replace("-", "_"): typ for name, typ, _, _ in _SPECS[command]}
+    for key, raw in pairs.items():
+        if key not in types:
+            parser.error(f"config: unknown key {key!r} for command {command!r}")
         try:
-            pairs = _read_config(config_path)
-        except (OSError, ValueError) as exc:  # ValueError covers bad lines and bytes
-            parser.error(f"config: cannot read {config_path}: {exc}")
-        for key, raw in pairs.items():
-            if key not in spec:
-                parser.error(f"config: unknown key {key!r} for command {command!r}")
-            typ = spec[key][0]
-            try:
-                merged[key] = typ(raw)
-            except ValueError:
-                parser.error(f"config: bad value for {key!r}: {raw!r}")
-    merged.update(given)
-    return merged
+            pairs[key] = types[key](raw)
+        except ValueError:
+            parser.error(f"config: bad value for {key!r}: {raw!r}")
+    return pairs
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -302,7 +290,7 @@ def cmd_run(opts: dict) -> int:
                    [n, plate_full.probabilities, series.probabilities, devs])
     fit_doc = {
         "runspec": json.loads(runspec),
-        "full_fit": fit_full.to_json_dict() if fit_full else None,
+        "full_fit": dataclasses.asdict(fit_full) if fit_full else None,
         "effective": {
             "gamma_per_cycle": fit_eff.gamma,
             "gamma_per_time": fit_eff.gamma / params.bloch_period,
@@ -427,7 +415,10 @@ def cmd_ret(opts: dict) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    opts = _merge_options(args.command, args, parser)
+    if args.config:  # the file's values become the subcommand's defaults; a flag wins
+        args.subparser.set_defaults(**_config_defaults(args.command, args.config, parser))
+        args = parser.parse_args(argv)
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "subparser")}
     try:
         return args.handler(opts)
     except StageError as exc:

@@ -44,6 +44,9 @@ G_0..G_{K-1}, folded, then through the second half's maps P G_j^T P, j
 descending.  The last segment ends on the next cycle start, so every cycle
 boundary n T_B (k = 0) is a sample.  That costs about one dim^3 build of
 half a cycle in m / K wide steps, plus 2K - 1 dim^2 N gemms.
+
+The survival is flat between zone-edge crossings: extract_plateaus reads
+its plateaus off a trace's cycle starts, rows 64 n at t = n T_B.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S, WIDE_STEP_FLOP_RATE,
-                    WIDE_STEP_S, LatticeParams, build_bloch_hamiltonian, check_work,
-                    lowest_bands, lowest_eigenpairs)
+from .bands import (DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S, TRACE_SAMPLE_BYTES,
+                    TRACE_SAMPLE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S, LatticeParams,
+                    build_bloch_hamiltonian, check_work, lowest_bands, lowest_eigenpairs)
+from .stepmodel import SurvivalSeries
 
 # Yoshida composition weights for the fourth-order splitting.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -68,10 +72,16 @@ MIN_SAMPLES_PER_CYCLE = 64
 _HALF_SEGMENTS = MIN_SAMPLES_PER_CYCLE // 2
 # Largest change of the state norm allowed in one Bloch cycle.
 NORM_TOLERANCE = 1e-8
+# Fewest whole Bloch cycles extract_plateaus takes from a trace.
+MIN_CYCLES = 3
 
 
 class NormDriftError(RuntimeError):
     """State norm drifted beyond tolerance."""
+
+
+class TraceTooShortError(ValueError):
+    """Trace does not cover enough Bloch cycles for plateau extraction."""
 
 
 @dataclass(frozen=True)
@@ -200,14 +210,16 @@ def _half_steps(span: float, dt: float, dim: int, samples: int, step_s: float, f
     """Steps m of a half span, ceil(span / dt) rounded up to a multiple of K = 32, priced.
 
     bands.check_work refuses, naming flags, a build whose two (dim, K, dim)
-    blocks (16 K dim^2 bytes each) and samples (16 dim + 24 bytes each) or
-    m / K wide steps (step_s + 24 K dim^3 flops each) exceed the budget.
+    blocks (16 K dim^2 bytes each), m / K wide steps (step_s + 24 K dim^3
+    flops each) and samples (16 dim + 24 bytes, plus TRACE_SAMPLE_BYTES and
+    TRACE_SAMPLE_S to project and write each) exceed the budget.
     """
     m = float(_HALF_SEGMENTS * np.ceil(span / dt / _HALF_SEGMENTS))
     def cost(dim, samples):
         k = _HALF_SEGMENTS
-        return (2.0 * 16.0 * k * dim * dim + samples * (16.0 * dim + 24.0),
-                m / k * (step_s + 24.0 * k * dim * dim * dim / WIDE_STEP_FLOP_RATE))
+        return (2.0 * 16.0 * k * dim * dim + samples * (16.0 * dim + 24.0 + TRACE_SAMPLE_BYTES),
+                m / k * (step_s + 24.0 * k * dim * dim * dim / WIDE_STEP_FLOP_RATE)
+                + samples * TRACE_SAMPLE_S)
     check_work(flags, cost, dim, samples)
     return int(m)
 
@@ -216,8 +228,10 @@ def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
     """Checked m of the solver, _half_steps of T_B / 2: 2m steps of T_B / (2m) <= cfg.dt per cycle.
 
     m >= K, so every dt gives at least 64 steps per cycle, one per sample.
-    The memory estimate fell below tracemalloc's peak by up to 36% at
-    cutoff 8 and 11% from cutoff 24 up (dt 0.01, 0.001; 1 or 4 cycles).
+    Samples are priced as run projects and writes them, a library trace's
+    too: most of TRACE_SAMPLE_BYTES is band_projections' complex copy of a
+    sample's band basis.  Over evolve_lattice and trace_rows (cutoffs 8-32,
+    1 to 2,000 cycles) the memory estimate was 0.78-1.33x tracemalloc's peak.
     """
     return _half_steps(params.bloch_period / 2.0, cfg.dt, 2 * cfg.cutoff + 1,
                        MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1, WIDE_STEP_S,
@@ -401,3 +415,32 @@ def trace_rows(states: HoustonState, params: LatticeParams, band_cutoff: int) ->
     p1, p2 = band_projections(states, params, 2, band_cutoff).T
     norm = states.norm
     return np.column_stack([states.time, p1, p2, norm ** 2 - (p1 + p2), norm])
+
+
+def extract_plateaus(trace, params: LatticeParams | None = None, *,
+                     band_cutoff: int = DEFAULT_CUTOFF) -> SurvivalSeries:
+    """Plateau values from a solver trace; a SurvivalSeries is returned as it is.
+
+    The plateaus of an evolve_lattice trace are its cycle starts, rows 64 n
+    at t = n T_B (k = 0), projected onto the two lowest instantaneous bands
+    in one band_projections call, the one the trace's P1 comes from.  Needs
+    MIN_CYCLES whole cycles; rows 64 n not at n T_B of params (1e-12
+    relative), as in a trace made at another force, raise ValueError.
+    """
+    if isinstance(trace, SurvivalSeries):
+        return trace
+    if params is None:
+        raise ValueError("params required to extract plateaus from a solver trace")
+    if np.ndim(trace.time) == 0 or len(trace) < 2:  # a snapshot has no sample axis
+        raise TraceTooShortError("trace has fewer than 2 samples")
+    starts = trace[::MIN_SAMPLES_PER_CYCLE]
+    if len(starts) <= MIN_CYCLES:
+        raise TraceTooShortError(
+            f"trace covers {len(starts) - 1} whole Bloch cycles, need >= {MIN_CYCLES}")
+    t_bloch = params.bloch_period
+    centers = t_bloch * np.arange(len(starts))
+    if not np.all(np.abs(starts.time - centers) <= 1e-12 * centers):
+        raise ValueError(f"trace rows {MIN_SAMPLES_PER_CYCLE} n are not at n T_B of params "
+                         f"(T_B = {t_bloch:.6g}): not this lattice's cycle starts")
+    values = band_projections(starts, params, 2, band_cutoff)[:, 0]
+    return SurvivalSeries(probabilities=values, t_bloch=t_bloch)

@@ -20,6 +20,10 @@ intercept of the back-extrapolated exponential envelope, is Z = |d1|^2.
 The chain from_lattice -> step_operator -> spectral_decompose -> z_exact /
 gamma_asymptotic broadcasts over an array of forces at one depth: a sweep
 is one call, and a scalar force is the 0-d case of the same code.
+
+fit_exponential reads a SurvivalSeries of either description, the step
+model's or the exact plateaus (dynamics.extract_plateaus), as a line in
+(t, ln P) over a late window: rate gamma, z = exp(ln P at t = 0).
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ import numpy as np
 from .bands import LatticeParams, bloch_phase, mean_band_gap
 
 MODULUS_TIE_TOL = 1e-12
+DEFAULT_WINDOW_START = 6
+DEFAULT_WINDOW_END = 14
 
 
 class DegenerateSpectrumError(ValueError):
@@ -159,6 +165,21 @@ class RenormFit:
     z: float
     converged: bool
     tol_achieved: float
+
+
+@dataclass(frozen=True)
+class ExpFit:
+    """Least-squares line in (t, ln P): z = e^intercept, gamma = -slope."""
+
+    z: float
+    gamma: float
+    window: tuple[int, int]
+    residual: float
+
+
+def default_window(n_plateaus: int) -> tuple[int, int]:
+    """Cycles 6 through min(14, last); late enough to be asymptotic."""
+    return (DEFAULT_WINDOW_START, min(DEFAULT_WINDOW_END, n_plateaus - 1))
 
 
 def step_operator(ing: StepIngredients) -> np.ndarray:
@@ -313,3 +334,42 @@ def renorm_fit(u: np.ndarray, series: SurvivalSeries, z_tol: float = 1e-8) -> Re
         tol_achieved = math.inf
     return RenormFit(gamma=gamma_asymptotic(sd), z=z_exact(sd),
                      converged=tol_achieved < z_tol, tol_achieved=tol_achieved)
+
+
+def fit_exponential(series: SurvivalSeries, window: tuple[int, int]) -> ExpFit:
+    """Fit P_n ~ z exp(-gamma t) in log space over plateaus window[0]..window[1]."""
+    lo, hi = int(window[0]), int(window[1])
+    if lo < 0 or hi >= len(series) or hi < lo:
+        raise ValueError(f"window {window} outside series of length {len(series)}")
+    if hi - lo + 1 < 2:
+        raise ValueError("at least 2 plateaus required for a fit")
+    p = series.probabilities[lo:hi + 1]
+    if np.any(p <= 0):
+        raise ValueError("plateau values must be positive for a log-space fit")
+    t = series.times[lo:hi + 1]
+    logp = np.log(p)
+    slope, intercept = np.polyfit(t, logp, 1)
+    residual = float(np.max(np.abs(logp - (intercept + slope * t))))
+    return ExpFit(z=float(np.exp(intercept)), gamma=float(-slope),
+                  window=(lo, hi), residual=residual)
+
+
+def compare_models(full: SurvivalSeries, eff: SurvivalSeries,
+                   window: tuple[int, int] | None = None) -> tuple[np.ndarray, float]:
+    """Per-plateau relative deviations |P_full - P_eff| / P_eff.
+
+    Returns (deviations, max over the given window); the normalization
+    makes the comparison asymmetric under swapping the inputs by exactly
+    the ratio of the two series.
+    """
+    if len(full) != len(eff):
+        raise ValueError(f"length mismatch: {len(full)} vs {len(eff)}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        devs = np.abs(full.probabilities - eff.probabilities) / eff.probabilities
+    if window is None:
+        lo, hi = 0, len(devs) - 1
+    else:
+        lo, hi = int(window[0]), int(window[1])
+        if lo < 0 or hi >= len(devs) or hi < lo:
+            raise ValueError(f"window {window} outside series of length {len(devs)}")
+    return devs, float(np.max(devs[lo:hi + 1]))

@@ -418,6 +418,10 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         # 24,544 wide steps at cutoff 6, only 4.1e10 flops: priced at ~6.8 s, it ran 8.4 s
         (["run", "--v0", "1", "--f0", "0.4", "--cycles", "4", "--cutoff", "6", "--dt", "1e-5",
           "--fit-window", "1:3"], solver),
+        # 896,001 trace samples at an adiabatic point, each priced as projected and written:
+        # unpriced, it ran 7.9 s to a 1 GB peak and a 94 MB run_trace.csv
+        (["run", "--v0", "40", "--f0", "0.5", "--cycles", "14000", "--cutoff", "8",
+          "--fit-window", "1:5"], solver),
         # each depth is a mean gap, priced at 7.4 ms at the default grid and cutoff
         (["scaling", "--v0", ",".join(["1"] * 409)], band),
         (["scaling", "--v0", ",".join(["1"] * 405)], band),

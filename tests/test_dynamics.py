@@ -333,6 +333,25 @@ def test_solver_memory_does_not_grow_with_the_step_count():
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("cutoff", [8, 16, 32])
+def test_trace_is_priced_as_projected(cutoff, monkeypatch):
+    # step_grid prices a trace as run projects it: the byte estimate the work budget gets
+    # lies within 0.8-2x of the traced peak of evolve_lattice plus trace_rows at run's
+    # default band cutoff (counting only the amplitudes, it was ~1/4 of it at cutoff 8)
+    estimates = []
+    monkeypatch.setattr(dynamics, "check_work",
+                        lambda flags, cost, *sizes: estimates.append(cost(*sizes)[0]))
+    params = LatticeParams(40.0, 0.5)  # adiabatic: the norm monitor never fires
+    tracemalloc.start()
+    try:
+        trace = evolve_lattice(params, SolverConfig(cutoff=cutoff, n_cycles=300))
+        trace_rows(trace, params, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1 and 0.8 * peak <= estimates[0] <= 2.0 * peak, (estimates, peak)
+
+
 def test_kinetic_phases_match_exact_arithmetic():
     # the exact-run point: the integral of (k + 2n + c s)^2 over each Yoshida segment,
     # in exact rationals on the same float k, c and segment bounds; the edge modes
