@@ -38,6 +38,7 @@ MAX_WORK_SECONDS = 3.0
 WIDE_STEP_S, SWEEP_STEP_S, WIDE_STEP_FLOP_RATE = 2.5e-4, 6e-5, 6e10
 BAND_SOLVE_S, BAND_SOLVE_FLOP_RATE = 4e-6, 2e9
 TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S = 1100.0, 8.5e-6  # a trace sample, projected and written
+BAND_VALUE_S = 9e-7  # a band table value, formatted and written
 
 
 class EigensolverError(RuntimeError):
@@ -173,6 +174,7 @@ def check_work(flags: str, cost, *sizes: int) -> None:
       sweep wide step (dim 2)            60 us     6e10    0.91-1.08 at 625 to 62,500 calls
       band eigensolve (4/3 d^3)          4 us      2e9     0.6-1.4 to d = 69, 3.5 at 201
       trace sample: P1, P2, CSV row      8.5 us            1.3-2.0 at cutoffs 8 to 32
+      band table value (bands' CSV)      0.9 us            0.9-1.2 at 1 to 8 bands
       sweep force, output row (cli)      1.5, 2.3 us       0.9-1.05 at 1 to 32 depths
       ret comment line (cli)             10 us             1.1 at --j-max 10^5
 
@@ -185,7 +187,8 @@ def check_work(flags: str, cost, *sizes: int) -> None:
                          f"{MAX_WORK_BYTES} bytes / {MAX_WORK_SECONDS:g} s); reduce {flags}")
 
 
-def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1) -> None:
+def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1,
+                    rows: int = 0) -> None:
     """Raise ValueError unless band_energies can tabulate n_bands on this grid.
 
     Also refuses, through check_work, a grid and cutoff whose band table or
@@ -196,7 +199,8 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
     16 to 10^5 and cutoffs 4 to 200 it came out between 0.2% below and 40%
     above tracemalloc's peak of a bands, scaling or ret run.  The time is
     grid_size + 2 band eigensolves per depth at d = 2 cutoff + 5, the mean
-    gap's check at cutoff + 2.
+    gap's check at cutoff + 2, plus BAND_VALUE_S per value of the rows
+    bands writes (n_bands + 1 each; a mean gap writes none).
     """
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
@@ -204,13 +208,14 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
         raise ValueError(f"need 1 <= n_bands <= cutoff, got n_bands={n_bands}, cutoff={cutoff}")
     if grid_size < 16:
         raise ValueError(f"grid_size >= 16 required, got {grid_size}")
-    def cost(grid, dim, bands, depths):
+    def cost(grid, dim, bands, depths, rows):
         big = dim + 4.0
         return (8.0 * grid * (dim + bands + 1.0) + 16.0 * max(_CHUNK_ELEMENTS, big * big),
                 depths * (grid + 2.0) * (BAND_SOLVE_S + 4.0 / 3.0 * big * big * big
-                                         / BAND_SOLVE_FLOP_RATE))
+                                         / BAND_SOLVE_FLOP_RATE)
+                + rows * (bands + 1.0) * BAND_VALUE_S)
     check_work("the grid, the cutoff and the depths", cost,
-               grid_size, 2 * cutoff + 1, n_bands, n_depths)
+               grid_size, 2 * cutoff + 1, n_bands, n_depths, rows)
 
 
 def band_energies(params: LatticeParams, n_bands: int = 3,

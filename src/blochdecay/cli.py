@@ -227,7 +227,8 @@ def _parse_window(text: str) -> tuple[int, int]:
 def cmd_bands(opts: dict) -> int:
     runspec = _runspec_json("bands", opts)
     params = _stage("parameters", LatticeParams, opts["v0"], 1.0)
-    _stage("parameters", check_band_grid, opts["n_bands"], opts["grid"], opts["cutoff"])
+    _stage("parameters", check_band_grid, opts["n_bands"], opts["grid"], opts["cutoff"],
+           rows=opts["grid"])
     table = _stage("band-structure", band_energies, params,
                    n_bands=opts["n_bands"], grid_size=opts["grid"],
                    cutoff=opts["cutoff"])

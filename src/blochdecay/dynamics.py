@@ -21,9 +21,9 @@ dependence integrates in closed form, the coupling part is constant with
 a precomputed exponential, so every step is a product of exact unitaries:
 norm is conserved to roundoff and the only possible probability loss is
 the (monitored) drop of an edge mode at a fold.  Every eigenvector here
-(of the coupling matrix, the start state psi0, the band projections and
-the sweep's two ends) comes from one solver, bands.lowest_eigenpairs,
-which refines the vectors it returns.
+(of the coupling matrix, the sweep's two ends, and through
+bands.lowest_bands the start state psi0 and the band projections) comes
+from one solver, bands.lowest_eigenpairs, which refines what it returns.
 
 The hamiltonian repeats every Bloch period, and the fold falls on the same
 step of every cycle, so one cycle is a fixed linear map M on the 2c+1
@@ -36,14 +36,13 @@ A the half-cycle map (k from 0 to 1) and F the fold, M = P A^T P F A.
 The sweep's H(t) is real with H(-t) = P H(t) P, P the swap, so its map
 over [-t1, t1] is A P A^T P, with A the map over [0, t1].
 
-Both solvers therefore step half their span once, on the identity, in
-_half_span, which returns its K = 32 segment maps G_j and their product A.
-evolve_lattice's trace samples, m / K steps apart, are the ends of the
-cycle's 2K segments: the block of cycle starts walked through
-G_0..G_{K-1}, folded, then through the second half's maps P G_j^T P, j
-descending.  The last segment ends on the next cycle start, so every cycle
-boundary n T_B (k = 0) is a sample.  That costs about one dim^3 build of
-half a cycle in m / K wide steps, plus 2K - 1 dim^2 N gemms.
+Both solvers therefore step half their span once, on the identity:
+_half_span builds the span's coupling exponentials and returns its K = 32
+segment maps G_j and their product A.  _cycle_map builds the lattice's
+M, psi0 and G_j, and evolve_lattice runs them: its samples, m / K steps
+apart, are the ends of the cycle's 2K segments, so every cycle boundary
+n T_B (k = 0) is one.  That costs about one dim^3 build of half a cycle
+in m / K wide steps, plus 2K - 1 dim^2 N gemms.
 
 The survival is flat between zone-edge crossings: extract_plateaus reads
 its plateaus off a trace's cycle starts, rows 64 n at t = n T_B.
@@ -57,9 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import (DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S, TRACE_SAMPLE_BYTES,
-                    TRACE_SAMPLE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S, LatticeParams,
-                    build_bloch_hamiltonian, check_work, lowest_bands, lowest_eigenpairs)
-from .stepmodel import SurvivalSeries
+                    TRACE_SAMPLE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S, LatticeParams, check_work,
+                    lowest_bands, lowest_eigenpairs)
+from .stepmodel import SurvivalSeries, _check_sweep
 
 # Yoshida composition weights for the fourth-order splitting.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -146,10 +145,7 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     lowest_eigenpairs call on the hamiltonians [[-alpha t, delta],
     [delta, alpha t]] at -+t_edge.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"sweep rate must be > 0, got alpha={alpha}")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"coupling must be >= 0, got delta={delta}")
+    _check_sweep(alpha, delta)
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be > 0, got dt={dt}")
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -171,8 +167,7 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
 
     m = _half_steps(t1, dt, 2, 0, SWEEP_STEP_S, "the sweep's steps t_edge / dt")
     h = t1 / m
-    b_long, b_back = _coupling_exponentials(delta, 2, h)
-    _, half_map = _half_span(2, m, lambda j: _sweep_phases(alpha, h * j, h), b_long, b_back)
+    _, half_map = _half_span(2, m, lambda j: _sweep_phases(alpha, h * j, h), delta, h)
     u = half_map @ half_map.T[::-1, ::-1]
     ends = np.array([[[-alpha * t, delta], [delta, alpha * t]] for t in (-t1, t1)])
     _, basis = lowest_eigenpairs(ends, 2, vectors=True)
@@ -290,11 +285,12 @@ def _step(x: np.ndarray, y: np.ndarray, ph: np.ndarray, b_long: np.ndarray,
     return y
 
 
-def _half_span(dim: int, m: int, phases, b_long: np.ndarray, b_back: np.ndarray):
-    """Segment maps G_j (K, dim, dim) and their product A of m steps from the identity.
+def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
+    """Segment maps G_j (K, dim, dim) and their product A of m steps of dt from the identity.
 
     The m steps (a multiple of K = 32) are K contiguous segments of m / K
     steps; phases(j) gives the kinetic phases (4, dim, K) of the steps j.
+    The two exponentials of the constant coupling are built here, once.
     The segments' identities step together, one (dim, K, dim) block, the
     mode axis first, against one scratch block of the same shape, so every
     coupling exponential is one (dim, dim) x (dim, K dim) gemm and each
@@ -304,6 +300,7 @@ def _half_span(dim: int, m: int, phases, b_long: np.ndarray, b_back: np.ndarray)
     G_{K-1} ... G_0.
     """
     per = m // _HALF_SEGMENTS
+    b_long, b_back = _coupling_exponentials(coupling, dim, dt)
     block = np.empty((dim, _HALF_SEGMENTS, dim), complex)
     block[...] = np.eye(dim)[:, None]  # block[:, j] is segment j's identity
     scratch = np.empty_like(block)
@@ -317,6 +314,20 @@ def _half_span(dim: int, m: int, phases, b_long: np.ndarray, b_back: np.ndarray)
     return maps, half_map
 
 
+def _cycle_map(params: LatticeParams, cfg: SolverConfig):
+    """Checked half-cycle steps m, cycle map M = P A^T P F A, start state psi0 and maps G_j.
+
+    step_grid prices the run; _half_span steps the half cycle (k from 0 to
+    1) to the G_j and A; psi0 is band 1 at k = 0, from bands.lowest_bands.
+    """
+    m = step_grid(params, cfg)
+    dt = params.bloch_period / 2.0 / m
+    maps, half_map = _half_span(2 * cfg.cutoff + 1, m, lambda j: _kinetic_phases(
+        j / m, params.f0 / math.pi, dt, cfg.cutoff), params.v0 / 4.0, dt)
+    _, psi0 = lowest_bands(params, np.zeros(1), cfg.cutoff, 1, vectors=True)
+    return m, half_map.T[::-1, ::-1] @ _fold(half_map.copy()), psi0[0, :, 0], maps
+
+
 def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     """Propagate the band-1 Bloch state at k = 0 through cfg.n_cycles Bloch periods.
 
@@ -327,8 +338,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     change exceeds NORM_TOLERANCE: the cutoff is too small for the escaped
     population, which climbs one mode per cycle (a smaller dt does not help).
 
-    _half_span steps the half cycle (k from 0 to 1) to the segment maps G_j
-    and the half-cycle map A.  The cycle map is M = P A^T P F A; the cycle
+    _cycle_map builds M, psi0 and the G_j; this runs them.  The cycle
     starts x_n = M^n psi0 fill rows 64 n, and the norm monitor reads their
     norms as one array.  The block (dim, N) of cycle starts walks through
     G_0 .. G_{K-1}, is folded, and walks back through the mirror images
@@ -336,24 +346,14 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     x_{n+1}.  Times and quasimomenta are those of a stepwise loop over all
     cycles; amplitudes agree with it to roundoff.
     """
-    m = step_grid(params, cfg)
+    m, cycle_map, psi0, maps = _cycle_map(params, cfg)
     dt = params.bloch_period / 2.0 / m
-    dim = 2 * cfg.cutoff + 1
     n_seg = _HALF_SEGMENTS
-    per = m // n_seg
-
-    b_long, b_back = _coupling_exponentials(params.v0 / 4.0, dim, dt)
-    maps, half_map = _half_span(
-        dim, m, lambda j: _kinetic_phases(j / m, params.f0 / math.pi, dt, cfg.cutoff),
-        b_long, b_back)
-    cycle_map = half_map.T[::-1, ::-1] @ _fold(half_map.copy())
 
     # Row 64 n is cycle n's start; row 64 n + 1 + i its state at the end of segment i.
-    amplitudes = np.empty((MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1, dim), complex)
+    amplitudes = np.empty((MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1, len(psi0)), complex)
     starts = amplitudes[::MIN_SAMPLES_PER_CYCLE]
-    _, vec = lowest_eigenpairs(build_bloch_hamiltonian(params, 0.0, cfg.cutoff), 1,
-                               vectors=True)
-    starts[0] = vec[:, 0]
+    starts[0] = psi0
     for n in range(1, cfg.n_cycles + 1):
         starts[n] = cycle_map @ starts[n - 1]
     drift = np.abs(np.diff(np.linalg.norm(starts, axis=1)))
@@ -362,7 +362,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
         raise NormDriftError(f"norm changed by {drift[n]:.2e} in cycle {n + 1} "
                              f"(tolerance {NORM_TOLERANCE}); increase the cutoff")
 
-    samples = amplitudes[1:].reshape(cfg.n_cycles, 2 * n_seg, dim)
+    samples = amplitudes[1:].reshape(cfg.n_cycles, 2 * n_seg, len(psi0))
     x = starts[:-1].T
     for j in range(n_seg):
         x = maps[j] @ x
@@ -371,7 +371,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     for j in range(n_seg - 1, 0, -1):  # the mirror of segment j ends where segment j starts
         x = (maps[j].T @ x[::-1])[::-1]
         samples[:, 2 * n_seg - 1 - j] = x.T
-    steps = per * np.arange(len(amplitudes))
+    steps = m // n_seg * np.arange(len(amplitudes))
     folds = (steps + m) // (2 * m)
     return HoustonState(amplitudes, steps * dt, steps / m - 2.0 * folds)
 

@@ -44,12 +44,17 @@ class DegenerateSpectrumError(ValueError):
     """Step-operator eigenvalues have equal moduli; asymptotics undefined."""
 
 
-def lz_probability(alpha: float, delta: float) -> float:
-    """Two-level sweep transition probability exp(-pi delta^2 / alpha), hbar = 1."""
+def _check_sweep(alpha: float, delta: float) -> None:
+    """The two-level sweep's inputs: a rate alpha > 0 and a coupling delta >= 0, both finite."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"sweep rate must be > 0, got alpha={alpha}")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"coupling must be >= 0, got delta={delta}")
+
+
+def lz_probability(alpha: float, delta: float) -> float:
+    """Two-level sweep transition probability exp(-pi delta^2 / alpha), hbar = 1."""
+    _check_sweep(alpha, delta)
     return math.exp(-math.pi * delta ** 2 / alpha)
 
 

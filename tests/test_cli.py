@@ -397,6 +397,9 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         (["bands", "--v0", "1", "--grid", huge], band),
         (["bands", "--v0", "1", "--cutoff", "1000"], band),
         (["bands", "--v0", "1", "--cutoff", huge, "--n-bands", "2"], band),
+        # 540,000 rows of 5 values: the eigensolves are priced at ~2.96 s and the rows at
+        # ~2.4 s; unpriced, the rows took 1.9-2.1 s and the command 4.2-4.8 s
+        (["bands", "--v0", "1", "--cutoff", "4", "--n-bands", "4", "--grid", "540000"], band),
         (["scaling", "--grid", "10000000"], band),
         (["scaling", "--cutoff", "1000"], band),
         (["scaling", "--n-points", "100000000"], sweep),
@@ -548,6 +551,16 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "full-solver" in err
     assert "increase the cutoff" in err and "reduce dt" not in err
+    # an effective-model failure other than a degenerate spectrum is not taken for one
+    def fail(*args):
+        raise ValueError("not degenerate")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "renorm_fit", fail)
+        code = main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6",
+                     "--fit-window", "1:5", "--out-prefix", str(tmp_path / "eff")])
+    assert code == 3
+    assert "error: effective-model: not degenerate" in capsys.readouterr().err
+    assert not list(tmp_path.glob("eff*"))
 
 
 def test_gap_check_exits_three_naming_stage_and_cutoff(tmp_path, capsys):

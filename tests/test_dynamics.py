@@ -57,6 +57,10 @@ def test_sweep_validates_span_and_inputs():
         lz_two_level_ode(1.0, 1.0, (-30.0, 20.0), 1e-3)  # asymmetric
     with pytest.raises(ValueError):
         lz_two_level_ode(-1.0, 1.0, (-20.0, 20.0), 1e-3)
+    with pytest.raises(ValueError, match="coupling must be >= 0"):
+        lz_two_level_ode(1.0, -1.0, (-20.0, 20.0), 1e-3)
+    with pytest.raises(ValueError, match="empty time span"):
+        lz_two_level_ode(1.0, 1.0, (20.0, -20.0), 1e-3)
     with pytest.raises(ValueError):
         lz_two_level_ode(1.0, 1.0, (-20.0, 20.0), 0.0)
 
@@ -479,6 +483,9 @@ def test_projections_complete_and_consistent(trace_v1, paper_params):
                                  band_cutoff=state.cutoff)
     assert float(all_bands.sum()) == pytest.approx(state.norm ** 2, abs=1e-10)
     assert band_survival(state, paper_params) == pytest.approx(all_bands[0], abs=1e-15)
+    for n_bands in (0, 11):  # the band cutoff is min(10, 16)
+        with pytest.raises(ValueError, match="need 1 <= n_bands <= band cutoff=10"):
+            band_projections(state, paper_params, n_bands=n_bands)
 
 
 def test_eigensolver_failure_maps_to_eigensolver_error(trace_v1, paper_params,

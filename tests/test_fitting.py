@@ -20,10 +20,13 @@ def synthetic_series(z, gamma, t_bloch, n):
 
 # ----------------------------------------------------------- extraction
 
-def test_effective_series_passes_through(operator_v1, paper_params):
+def test_effective_series_passes_through(operator_v1, paper_params, trace_v1):
     series = evolve_steps(operator_v1, 8, t_bloch=paper_params.bloch_period)
     assert extract_plateaus(series) is series
     assert series.t_bloch == paper_params.bloch_period
+    # a solver trace is read against its lattice, which it does not carry
+    with pytest.raises(ValueError, match="params required"):
+        extract_plateaus(trace_v1)
 
 
 def test_plateau_count_matches_cycles(trace_v1, paper_params):
@@ -175,6 +178,9 @@ def test_compare_window_max():
     _, mx_head = compare_models(b, a, window=(0, 3))
     assert mx_all == pytest.approx(0.5, rel=1e-12)
     assert mx_head == pytest.approx(0.0, abs=1e-15)
+    for window in ((0, 7), (-1, 3), (4, 2)):
+        with pytest.raises(ValueError, match="outside series of length 7"):
+            compare_models(b, a, window=window)
 
 
 def test_z_exceeds_unity_at_resonant_phase(mean_gap_v1):

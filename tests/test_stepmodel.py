@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochdecay import (DegenerateSpectrumError, LatticeParams,
-                        StepIngredients, bloch_phase, evolve_steps,
+                        StepIngredients, SurvivalSeries, bloch_phase, evolve_steps,
                         gamma_asymptotic, gamma_sequence, lz_probability,
                         mean_band_gap,
                         p_lz_12, renorm_fit, ret_resonances,
@@ -159,6 +159,11 @@ def test_step_times_ladder():
     series = evolve_steps(make_op(0.7, 0.1, 0.2), 4, t_bloch=3.0)
     assert np.array_equal(series.times, 3.0 * np.arange(5))
     assert series.t_bloch == 3.0
+    with pytest.raises(ValueError, match="n_steps >= 1"):
+        evolve_steps(make_op(0.7, 0.1, 0.2), 0)
+    for t_bloch in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_bloch must be > 0"):
+            evolve_steps(make_op(0.7, 0.1, 0.2), 4, t_bloch=t_bloch)
 
 
 def test_second_step_first_order_expansion(ingredients_v1, operator_v1):
@@ -401,6 +406,8 @@ def test_z_first_order_values():
     z1m = z_first_order(StepIngredients(0.6685, 0.0396, math.pi))
     assert z1m == pytest.approx(0.9019760718607226, rel=1e-12)
     assert z1m < 1.0
+    with pytest.raises(ValueError, match="s12 > 0 required"):
+        z_first_order(StepIngredients(0.0, 0.1, 0.0))
 
 
 def test_z_first_order_accuracy_scaling():
@@ -439,6 +446,10 @@ def test_z_running_length_check():
         z_running_estimate(series, 4)
     with pytest.raises(ValueError):
         z_running_estimate(series, 0)
+    # P_2 = 0 leaves one rate: Z_2 needs gamma_2
+    vanished = SurvivalSeries(probabilities=np.array([1.0, 0.5, 0.0, 0.0, 0.0]), t_bloch=1.0)
+    with pytest.raises(ValueError, match="survival vanished before step N"):
+        z_running_estimate(vanished, 2)
 
 
 def test_sign_of_z_minus_one_follows_cos_phi():
@@ -483,6 +494,10 @@ def test_renorm_fit_assembly(operator_v1):
     assert fit.z == pytest.approx(z_exact(sd), rel=1e-12)
     assert fit.converged
     assert fit.tol_achieved < 1e-8
+    # two steps give rates gamma_0, gamma_1 only: no Z_N - Z_{N-1} to measure
+    short = renorm_fit(operator_v1, evolve_steps(operator_v1, 2))
+    assert short.tol_achieved == math.inf and not short.converged
+    assert short.z == fit.z
 
 
 def test_series_serialization_roundtrip(tmp_path):
