@@ -37,7 +37,7 @@ MAX_WORK_SECONDS = 3.0
 # Seconds per call and flop/s of the kernels check_work's table calibrates.
 WIDE_STEP_S, SWEEP_STEP_S, WIDE_STEP_FLOP_RATE = 2.5e-4, 6e-5, 6e10
 BAND_SOLVE_S, BAND_SOLVE_FLOP_RATE = 4e-6, 2e9
-TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S = 1100.0, 8.5e-6  # a trace sample, projected and written
+TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S = 100.0, 8.5e-6  # a trace sample, projected and written
 BAND_VALUE_S = 9e-7  # a band table value, formatted and written
 
 
@@ -178,8 +178,10 @@ def check_work(flags: str, cost, *sizes: int) -> None:
       sweep force, output row (cli)      1.5, 2.3 us       0.9-1.05 at 1 to 32 depths
       ret comment line (cli)             10 us             1.1 at --j-max 10^5
 
-    A mean gap at the default grid and cutoff measured 6.5-7.2 ms against
-    the model's 7.4 ms, so 404 depths of a scaling sweep pass and 405 do not.
+    A mean gap at the default grid and cutoff (one eigensolve and one Newton
+    step) measured 3.7-4.4 ms, best of 60, against the model's 7.4 ms,
+    which still prices the cutoff + 2 eigensolve the check no longer makes:
+    ~1.7-2x high.  So 404 depths of a scaling sweep pass and 405 do not.
     """
     n_bytes, seconds = cost(*(float(min(max(n, 0), 10 ** 300)) for n in sizes))
     if not (n_bytes <= MAX_WORK_BYTES and seconds <= MAX_WORK_SECONDS):
@@ -197,10 +199,16 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
     every eigenvalue of the chunks kept until the table is joined, plus 16
     bytes per element of one chunk of hamiltonians at cutoff + 2; over grids
     16 to 10^5 and cutoffs 4 to 200 it came out between 0.2% below and 40%
-    above tracemalloc's peak of a bands, scaling or ret run.  The time is
-    grid_size + 2 band eigensolves per depth at d = 2 cutoff + 5, the mean
-    gap's check at cutoff + 2, plus BAND_VALUE_S per value of the rows
-    bands writes (n_bands + 1 each; a mean gap writes none).
+    above tracemalloc's peak of a bands, scaling or ret run.  A mean gap
+    now holds one chunk at the cutoff, then its Newton step's pivots in
+    chunks of half that: its own peak is 1.5-2.0x below the estimate at
+    grids 512 to 3 10^5.  The time is
+    grid_size + 2 band eigensolves per depth at d = 2 cutoff + 5, plus
+    BAND_VALUE_S per value of the rows bands writes (n_bands + 1 each; a
+    mean gap writes none).  That is the price of the mean gap's old check,
+    a second eigensolve at cutoff + 2; its Newton step costs a fraction of
+    one, so a mean gap is now priced ~1.7-2x high (check_work), and the
+    404-depth limit it sets is unchanged.
     """
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
@@ -239,9 +247,17 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
     trapezoidal rule without the duplicate endpoint.  E(k) = E(-k) pairs
     point i with point G - i, so only k = 1 - 2i/G, i = 0..G//2, is
     diagonalized: k = 1 (the same as -1) and, for even G, k = 0 count
-    once, every other point twice.  Raises ValueError naming the cutoff
-    when the mean at cutoff + 2 differs by more than GAP_CONVERGENCE_TOL
-    relative, or naming the depth when a mean is not finite (v0 near 1e308).
+    once, every other point twice.  The check takes one Newton step
+    (_newton_step) at cutoff + 2 from each E_1, E_2.  Raises ValueError
+    naming the cutoff when the stepped mean moves by more than
+    GAP_CONVERGENCE_TOL relative from the cutoff's (a move that is not
+    finite, or a mean at cutoff + 2 that is not positive, counts as
+    infinite), or when the stepped pair are not the two lowest eigenvalues
+    at cutoff + 2, and naming the depth when the mean is not finite (v0
+    near 1e308).  LAPACK's roundoff in the cutoff's pair reaches ~1e-12 of
+    the mean by cutoff 30, so a move above the tolerance is measured again
+    from the pair stepped at the cutoff itself, which compares the two
+    bases alone.
     """
     check_band_grid(2, grid_size, cutoff)
     k_half = 1.0 - 2.0 * np.arange(grid_size // 2 + 1) / grid_size
@@ -249,17 +265,70 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
     weights[0] = 1.0
     if grid_size % 2 == 0:
         weights[-1] = 1.0
+
+    def mean(p):
+        return float(np.sum(weights * np.diff(p)[:, 0])) / grid_size
+
     with np.errstate(over="ignore"):  # a sum past the float range is inf, refused below
-        gap, check = (float(np.sum(weights * np.diff(lowest_bands(params, k_half, c, 2))[:, 0]))
-                      / grid_size for c in (cutoff, cutoff + 2))
-    if not math.isfinite(check - gap):  # a larger cutoff cannot help here
-        raise ValueError(f"mean band gap not finite at cutoff {cutoff} or {cutoff + 2}: the "
-                         f"sum of gaps overflows at depth v0={params.v0}; reduce the depth")
-    if not abs(check - gap) <= GAP_CONVERGENCE_TOL * abs(check):
+        pair = lowest_bands(params, k_half, cutoff, 2)
+        stepped, below = _newton_step(params.v0, k_half, pair, cutoff + 2)
+        gap, check = mean(pair), mean(stepped)
+        base = gap
+        if not abs(check - gap) <= GAP_CONVERGENCE_TOL * check:
+            base = mean(_newton_step(params.v0, k_half, pair, cutoff)[0])
+    if not math.isfinite(gap):  # a larger cutoff cannot help here
+        raise ValueError(f"mean band gap not finite at cutoff {cutoff}: the sum of gaps "
+                         f"overflows at depth v0={params.v0}; reduce the depth")
+    moved = math.inf
+    if np.all(below <= (1, 2)) and check > 0 and math.isfinite(check - base):
+        moved = abs(check - base) / check
+    if not moved <= GAP_CONVERGENCE_TOL:
         raise ValueError(f"mean band gap not converged at cutoff {cutoff}: it moves by "
-                         f"{abs(check - gap) / abs(check):.1e} relative at cutoff {cutoff + 2} "
+                         f"{moved:.1e} relative at cutoff {cutoff + 2} "
                          f"(tolerance {GAP_CONVERGENCE_TOL}); increase the cutoff")
     return gap
+
+
+def _newton_step(v0: float, k: np.ndarray, pair: np.ndarray, cutoff: int):
+    """One Newton step on det(H(k) - x) at cutoff from each x of pair (len(k), 2).
+
+    The determinant is the product of the LDL^T pivots
+    q_i = a_i - x - b^2 / q_{i-1}, a_i = (k + 2 n_i)^2 and b = v0 / 4, so the
+    step is -1 / sum q_i' / q_i: a few array operations per mode.  Everything
+    is scaled by a power of two >= b, which is exact and keeps b^2 <= 1, so
+    nothing overflows at any finite depth.  A pivot smaller than the
+    roundoff of a_i - x, eps (a_i + |x|), or than LAPACK's pivmin, puts x at
+    an eigenvalue of a leading block (parity does that to band 2 at k = 0);
+    it is set to +that bound, which counts the eigenvalue as not below x and
+    keeps the derivative finite, where pivmin alone overflows it.  Returns
+    the stepped pair and the count of negative pivots at each start, which
+    by Sylvester's law is the number of eigenvalues below it.  From E_1, E_2
+    at a smaller cutoff, interlacing puts the j-th eigenvalue at or below
+    E_j, so counts of at most j bracket E_j between the j-th eigenvalue and
+    the next, and the step refines the j-th.  Works in chunks of k of at
+    most _CHUNK_ELEMENTS / 2 pivots, so its few arrays of pivots stay within
+    the one chunk of hamiltonians check_band_grid prices, whatever the grid.
+    """
+    rows = max(1, _CHUNK_ELEMENTS // (8 * cutoff + 4))
+    if len(k) > rows:
+        parts = [_newton_step(v0, k[i:i + rows], pair[i:i + rows], cutoff)
+                 for i in range(0, len(k), rows)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    scale = 2.0 ** max(0, math.frexp(v0 / 4.0)[1])
+    b2 = (v0 / 4.0 / scale) ** 2
+    x = pair / scale
+    a = ((k + 2.0 * np.arange(-cutoff, cutoff + 1)[:, None]) ** 2 / scale)[..., None]
+    floors = np.finfo(float).eps * (a + np.abs(x)) + np.finfo(float).tiny
+    pivots = a - x  # each row becomes q_i in turn
+    slope = np.zeros_like(x)  # (ln det)' = sum q_i' / q_i
+    t = r = 0.0  # b^2 / q_{i-1} and q_{i-1}' / q_{i-1}
+    for q, floor in zip(pivots, floors):
+        q -= t
+        np.copyto(q, floor, where=np.abs(q) < floor)
+        r = (t * r - 1.0) / q  # q_i' = -1 + (b^2 / q_{i-1}) q_{i-1}' / q_{i-1}
+        slope += r
+        t = b2 / q
+    return scale * (x - 1.0 / slope), np.count_nonzero(pivots < 0, axis=0)
 
 
 def bloch_phase(params: LatticeParams, mean_gap: float) -> float:

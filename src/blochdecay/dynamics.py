@@ -55,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S, TRACE_SAMPLE_BYTES,
-                    TRACE_SAMPLE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S, LatticeParams, check_work,
-                    lowest_bands, lowest_eigenpairs)
+from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S,
+                    TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S,
+                    LatticeParams, check_work, lowest_bands, lowest_eigenpairs)
 from .stepmodel import SurvivalSeries, _check_sweep
 
 # Yoshida composition weights for the fourth-order splitting.
@@ -120,7 +120,13 @@ class HoustonState:
 
     @property
     def norm(self) -> float | np.ndarray:
-        norm = np.linalg.norm(self.amplitudes, axis=-1)
+        """Norm of each snapshot, in row chunks of at most _CHUNK_ELEMENTS amplitudes."""
+        amps = self.amplitudes.reshape(-1, self.amplitudes.shape[-1])
+        norm = np.empty(len(amps))
+        rows = max(1, _CHUNK_ELEMENTS // amps.shape[1])
+        for i in range(0, len(amps), rows):
+            norm[i:i + rows] = np.linalg.norm(amps[i:i + rows], axis=-1)
+        norm = norm.reshape(self.amplitudes.shape[:-1])
         return norm if norm.ndim else float(norm)
 
     def __len__(self) -> int:
@@ -224,9 +230,11 @@ def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
 
     m >= K, so every dt gives at least 64 steps per cycle, one per sample.
     Samples are priced as run projects and writes them, a library trace's
-    too: most of TRACE_SAMPLE_BYTES is band_projections' complex copy of a
-    sample's band basis.  Over evolve_lattice and trace_rows (cutoffs 8-32,
-    1 to 2,000 cycles) the memory estimate was 0.78-1.33x tracemalloc's peak.
+    too: TRACE_SAMPLE_BYTES covers trace_rows' rows and the chunked buffers
+    of band_projections and HoustonState.norm, 72-110 bytes per sample
+    beyond the trace.  Over evolve_lattice and trace_rows (cutoffs 8-32,
+    1 to 2,000 cycles) the memory estimate was 0.65-1.27x tracemalloc's
+    peak, 1.03-1.14x from 300 cycles on; fixed buffers dominate below.
     """
     return _half_steps(params.bloch_period / 2.0, cfg.dt, 2 * cfg.cutoff + 1,
                        MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1, WIDE_STEP_S,
@@ -384,10 +392,11 @@ def band_projections(states: HoustonState, params: LatticeParams, n_bands: int =
     (bands.lowest_bands, in bounded chunks) over the distinct quasimomenta
     gives the bands on the central 2b + 1 modes, b = min(band_cutoff,
     state cutoff), beyond which the low band vectors vanish to roundoff;
-    each sample gathers the vectors of its k.  An evolve_lattice trace
-    repeats the same 64 quasimomenta every cycle, so it takes 64
-    eigensolves whatever its length, and its cycle boundaries (all at
-    k = 0) take one.
+    each sample gathers the vectors of its k, in row chunks of at most
+    _CHUNK_ELEMENTS gathered elements, so the gathered copy is bounded
+    whatever the trace length.  An evolve_lattice trace repeats the same
+    64 quasimomenta every cycle, so it takes 64 eigensolves whatever its
+    length, and its cycle boundaries (all at k = 0) take one.
     """
     c = states.cutoff
     b = min(band_cutoff, c)
@@ -397,7 +406,11 @@ def band_projections(states: HoustonState, params: LatticeParams, n_bands: int =
     inverse = inverse.ravel()  # some numpy versions shape it like the input
     amps = states.amplitudes.reshape(len(inverse), -1)[:, None, c - b:c + b + 1]
     _, vec = lowest_bands(params, k, b, n_bands, vectors=True)
-    return (np.abs(amps @ vec[inverse]) ** 2).reshape(np.shape(states.quasimomentum) + (n_bands,))
+    populations = np.empty((len(inverse), n_bands))
+    rows = max(1, _CHUNK_ELEMENTS // vec[0].size)
+    for i in range(0, len(inverse), rows):
+        populations[i:i + rows] = np.abs(amps[i:i + rows] @ vec[inverse[i:i + rows]])[:, 0] ** 2
+    return populations.reshape(np.shape(states.quasimomentum) + (n_bands,))
 
 
 def band_survival(state: HoustonState, params: LatticeParams) -> float | np.ndarray:

@@ -53,9 +53,20 @@ def _check_sweep(alpha: float, delta: float) -> None:
 
 
 def lz_probability(alpha: float, delta: float) -> float:
-    """Two-level sweep transition probability exp(-pi delta^2 / alpha), hbar = 1."""
+    """Two-level sweep transition probability exp(-pi delta^2 / alpha), hbar = 1.
+
+    Where pi delta^2 passes the float range (delta >~ 7.6e153) the exponent
+    divides by alpha first: 0 at alpha = 1, ~8.5e-4 at alpha = 1e308,
+    delta = 1.5e154.
+    """
     _check_sweep(alpha, delta)
-    return math.exp(-math.pi * delta ** 2 / alpha)
+    try:
+        exponent = math.pi * delta ** 2
+    except OverflowError:  # delta^2 itself is past the float range
+        exponent = math.inf
+    if exponent == math.inf:
+        return math.exp(-math.pi * delta * (delta / alpha))
+    return math.exp(-exponent / alpha)
 
 
 def _lz_exponent_12(params: LatticeParams) -> float | np.ndarray:

@@ -144,8 +144,89 @@ def test_half_zone_mean_gap_matches_full_grid_mean(grid_size, monkeypatch):
             want = float(np.mean(np.diff(band_energies(params, 2, grid_size, cutoff).energies)))
             sizes.clear()
             gap = mean_band_gap(params, grid_size=grid_size, cutoff=cutoff)
-            assert sizes == [grid_size // 2 + 1] * 2  # at the cutoff and at cutoff + 2
+            assert sizes == [grid_size // 2 + 1]  # the cutoff's only: cutoff + 2 takes no solve
             assert abs(gap - want) <= 4e-15 * want, (v0, cutoff)
+
+
+def half_zone(grid_size):
+    """The half-zone quasimomenta and their weights, as mean_band_gap documents them."""
+    k = 1.0 - 2.0 * np.arange(grid_size // 2 + 1) / grid_size
+    weights = np.full(len(k), 2.0)
+    weights[0] = 1.0
+    if grid_size % 2 == 0:
+        weights[-1] = 1.0
+    return k, weights
+
+
+@pytest.mark.parametrize("grid_size", [16, 17, 512, 513])
+def test_mean_gap_is_the_cutoff_eigensolve_bit_for_bit(grid_size):
+    # the check at cutoff + 2 only decides: the mean returned is the weighted sum of the
+    # cutoff's own LAPACK gaps, formed here in one eigvalsh call over the whole half zone
+    k, weights = half_zone(grid_size)
+    for v0 in (0.0, 0.3, 1.0, 4.0, 16.0, 100.0):
+        params = LatticeParams(v0, 1.0)
+        e = np.linalg.eigvalsh(build_bloch_hamiltonian(params, k, 10))
+        want = float(np.sum(weights * (e[:, 1] - e[:, 0]))) / grid_size
+        assert mean_band_gap(params, grid_size=grid_size) == want, v0
+
+
+@pytest.mark.parametrize("cutoff", range(4, 15))
+def test_gap_check_decides_as_the_cutoff_plus_two_eigensolve(cutoff, monkeypatch):
+    # the Newton step at cutoff + 2 passes and refuses where a second LAPACK solve does,
+    # over depths that cross every cutoff's limit.  Without its pivot guard the step is
+    # nan at v0 = 0, where every start is a diagonal entry, and at v0 ~ 22.2, cutoff 14,
+    # where parity zeroes band 2's pivot at k = 0.  Where the mean is converged the two
+    # check means agree to 1e-13 relative (measured <= 2.8e-14).  LAPACK's own roundoff,
+    # ~eps (2 cutoff + 5)^2, is ~1e-12 of the mean by cutoff 30, where the two routes
+    # may part (test_gap_check_sees_past_roundoff_in_the_cutoff_pair).  mean_band_gap
+    # gets the test's own solve at the cutoff, so each depth takes two
+    lowest_bands = bands.lowest_bands
+    k, weights = half_zone(512)
+    for v0 in [0.0, *np.logspace(-3, np.log10(500.0), 60)]:
+        params = LatticeParams(v0, 1.0)
+        pair, oracle = (lowest_bands(params, k, c, 2) for c in (cutoff, cutoff + 2))
+        stepped, below = bands._newton_step(v0, k, pair, cutoff + 2)
+        gap, check, newton = (float(np.sum(weights * np.diff(p)[:, 0])) / 512
+                              for p in (pair, oracle, stepped))
+        converged = abs(check - gap) <= bands.GAP_CONVERGENCE_TOL * check
+        monkeypatch.setattr(bands, "lowest_bands", lambda *args: pair)
+        try:
+            assert mean_band_gap(params, cutoff=cutoff) == gap
+        except ValueError as exc:
+            assert not converged and "not converged at cutoff" in str(exc), (v0, exc)
+            continue
+        assert converged and np.all(below <= (1, 2)), v0
+        assert abs(newton - check) <= 1e-13 * check, v0
+
+
+def test_gap_check_refuses_a_pair_that_is_not_the_lowest(monkeypatch):
+    # the sign count of the pivots: bands 3 and 4 handed over as the pair have at least 2
+    # and 3 eigenvalues below them at cutoff + 2 (their own counted or not, by roundoff),
+    # more than 1 and 2, so the cutoff is refused although their mean barely moves
+    params, lowest_bands = LatticeParams(1.0, 1.0), bands.lowest_bands
+    k, _ = half_zone(512)
+    upper = lowest_bands(params, k, 10, 4)[:, 2:]
+    stepped, below = bands._newton_step(1.0, k, upper, 12)
+    assert np.all(below >= (2, 3))
+    assert np.max(np.abs(stepped - lowest_bands(params, k, 12, 4)[:, 2:])) < 1e-12
+    monkeypatch.setattr(bands, "lowest_bands", lambda p, k, c, n: lowest_bands(p, k, c, 4)[:, 2:])
+    with pytest.raises(ValueError, match="not converged at cutoff 10: it moves by inf"):
+        mean_band_gap(params)
+
+
+def test_gap_check_sees_past_roundoff_in_the_cutoff_pair(monkeypatch):
+    # LAPACK's roundoff in the cutoff's pair reaches ~1e-12 of the mean by cutoff 30 (2.7e-12
+    # in E_1 at v0 = 3.8e-4, k = 0.889, against a 40-digit value).  Here every E_2 is raised
+    # by 1e-11: the mean moves by ~5e-12 relative against the Newton step at cutoff + 2, but
+    # the pair stepped at the cutoff itself moves by less than the tolerance, so it passes
+    params, lowest_bands = LatticeParams(1.0, 1.0), bands.lowest_bands
+    k, weights = half_zone(512)
+    pair = lowest_bands(params, k, 10, 2) + [0.0, 1e-11]
+    monkeypatch.setattr(bands, "lowest_bands", lambda *args: pair)
+    gap = float(np.sum(weights * np.diff(pair)[:, 0])) / 512
+    stepped, _ = bands._newton_step(1.0, k, pair, 12)
+    assert abs(float(np.sum(weights * np.diff(stepped)[:, 0])) / 512 - gap) > 4e-12 * gap
+    assert mean_band_gap(params) == gap
 
 
 def test_mean_gap_grows_with_depth():

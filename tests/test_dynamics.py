@@ -341,7 +341,7 @@ def test_solver_memory_does_not_grow_with_the_step_count():
 def test_trace_is_priced_as_projected(cutoff, monkeypatch):
     # step_grid prices a trace as run projects it: the byte estimate the work budget gets
     # lies within 0.8-2x of the traced peak of evolve_lattice plus trace_rows at run's
-    # default band cutoff (counting only the amplitudes, it was ~1/4 of it at cutoff 8)
+    # default band cutoff (counting only the amplitudes, it is ~0.78 of it at cutoff 8)
     estimates = []
     monkeypatch.setattr(dynamics, "check_work",
                         lambda flags, cost, *sizes: estimates.append(cost(*sizes)[0]))

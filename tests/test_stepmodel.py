@@ -46,6 +46,21 @@ def test_lz_probability_values():
         lz_probability(1.0, -0.5)
 
 
+def test_lz_probability_past_the_float_range_of_delta_squared():
+    # delta ** 2 raises OverflowError from delta ~ 1.34e154 and pi delta^2 is inf from
+    # ~7.6e153: the exponent then divides by alpha first
+    assert lz_probability(1.0, 1e200) == 0.0
+    assert lz_probability(1e308, 1.5e154) == pytest.approx(math.exp(-2.25 * math.pi), rel=1e-14)
+    # below that it is the plain formula, bit for bit: delta * delta differs from
+    # delta ** 2 in the last bit for ~1 in 1,200 inputs, so 100,000 pairs catch it
+    rng = np.random.default_rng(22)
+    log_delta = rng.uniform(-100.0, 153.8, 100_000)
+    paired = np.minimum(2.0 * log_delta + rng.uniform(-3.0, 4.0, 100_000), 300.0)  # exponent ~1
+    log_alpha = np.where(np.arange(100_000) % 2, paired, rng.uniform(-300.0, 300.0, 100_000))
+    for alpha, delta in zip((10.0 ** log_alpha).tolist(), (10.0 ** log_delta).tolist()):
+        assert lz_probability(alpha, delta) == math.exp(-math.pi * delta ** 2 / alpha)
+
+
 def test_p_lz_12_values():
     assert p_lz_12(LatticeParams(1.0, 0.383)) == pytest.approx(0.4469593780413833, rel=1e-12)
     assert p_lz_12(LatticeParams(0.0, 0.7)) == 1.0
