@@ -34,11 +34,18 @@ _CHUNK_ELEMENTS = 2 ** 16
 # The work budget of any one estimate check_work is given: memory and time.
 MAX_WORK_BYTES = 2 ** 28
 MAX_WORK_SECONDS = 3.0
-# Seconds per call and flop/s of the kernels check_work's table calibrates.
+# The prices check_work is given, each fitted in README's calibration table.
+# Seconds per call, and flop/s or seconds per matrix element, of the kernels:
 WIDE_STEP_S, SWEEP_STEP_S, WIDE_STEP_FLOP_RATE = 2.5e-4, 6e-5, 6e10
-BAND_SOLVE_S, BAND_SOLVE_FLOP_RATE = 4e-6, 2e9
+BAND_SOLVE_S, BAND_SOLVE_FLOP_RATE = 4e-6, 2e9  # eigenvalues only
+BAND_VECTORS_S, BAND_VECTORS_ELEMENT_S = 4e-6, 7e-8  # with the vectors
+STEP_PRODUCT_S = 3.5e-6  # one 2x2 step of evolve_steps and its survival value
+# Bytes and seconds of each value or line the CLI writes:
 TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S = 100.0, 8.5e-6  # a trace sample, projected and written
 BAND_VALUE_S = 9e-7  # a band table value, formatted and written
+SWEEP_FORCE_BYTES, SWEEP_FORCE_S = 320.0, 1.5e-6  # a sweep force, its temporaries and text
+SWEEP_ROW_BYTES, SWEEP_ROW_S = 48.0, 2.3e-6  # a sweep output row: phi, Z - 1, its text
+RET_LINE_BYTES, RET_LINE_S = 300.0, 1e-5  # a ret comment line, one per resonance
 
 
 class EigensolverError(RuntimeError):
@@ -160,28 +167,20 @@ def check_work(flags: str, cost, *sizes: int) -> None:
     """Raise ValueError unless cost(*sizes), an estimate (bytes, seconds), fits the budget.
 
     The one refusal of oversized work, before anything is allocated:
-    dynamics._half_steps, check_band_grid and the CLI's sweeps and resonance
-    list each state their own cost through it, naming the flags that set it.  Each
+    dynamics._half_steps, check_band_grid, check_band_vectors,
+    stepmodel.evolve_steps and the CLI's sweeps and resonance list each
+    state their own cost through it, naming the flags that set it.  Each
     size is counted as a float in [0, 1e300], so a 401-digit flag neither
     raises nor converts, and a cost that overflows is inf and refused.
     Nothing is timed at run time, so a refusal depends on the input alone:
-    seconds are calls times (seconds per call + flops per call / flop/s),
-    with constants fixed per kernel.  Fitted on 2 cores (numpy 2.4.6,
-    OpenBLAS) to the best of 3-5 in-process timings:
-
-      kernel (flops per call)            per call  flop/s  model / measured
-      half-cycle wide step (24 K dim^3)  0.25 ms   6e10    0.65-1.5, cutoffs 4 to 160
-      sweep wide step (dim 2)            60 us     6e10    0.91-1.08 at 625 to 62,500 calls
-      band eigensolve (4/3 d^3)          4 us      2e9     0.6-1.4 to d = 69, 3.5 at 201
-      trace sample: P1, P2, CSV row      8.5 us            1.3-2.0 at cutoffs 8 to 32
-      band table value (bands' CSV)      0.9 us            0.9-1.2 at 1 to 8 bands
-      sweep force, output row (cli)      1.5, 2.3 us       0.9-1.05 at 1 to 32 depths
-      ret comment line (cli)             10 us             1.1 at --j-max 10^5
-
-    A mean gap at the default grid and cutoff (one eigensolve and one Newton
-    step) measured 3.7-4.4 ms, best of 60, against the model's 7.4 ms,
-    which still prices the cutoff + 2 eigensolve the check no longer makes:
-    ~1.7-2x high.  So 404 depths of a scaling sweep pass and 405 do not.
+    seconds are calls times (seconds per call + flops per call / flop/s, or
+    elements per call times seconds per element), with constants fixed per
+    kernel: WIDE_STEP_S, SWEEP_STEP_S and WIDE_STEP_FLOP_RATE, BAND_SOLVE_S
+    and BAND_SOLVE_FLOP_RATE, BAND_VECTORS_S and BAND_VECTORS_ELEMENT_S,
+    STEP_PRODUCT_S, and the bytes and seconds of each trace sample, band
+    value, sweep force and row and ret line the CLI writes.  README's
+    calibration table gives what each was fitted to on 2 cores and how far
+    the model is from measured runs.
     """
     n_bytes, seconds = cost(*(float(min(max(n, 0), 10 ** 300)) for n in sizes))
     if not (n_bytes <= MAX_WORK_BYTES and seconds <= MAX_WORK_SECONDS):
@@ -197,18 +196,14 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
     n_depths mean gaps (one per depth of a scaling sweep) would not fit the
     work budget.  The memory is 8 (dim + n_bands + 1) bytes per k point, for
     every eigenvalue of the chunks kept until the table is joined, plus 16
-    bytes per element of one chunk of hamiltonians at cutoff + 2; over grids
-    16 to 10^5 and cutoffs 4 to 200 it came out between 0.2% below and 40%
-    above tracemalloc's peak of a bands, scaling or ret run.  A mean gap
-    now holds one chunk at the cutoff, then its Newton step's pivots in
-    chunks of half that: its own peak is 1.5-2.0x below the estimate at
-    grids 512 to 3 10^5.  The time is
-    grid_size + 2 band eigensolves per depth at d = 2 cutoff + 5, plus
-    BAND_VALUE_S per value of the rows bands writes (n_bands + 1 each; a
-    mean gap writes none).  That is the price of the mean gap's old check,
-    a second eigensolve at cutoff + 2; its Newton step costs a fraction of
-    one, so a mean gap is now priced ~1.7-2x high (check_work), and the
-    404-depth limit it sets is unchanged.
+    bytes per element of one chunk of hamiltonians; over bands, scaling and
+    ret runs at grids 64 to 10^5 and cutoffs 4 to 200 it came out 1.04-2.2x
+    tracemalloc's peak (a mean gap holds half the grid), and up to 19x at
+    grid 16, where the one chunk dominates.  The time is grid_size
+    band eigensolves per depth at d = dim = 2 cutoff + 1, plus BAND_VALUE_S
+    per value of the rows bands writes (n_bands + 1 each; a mean gap writes
+    none).  A mean gap solves half the grid and takes two Newton steps,
+    which took 0.5-1.0 of the time of grid_size eigensolves (README).
     """
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
@@ -217,13 +212,28 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
     if grid_size < 16:
         raise ValueError(f"grid_size >= 16 required, got {grid_size}")
     def cost(grid, dim, bands, depths, rows):
-        big = dim + 4.0
-        return (8.0 * grid * (dim + bands + 1.0) + 16.0 * max(_CHUNK_ELEMENTS, big * big),
-                depths * (grid + 2.0) * (BAND_SOLVE_S + 4.0 / 3.0 * big * big * big
-                                         / BAND_SOLVE_FLOP_RATE)
+        return (8.0 * grid * (dim + bands + 1.0) + 16.0 * max(_CHUNK_ELEMENTS, dim * dim),
+                depths * grid * (BAND_SOLVE_S + 4.0 / 3.0 * dim * dim * dim / BAND_SOLVE_FLOP_RATE)
                 + rows * (bands + 1.0) * BAND_VALUE_S)
     check_work("the grid, the cutoff and the depths", cost,
                grid_size, 2 * cutoff + 1, n_bands, n_depths, rows)
+
+
+def check_band_vectors(n_k: int, cutoff: int, n_bands: int) -> None:
+    """Raise ValueError unless lowest_bands can return n_bands vectors at n_k quasimomenta.
+
+    The price of dynamics.band_projections' eigensolve, checked through
+    check_work: for each of the n_k matrices, BAND_VECTORS_S plus
+    BAND_VECTORS_ELEMENT_S per element of the d x d matrix, d = 2 cutoff + 1,
+    and of its n_bands vectors, and 16 (d + 1) n_bands bytes for its kept
+    vectors and values and their joined copy; plus 32 bytes per element of
+    one chunk of hamiltonians and their vectors.
+    """
+    def cost(n_k, dim, bands):
+        return (16.0 * n_k * (dim + 1.0) * bands + 32.0 * max(_CHUNK_ELEMENTS, dim * dim),
+                n_k * (BAND_VECTORS_S + dim * (dim + bands) * BAND_VECTORS_ELEMENT_S))
+    check_work("the distinct quasimomenta and the band cutoff", cost,
+               n_k, 2 * cutoff + 1, n_bands)
 
 
 def band_energies(params: LatticeParams, n_bands: int = 3,
@@ -247,17 +257,14 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
     trapezoidal rule without the duplicate endpoint.  E(k) = E(-k) pairs
     point i with point G - i, so only k = 1 - 2i/G, i = 0..G//2, is
     diagonalized: k = 1 (the same as -1) and, for even G, k = 0 count
-    once, every other point twice.  The check takes one Newton step
-    (_newton_step) at cutoff + 2 from each E_1, E_2.  Raises ValueError
-    naming the cutoff when the stepped mean moves by more than
-    GAP_CONVERGENCE_TOL relative from the cutoff's (a move that is not
-    finite, or a mean at cutoff + 2 that is not positive, counts as
-    infinite), or when the stepped pair are not the two lowest eigenvalues
-    at cutoff + 2, and naming the depth when the mean is not finite (v0
-    near 1e308).  LAPACK's roundoff in the cutoff's pair reaches ~1e-12 of
-    the mean by cutoff 30, so a move above the tolerance is measured again
-    from the pair stepped at the cutoff itself, which compares the two
-    bases alone.
+    once, every other point twice.  The cutoff's LAPACK pair is refined by
+    one Newton step (_newton_step) at the cutoff, which drops its roundoff,
+    and checked by one at cutoff + 2.  Raises ValueError naming the cutoff
+    when the mean moves by more than GAP_CONVERGENCE_TOL relative from the
+    cutoff to cutoff + 2 (a move that is not finite, or a mean at cutoff + 2
+    that is not positive, counts as infinite), or when the pair stepped at
+    cutoff + 2 are not its two lowest eigenvalues, and naming the depth
+    when the mean is not finite (v0 near 1e308).
     """
     check_band_grid(2, grid_size, cutoff)
     k_half = 1.0 - 2.0 * np.arange(grid_size // 2 + 1) / grid_size
@@ -271,17 +278,15 @@ def mean_band_gap(params: LatticeParams, grid_size: int = DEFAULT_GRID_SIZE,
 
     with np.errstate(over="ignore"):  # a sum past the float range is inf, refused below
         pair = lowest_bands(params, k_half, cutoff, 2)
+        gap = mean(_newton_step(params.v0, k_half, pair, cutoff)[0])
         stepped, below = _newton_step(params.v0, k_half, pair, cutoff + 2)
-        gap, check = mean(pair), mean(stepped)
-        base = gap
-        if not abs(check - gap) <= GAP_CONVERGENCE_TOL * check:
-            base = mean(_newton_step(params.v0, k_half, pair, cutoff)[0])
+        check = mean(stepped)
     if not math.isfinite(gap):  # a larger cutoff cannot help here
         raise ValueError(f"mean band gap not finite at cutoff {cutoff}: the sum of gaps "
                          f"overflows at depth v0={params.v0}; reduce the depth")
     moved = math.inf
-    if np.all(below <= (1, 2)) and check > 0 and math.isfinite(check - base):
-        moved = abs(check - base) / check
+    if np.all(below <= (1, 2)) and check > 0 and math.isfinite(check - gap):
+        moved = abs(check - gap) / check
     if not moved <= GAP_CONVERGENCE_TOL:
         raise ValueError(f"mean band gap not converged at cutoff {cutoff}: it moves by "
                          f"{moved:.1e} relative at cutoff {cutoff + 2} "

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, LatticeParams, band_energies,
-                    check_band_grid, check_work, mean_band_gap)
+from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, RET_LINE_BYTES, RET_LINE_S,
+                    SWEEP_FORCE_BYTES, SWEEP_FORCE_S, SWEEP_ROW_BYTES, SWEEP_ROW_S,
+                    LatticeParams, band_energies, check_band_grid, check_work, mean_band_gap)
 from .dynamics import (MIN_CYCLES, SolverConfig, evolve_lattice, extract_plateaus, step_grid,
                        trace_rows)
 from .stepmodel import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, DegenerateSpectrumError,
@@ -338,18 +339,19 @@ def _force_grid(opts: dict, n_depths: int = 1) -> np.ndarray:
     """The checked sweep forces linspace(f0-min, f0-max, n-points) of scaling and ret.
 
     Refuses, through check_work, a sweep whose step-model arrays and output
-    columns would not fit the work budget: 320 bytes and 1.5 us per force
-    (one depth's temporaries and the formatted force) plus 48 bytes (phi and
-    Z - 1, twice, and two text references) and 2.3 us per output row.  At 1
-    to 32 depths and 10^4 to 10^5 forces the memory came out 4-47% above
-    tracemalloc's peak.
+    columns would not fit the work budget: bands.SWEEP_FORCE_BYTES and
+    SWEEP_FORCE_S per force (one depth's temporaries and the formatted
+    force) plus SWEEP_ROW_BYTES (phi and Z - 1, twice, and two text
+    references) and SWEEP_ROW_S per output row.  At 1 to 32 depths and 10^4
+    to 10^5 forces the memory came out 4-47% above tracemalloc's peak.
     """
     if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
         raise StageError("parameters: need n-points >= 0 and 0 < f0-min <= f0-max < inf, got "
                          f"n-points {opts['n_points']}, f0-min {opts['f0_min']}, "
                          f"f0-max {opts['f0_max']}", stage="parameters")
     _stage("parameters", check_work, "--n-points and the depths",
-           lambda n, depths: (n * (320.0 + 48.0 * depths), n * (1.5e-6 + 2.3e-6 * depths)),
+           lambda n, depths: (n * (SWEEP_FORCE_BYTES + SWEEP_ROW_BYTES * depths),
+                              n * (SWEEP_FORCE_S + SWEEP_ROW_S * depths)),
            opts["n_points"], n_depths)
     return np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
 
@@ -383,8 +385,8 @@ def cmd_scaling(opts: dict) -> int:
 def cmd_ret(opts: dict) -> int:
     runspec = _runspec_json("ret", opts)
     f0_grid = _force_grid(opts)
-    # one comment line per resonance: 300 bytes of text at its peak and 10 us each
-    _stage("parameters", check_work, "--j-max", lambda j: (300.0 * j, 1e-5 * j), opts["j_max"])
+    _stage("parameters", check_work, "--j-max", lambda j: (RET_LINE_BYTES * j, RET_LINE_S * j),
+           opts["j_max"])
     params = _stage("parameters", LatticeParams, opts["v0"], f0_grid)
     _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"])
     gap = _stage("band-structure", mean_band_gap, params,

@@ -57,7 +57,8 @@ import numpy as np
 
 from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S,
                     TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S,
-                    LatticeParams, check_work, lowest_bands, lowest_eigenpairs)
+                    LatticeParams, check_band_vectors, check_work, lowest_bands,
+                    lowest_eigenpairs)
 from .stepmodel import SurvivalSeries, _check_sweep
 
 # Yoshida composition weights for the fourth-order splitting.
@@ -396,13 +397,16 @@ def band_projections(states: HoustonState, params: LatticeParams, n_bands: int =
     _CHUNK_ELEMENTS gathered elements, so the gathered copy is bounded
     whatever the trace length.  An evolve_lattice trace repeats the same
     64 quasimomenta every cycle, so it takes 64 eigensolves whatever its
-    length, and its cycle boundaries (all at k = 0) take one.
+    length, and its cycle boundaries (all at k = 0) take one.  A caller's
+    own stack is priced by bands.check_band_vectors, one eigensolve per
+    distinct quasimomentum, before any of them runs.
     """
     c = states.cutoff
     b = min(band_cutoff, c)
     if n_bands < 1 or n_bands > b:
         raise ValueError(f"need 1 <= n_bands <= band cutoff={b}, got {n_bands}")
     k, inverse = np.unique(states.quasimomentum, return_inverse=True)
+    check_band_vectors(len(k), b, n_bands)
     inverse = inverse.ravel()  # some numpy versions shape it like the input
     amps = states.amplitudes.reshape(len(inverse), -1)[:, None, c - b:c + b + 1]
     _, vec = lowest_bands(params, k, b, n_bands, vectors=True)

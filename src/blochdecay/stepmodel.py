@@ -33,9 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import LatticeParams, bloch_phase, mean_band_gap
+from .bands import STEP_PRODUCT_S, LatticeParams, bloch_phase, check_work, mean_band_gap
 
 MODULUS_TIE_TOL = 1e-12
+# renorm_fit's Z_N has converged when it moves by less than this in the last step.
+Z_CONVERGENCE_TOL = 1e-8
 DEFAULT_WINDOW_START = 6
 DEFAULT_WINDOW_END = 14
 
@@ -219,12 +221,15 @@ def evolve_steps(u: np.ndarray, n_steps: int, t_bloch: float = 1.0) -> SurvivalS
     """Iterate the step map from band 1 and record P_n = |<1|U^n|1>|^2.
 
     Direct matrix-vector iteration, kept independent of the spectral
-    formulas so each can check the other.
+    formulas so each can check the other.  bands.check_work refuses, naming
+    n_steps, a series whose n_steps + 1 floats and n_steps products
+    (STEP_PRODUCT_S each) would not fit the work budget.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps >= 1 required, got {n_steps}")
     if not (math.isfinite(t_bloch) and t_bloch > 0):
         raise ValueError(f"t_bloch must be > 0, got {t_bloch}")
+    check_work("n_steps", lambda n: (8.0 * (n + 1.0), n * STEP_PRODUCT_S), n_steps)
     v = np.array([1.0 + 0.0j, 0.0 + 0.0j])
     probs = np.empty(n_steps + 1)
     probs[0] = 1.0
@@ -333,14 +338,14 @@ def ret_resonances(params: LatticeParams, mean_gap: float, j_max: int) -> np.nda
     return mean_gap / np.arange(1, j_max + 1, dtype=float)
 
 
-def renorm_fit(u: np.ndarray, series: SurvivalSeries, z_tol: float = 1e-8) -> RenormFit:
+def renorm_fit(u: np.ndarray, series: SurvivalSeries) -> RenormFit:
     """The spectral (gamma, Z) of u and how far Z_N has settled along series.
 
     series is the caller's evolve_steps(u, ...) output, so u is iterated once.
 
     tol_achieved is |Z_N - Z_{N-1}| at the last N the series supports and
-    converged reflects tol_achieved < z_tol; the geometric convergence of
-    Z_N makes the absolute-difference test safe.
+    converged reflects tol_achieved < Z_CONVERGENCE_TOL; the geometric
+    convergence of Z_N makes the absolute-difference test safe.
     """
     sd = spectral_decompose(u)
     n = len(gamma_sequence(series)[0]) - 1
@@ -349,7 +354,7 @@ def renorm_fit(u: np.ndarray, series: SurvivalSeries, z_tol: float = 1e-8) -> Re
     else:
         tol_achieved = math.inf
     return RenormFit(gamma=gamma_asymptotic(sd), z=z_exact(sd),
-                     converged=tol_achieved < z_tol, tol_achieved=tol_achieved)
+                     converged=tol_achieved < Z_CONVERGENCE_TOL, tol_achieved=tol_achieved)
 
 
 def fit_exponential(series: SurvivalSeries, window: tuple[int, int]) -> ExpFit:

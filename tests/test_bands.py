@@ -133,7 +133,8 @@ def test_mean_gap_grid_refinement():
 @pytest.mark.parametrize("grid_size", [16, 17, 512, 513])
 def test_half_zone_mean_gap_matches_full_grid_mean(grid_size, monkeypatch):
     # E(k) = E(-k): the half zone with weights 1 at k = 1 (and k = 0 on even grids)
-    # and 2 elsewhere gives the mean over the full grid (measured <= 3.8e-16 relative)
+    # and 2 elsewhere gives the mean over the full grid, each pair refined by the same
+    # Newton step at the cutoff (measured <= 2.2e-16 relative)
     sizes = []
     lowest_bands = bands.lowest_bands
     monkeypatch.setattr(bands, "lowest_bands",
@@ -141,7 +142,9 @@ def test_half_zone_mean_gap_matches_full_grid_mean(grid_size, monkeypatch):
     for v0 in (0.0, 0.5, 1.0, 4.0, 16.0):
         for cutoff in (10, 12):
             params = LatticeParams(v0, 1.0)
-            want = float(np.mean(np.diff(band_energies(params, 2, grid_size, cutoff).energies)))
+            table = band_energies(params, 2, grid_size, cutoff)
+            stepped, _ = bands._newton_step(v0, table.k_grid, table.energies, cutoff)
+            want = float(np.mean(np.diff(stepped)))
             sizes.clear()
             gap = mean_band_gap(params, grid_size=grid_size, cutoff=cutoff)
             assert sizes == [grid_size // 2 + 1]  # the cutoff's only: cutoff + 2 takes no solve
@@ -158,30 +161,53 @@ def half_zone(grid_size):
     return k, weights
 
 
+def stepped_mean(v0, k, weights, pair, cutoff):
+    """The weighted mean gap of pair (len(k), 2) after one Newton step at cutoff."""
+    stepped, _ = bands._newton_step(v0, k, pair, cutoff)
+    return float(np.sum(weights * np.diff(stepped)[:, 0])) / np.sum(weights)
+
+
 @pytest.mark.parametrize("grid_size", [16, 17, 512, 513])
 def test_mean_gap_is_the_cutoff_eigensolve_bit_for_bit(grid_size):
-    # the check at cutoff + 2 only decides: the mean returned is the weighted sum of the
-    # cutoff's own LAPACK gaps, formed here in one eigvalsh call over the whole half zone
+    # the check at cutoff + 2 only decides: the mean returned is the cutoff's own LAPACK
+    # pair, formed here in one eigvalsh call over the whole half zone, after one Newton
+    # step at the cutoff from each E_1, E_2, weighted and summed
     k, weights = half_zone(grid_size)
     for v0 in (0.0, 0.3, 1.0, 4.0, 16.0, 100.0):
         params = LatticeParams(v0, 1.0)
-        e = np.linalg.eigvalsh(build_bloch_hamiltonian(params, k, 10))
-        want = float(np.sum(weights * (e[:, 1] - e[:, 0]))) / grid_size
-        assert mean_band_gap(params, grid_size=grid_size) == want, v0
+        e = np.linalg.eigvalsh(build_bloch_hamiltonian(params, k, 10))[:, :2]
+        assert mean_band_gap(params, grid_size=grid_size) == stepped_mean(v0, k, weights, e, 10), v0
+
+
+# Mean gaps (v0, grid, cutoff): Newton steps on the pivot recurrence in 50-digit mpmath
+# from the LAPACK pair, weighted as mean_band_gap weights them
+FROZEN_MEAN_GAPS = {(1.0, 512, 10): "2.1063035167679976948876",
+                    (3.76e-4, 108, 30): "2.0000017615291505621825"}
+
+
+@pytest.mark.parametrize("v0, grid_size, cutoff", sorted(FROZEN_MEAN_GAPS))
+def test_mean_gap_matches_high_precision_values(v0, grid_size, cutoff):
+    # the Newton step at the cutoff drops LAPACK's roundoff: the mean came within 3.3e-17
+    # and 8.2e-18 relative of these values, checked at a few ulps.  LAPACK's own mean was
+    # 8.1e-16 and 1.06e-12 off: at cutoff 30 its roundoff is as large as the convergence
+    # tolerance
+    params, want = LatticeParams(v0, 1.0), float(FROZEN_MEAN_GAPS[v0, grid_size, cutoff])
+    assert abs(mean_band_gap(params, grid_size, cutoff) - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("cutoff", range(4, 15))
 def test_gap_check_decides_as_the_cutoff_plus_two_eigensolve(cutoff, monkeypatch):
-    # the Newton step at cutoff + 2 passes and refuses where a second LAPACK solve does,
-    # over depths that cross every cutoff's limit.  Without its pivot guard the step is
-    # nan at v0 = 0, where every start is a diagonal entry, and at v0 ~ 22.2, cutoff 14,
-    # where parity zeroes band 2's pivot at k = 0.  Where the mean is converged the two
-    # check means agree to 1e-13 relative (measured <= 2.8e-14).  LAPACK's own roundoff,
-    # ~eps (2 cutoff + 5)^2, is ~1e-12 of the mean by cutoff 30, where the two routes
-    # may part (test_gap_check_sees_past_roundoff_in_the_cutoff_pair).  mean_band_gap
-    # gets the test's own solve at the cutoff, so each depth takes two
+    # the Newton steps pass and refuse where LAPACK's cutoff and cutoff + 2 means do,
+    # over depths that cross every cutoff's limit; every mismatch is listed.  Without
+    # its pivot guard the step is nan at v0 = 0, where every start is a diagonal entry,
+    # and at v0 ~ 22.2, cutoff 14, where parity zeroes band 2's pivot at k = 0.  Where
+    # the mean is converged the two check means agree to 1e-13 relative (measured
+    # <= 2.8e-14).  LAPACK's own roundoff, ~eps (2 cutoff + 5)^2, is ~1e-12 of the mean
+    # by cutoff 30, where the two routes may part.  mean_band_gap gets the test's own
+    # solve at the cutoff, so each depth takes two
     lowest_bands = bands.lowest_bands
     k, weights = half_zone(512)
+    mismatches = []
     for v0 in [0.0, *np.logspace(-3, np.log10(500.0), 60)]:
         params = LatticeParams(v0, 1.0)
         pair, oracle = (lowest_bands(params, k, c, 2) for c in (cutoff, cutoff + 2))
@@ -191,12 +217,19 @@ def test_gap_check_decides_as_the_cutoff_plus_two_eigensolve(cutoff, monkeypatch
         converged = abs(check - gap) <= bands.GAP_CONVERGENCE_TOL * check
         monkeypatch.setattr(bands, "lowest_bands", lambda *args: pair)
         try:
-            assert mean_band_gap(params, cutoff=cutoff) == gap
+            got = mean_band_gap(params, cutoff=cutoff)
         except ValueError as exc:
-            assert not converged and "not converged at cutoff" in str(exc), (v0, exc)
+            assert "not converged at cutoff" in str(exc), (v0, exc)
+            if converged:
+                mismatches.append((v0, "refused"))
             continue
-        assert converged and np.all(below <= (1, 2)), v0
+        assert got == stepped_mean(v0, k, weights, pair, cutoff), v0
+        if not converged:
+            mismatches.append((v0, "passed"))
+            continue
+        assert np.all(below <= (1, 2)), v0
         assert abs(newton - check) <= 1e-13 * check, v0
+    assert not mismatches
 
 
 def test_gap_check_refuses_a_pair_that_is_not_the_lowest(monkeypatch):
@@ -215,18 +248,21 @@ def test_gap_check_refuses_a_pair_that_is_not_the_lowest(monkeypatch):
 
 
 def test_gap_check_sees_past_roundoff_in_the_cutoff_pair(monkeypatch):
-    # LAPACK's roundoff in the cutoff's pair reaches ~1e-12 of the mean by cutoff 30 (2.7e-12
-    # in E_1 at v0 = 3.8e-4, k = 0.889, against a 40-digit value).  Here every E_2 is raised
-    # by 1e-11: the mean moves by ~5e-12 relative against the Newton step at cutoff + 2, but
-    # the pair stepped at the cutoff itself moves by less than the tolerance, so it passes
+    # LAPACK's roundoff in the cutoff's pair reaches ~1e-12 of the mean by cutoff 30
+    # (test_mean_gap_matches_high_precision_values).  Here every E_2 is raised by 1e-11:
+    # the mean moves by ~5e-12 relative against the Newton step at cutoff + 2, but the
+    # pair stepped at the cutoff itself drops the 1e-11, so the check passes and the mean
+    # returned is the unperturbed one to roundoff (it came out equal to the last bit)
     params, lowest_bands = LatticeParams(1.0, 1.0), bands.lowest_bands
     k, weights = half_zone(512)
-    pair = lowest_bands(params, k, 10, 2) + [0.0, 1e-11]
+    exact = lowest_bands(params, k, 10, 2)
+    pair = exact + [0.0, 1e-11]
     monkeypatch.setattr(bands, "lowest_bands", lambda *args: pair)
     gap = float(np.sum(weights * np.diff(pair)[:, 0])) / 512
     stepped, _ = bands._newton_step(1.0, k, pair, 12)
     assert abs(float(np.sum(weights * np.diff(stepped)[:, 0])) / 512 - gap) > 4e-12 * gap
-    assert mean_band_gap(params) == gap
+    want = stepped_mean(1.0, k, weights, exact, 10)
+    assert abs(mean_band_gap(params) - want) <= 1e-15 * want
 
 
 def test_mean_gap_grows_with_depth():

@@ -397,9 +397,10 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         (["bands", "--v0", "1", "--grid", huge], band),
         (["bands", "--v0", "1", "--cutoff", "1000"], band),
         (["bands", "--v0", "1", "--cutoff", huge, "--n-bands", "2"], band),
-        # 540,000 rows of 5 values: the eigensolves are priced at ~2.96 s and the rows at
-        # ~2.4 s; unpriced, the rows took 1.9-2.1 s and the command 4.2-4.8 s
+        # 540,000 rows of 5 values: the eigensolves are priced at ~2.42 s and the rows at
+        # ~2.43 s; unpriced, the rows took 1.9-2.1 s and the command 4.2-4.8 s
         (["bands", "--v0", "1", "--cutoff", "4", "--n-bands", "4", "--grid", "540000"], band),
+        (["bands", "--v0", "1", "--cutoff", "4", "--n-bands", "4", "--grid", "333853"], band),
         (["scaling", "--grid", "10000000"], band),
         (["scaling", "--cutoff", "1000"], band),
         (["scaling", "--n-points", "100000000"], sweep),
@@ -425,9 +426,8 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         # unpriced, it ran 7.9 s to a 1 GB peak and a 94 MB run_trace.csv
         (["run", "--v0", "40", "--f0", "0.5", "--cycles", "14000", "--cutoff", "8",
           "--fit-window", "1:5"], solver),
-        # each depth is a mean gap, priced at 7.4 ms at the default grid and cutoff
-        (["scaling", "--v0", ",".join(["1"] * 409)], band),
-        (["scaling", "--v0", ",".join(["1"] * 405)], band),
+        # each depth is a mean gap, priced at 5.2 ms at the default grid and cutoff
+        (["scaling", "--v0", ",".join(["1"] * 576)], band),
     ]
     tracemalloc.start()
     try:
@@ -440,7 +440,9 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert not list(tmp_path.glob("huge*"))
-    cli.check_band_grid(2, cli.DEFAULT_GRID_SIZE, cli.DEFAULT_CUTOFF, 404)  # the last that passes
+    # the last that pass
+    cli.check_band_grid(2, cli.DEFAULT_GRID_SIZE, cli.DEFAULT_CUTOFF, 575)
+    cli.check_band_grid(4, 333852, 4, rows=333852)
 
 
 # Every documented command: the README quickstart, the scipy-free CI step, the CLI calls

@@ -593,6 +593,26 @@ def test_band_projections_chunk_many_distinct_k_and_match_one_at_a_time(monkeypa
     assert np.array_equal(got, one)
 
 
+def test_many_distinct_k_are_refused_before_any_eigensolve(monkeypatch):
+    # a caller's stack of 10^5 snapshots, each at its own quasimomentum: 10^5 eigensolves
+    # with vectors at band cutoff 16 are priced at ~8.5 s (bands.check_band_vectors) and
+    # refused before any runs.  The amplitudes are one broadcast row, so the peak is
+    # np.unique's sort of k (4.9e6 bytes), far below the 5.3e7 bytes the band vectors
+    # alone would hold
+    k = np.linspace(-1.0, 1.0, 10 ** 5, endpoint=False)
+    states = HoustonState(np.broadcast_to(np.ones(33, complex), (len(k), 33)), k, k)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="the distinct quasimomenta and the band cutoff "
+                                             r"need ~1.11e\+08 bytes / ~8.48 s"):
+            band_projections(states, LatticeParams(2.0, 0.5), 2, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 23, peak
+
+
 def full_cutoff_projections(state, params):
     """P1, P2 of one snapshot on all 2c + 1 modes of its basis."""
     c = state.cutoff

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ def test_step_times_ladder():
     for t_bloch in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="t_bloch must be > 0"):
             evolve_steps(make_op(0.7, 0.1, 0.2), 4, t_bloch=t_bloch)
+
+
+def test_long_series_is_refused_before_any_allocation():
+    # n_steps + 1 floats and n_steps products of bands.STEP_PRODUCT_S (measured 3.1-3.5 us
+    # each at 10^4 to 10^6 steps): 10^8 steps would hold 800 MB and take ~6 minutes, and
+    # the work budget refuses them, naming n_steps, before the series is allocated
+    op = make_op(0.7, 0.1, 0.2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n_steps need ~8e\+08 bytes / ~350 s .*; reduce n_steps"):
+            evolve_steps(op, 10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_second_step_first_order_expansion(ingredients_v1, operator_v1):
