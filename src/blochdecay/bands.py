@@ -39,6 +39,7 @@ MAX_WORK_SECONDS = 3.0
 WIDE_STEP_S, SWEEP_STEP_S, WIDE_STEP_FLOP_RATE = 2.5e-4, 6e-5, 6e10
 BAND_SOLVE_S, BAND_SOLVE_FLOP_RATE = 4e-6, 2e9  # eigenvalues only
 BAND_VECTORS_S, BAND_VECTORS_ELEMENT_S = 4e-6, 7e-8  # with the vectors
+BAND_SAMPLE_BYTES, BAND_SAMPLE_S = 48.0, 3e-7  # a sample's sort, gather and projection
 STEP_PRODUCT_S = 3.5e-6  # one 2x2 step of evolve_steps and its survival value
 # Bytes and seconds of each value or line the CLI writes:
 TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S = 100.0, 8.5e-6  # a trace sample, projected and written
@@ -177,10 +178,10 @@ def check_work(flags: str, cost, *sizes: int) -> None:
     elements per call times seconds per element), with constants fixed per
     kernel: WIDE_STEP_S, SWEEP_STEP_S and WIDE_STEP_FLOP_RATE, BAND_SOLVE_S
     and BAND_SOLVE_FLOP_RATE, BAND_VECTORS_S and BAND_VECTORS_ELEMENT_S,
-    STEP_PRODUCT_S, and the bytes and seconds of each trace sample, band
-    value, sweep force and row and ret line the CLI writes.  README's
-    calibration table gives what each was fitted to on 2 cores and how far
-    the model is from measured runs.
+    BAND_SAMPLE_BYTES and BAND_SAMPLE_S, STEP_PRODUCT_S, and the bytes and
+    seconds of each trace sample, band value, sweep force and row and ret
+    line the CLI writes.  README's calibration table gives what each was
+    fitted to on 2 cores and how far the model is from measured runs.
     """
     n_bytes, seconds = cost(*(float(min(max(n, 0), 10 ** 300)) for n in sizes))
     if not (n_bytes <= MAX_WORK_BYTES and seconds <= MAX_WORK_SECONDS):
@@ -219,21 +220,25 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
                grid_size, 2 * cutoff + 1, n_bands, n_depths, rows)
 
 
-def check_band_vectors(n_k: int, cutoff: int, n_bands: int) -> None:
-    """Raise ValueError unless lowest_bands can return n_bands vectors at n_k quasimomenta.
+def check_band_vectors(n_samples: int, n_k: int, cutoff: int, n_bands: int) -> None:
+    """Raise ValueError unless band_projections can project n_samples on n_k quasimomenta.
 
-    The price of dynamics.band_projections' eigensolve, checked through
+    The price of dynamics.band_projections, checked through
     check_work: for each of the n_k matrices, BAND_VECTORS_S plus
     BAND_VECTORS_ELEMENT_S per element of the d x d matrix, d = 2 cutoff + 1,
     and of its n_bands vectors, and 16 (d + 1) n_bands bytes for its kept
     vectors and values and their joined copy; plus 32 bytes per element of
-    one chunk of hamiltonians and their vectors.
+    one chunk of hamiltonians and their vectors.  Each sample adds
+    BAND_SAMPLE_BYTES and BAND_SAMPLE_S, for the sort of the quasimomenta,
+    its inverse, its gathered basis and its populations.
     """
-    def cost(n_k, dim, bands):
-        return (16.0 * n_k * (dim + 1.0) * bands + 32.0 * max(_CHUNK_ELEMENTS, dim * dim),
-                n_k * (BAND_VECTORS_S + dim * (dim + bands) * BAND_VECTORS_ELEMENT_S))
-    check_work("the distinct quasimomenta and the band cutoff", cost,
-               n_k, 2 * cutoff + 1, n_bands)
+    def cost(samples, n_k, dim, bands):
+        return (16.0 * n_k * (dim + 1.0) * bands + 32.0 * max(_CHUNK_ELEMENTS, dim * dim)
+                + samples * BAND_SAMPLE_BYTES,
+                n_k * (BAND_VECTORS_S + dim * (dim + bands) * BAND_VECTORS_ELEMENT_S)
+                + samples * BAND_SAMPLE_S)
+    check_work("the samples, the distinct quasimomenta and the band cutoff", cost,
+               n_samples, n_k, 2 * cutoff + 1, n_bands)
 
 
 def band_energies(params: LatticeParams, n_bands: int = 3,
@@ -333,7 +338,10 @@ def _newton_step(v0: float, k: np.ndarray, pair: np.ndarray, cutoff: int):
         r = (t * r - 1.0) / q  # q_i' = -1 + (b^2 / q_{i-1}) q_{i-1}' / q_{i-1}
         slope += r
         t = b2 / q
-    return scale * (x - 1.0 / slope), np.count_nonzero(pivots < 0, axis=0)
+    below = np.count_nonzero(pivots < 0, axis=0)
+    if b2 == 0.0:  # H is diagonal (v0 = 0, or b^2 underflows): LAPACK's pair is exact
+        return pair, below
+    return scale * (x - 1.0 / slope), below
 
 
 def bloch_phase(params: LatticeParams, mean_gap: float) -> float:

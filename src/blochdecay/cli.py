@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,24 +56,12 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(f"{name}: {exc}", stage=name) from exc
 
 
-_FLOAT_FMT = "{:.17g}".format
+_FLOAT_FMT = "%.17g"  # 17 significant digits: a float reads back exactly
 
 
 def _fmt(x) -> str:
-    """A float to 17 significant digits (it reads back exactly), anything else by str."""
-    return _FLOAT_FMT(x) if isinstance(x, float) else str(x)
-
-
-def _column_text(column) -> list[str]:
-    """_fmt of each value of a column; a float array goes through one tolist.
-
-    A list of strings is returned as it is.
-    """
-    if isinstance(column, list) and (not column or isinstance(column[0], str)):
-        return column
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return list(map(_FLOAT_FMT, column.tolist()))
-    return list(map(_fmt, column))
+    """A float by _FLOAT_FMT, anything else by str."""
+    return _FLOAT_FMT % x if isinstance(x, float) else str(x)
 
 
 def _resolve_out(path: str) -> Path:
@@ -88,23 +77,26 @@ def _write_csv(path: str, runspec: str, header: str, columns,
                comments: list[str] | None = None) -> Path:
     """Write the runspec, comment and header lines, then one row per index of the columns.
 
-    columns are equal-length sequences: arrays or lists of values, each
-    written by _fmt's rule.  A list of strings goes out as it is, so text
-    that repeats (a sweep's forces, once per depth) is formatted once.
-    Each chunk of rows, about _CSV_CHUNK_VALUES values, is formatted column
-    by column and written with one join.
+    columns are equal-length sequences, each of one kind of value: a
+    column of floats is written by _FLOAT_FMT, any other (integers, ready
+    text) by str, so text that repeats (a sweep's forces, once per depth)
+    is formatted once.  Each chunk of rows, about _CSV_CHUNK_VALUES values,
+    is one tuple of values put through one % of the row format.
     """
     target = _resolve_out(path)
     n_rows = len(columns[0])
     chunk = max(1, _CSV_CHUNK_VALUES // len(columns))
+    row = ",".join(_FLOAT_FMT if np.asarray(col[:1]).dtype.kind == "f" else "%s"
+                   for col in columns) + "\n"
     with open(target, "w", newline="") as fh:
         fh.write(f"# runspec {runspec}\n")
         for line in comments or ():
             fh.write(f"# {line}\n")
         fh.write(header + "\n")
         for lo in range(0, n_rows, chunk):
-            texts = [_column_text(col[lo:lo + chunk]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            parts = [col[lo:lo + chunk] for col in columns]
+            parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+            fh.write(row * len(parts[0]) % tuple(chain.from_iterable(zip(*parts))))
     return target
 
 
@@ -375,7 +367,7 @@ def cmd_scaling(opts: dict) -> int:
         zm1s.append(z - 1.0)
     # each depth's v0 and the forces are formatted once, not once per row
     v0_text = [text for params in depths for text in [_fmt(params.v0)] * len(f0_grid)]
-    columns = [v0_text, _column_text(f0_grid) * len(depths),
+    columns = [v0_text, [_fmt(f0) for f0 in f0_grid.tolist()] * len(depths),
                np.concatenate(phis), np.concatenate(zm1s)]
     target = _stage("write", _write_csv, opts["out"], runspec, "v0,f0,phi,Z_minus_1", columns)
     print(f"wrote {target}")

@@ -399,15 +399,17 @@ def band_projections(states: HoustonState, params: LatticeParams, n_bands: int =
     64 quasimomenta every cycle, so it takes 64 eigensolves whatever its
     length, and its cycle boundaries (all at k = 0) take one.  A caller's
     own stack is priced by bands.check_band_vectors, one eigensolve per
-    distinct quasimomentum, before any of them runs.
+    distinct quasimomentum and the work of each sample, before any
+    eigensolve runs; only the sort that counts the quasimomenta precedes
+    it, at 41 bytes per sample against the stack's 16 (2c + 1).
     """
     c = states.cutoff
     b = min(band_cutoff, c)
     if n_bands < 1 or n_bands > b:
         raise ValueError(f"need 1 <= n_bands <= band cutoff={b}, got {n_bands}")
     k, inverse = np.unique(states.quasimomentum, return_inverse=True)
-    check_band_vectors(len(k), b, n_bands)
     inverse = inverse.ravel()  # some numpy versions shape it like the input
+    check_band_vectors(len(inverse), len(k), b, n_bands)
     amps = states.amplitudes.reshape(len(inverse), -1)[:, None, c - b:c + b + 1]
     _, vec = lowest_bands(params, k, b, n_bands, vectors=True)
     populations = np.empty((len(inverse), n_bands))

@@ -123,6 +123,16 @@ def test_mean_gap_free_value():
     assert mean_band_gap(LatticeParams(0.0, 1.0)) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("v0", [0.0, 1e-200])
+def test_mean_gap_is_exact_where_the_hamiltonians_are_diagonal(v0):
+    # b^2 = (v0/4)^2 is 0 at v0 = 0 and underflows at 1e-200: every hamiltonian is
+    # diagonal, so LAPACK's pair is exact and neither Newton step may move it.  Over
+    # these grids 4 - 4|k| averages to exactly 2
+    for grid_size in (16, 512):
+        for cutoff in (4, 10):
+            assert mean_band_gap(LatticeParams(v0, 1.0), grid_size, cutoff) == 2.0
+
+
 def test_mean_gap_grid_refinement():
     params = LatticeParams(1.0, 1.0)
     g256 = mean_band_gap(params, grid_size=256)

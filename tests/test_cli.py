@@ -261,7 +261,14 @@ def test_column_writer_matches_rowwise_rule(tmp_path, n_rows):
     want = rowwise_csv("{}", "a,b,c,d,e", zip(*columns), ["one", "two"])
     assert path.read_text() == want
     assert len(want.splitlines()) == 4 + n_rows
-    assert cli._column_text(text) is text  # ready text is not formatted again
+    # a column of Python floats, and a 2-D array given as its transposed rows, as run
+    # passes its trace
+    columns = [floats[::-1].tolist(), ints, text]
+    path = cli._write_csv(str(tmp_path / "l.csv"), "{}", "a,b,c", columns)
+    assert path.read_text() == rowwise_csv("{}", "a,b,c", zip(*columns))
+    table = np.column_stack([floats, floats[::-1], np.arange(n_rows) / 7.0])
+    path = cli._write_csv(str(tmp_path / "t.csv"), "{}", "a,b,c", table.T)
+    assert path.read_text() == rowwise_csv("{}", "a,b,c", table.tolist())
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch):

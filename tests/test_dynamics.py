@@ -12,7 +12,7 @@ import scipy.linalg
 
 from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         NormDriftError, SolverConfig, band_projections,
-                        band_survival, build_bloch_hamiltonian, dynamics,
+                        band_survival, bands, build_bloch_hamiltonian, dynamics,
                         evolve_lattice, extract_plateaus, lz_probability,
                         lz_two_level_ode, trace_rows)
 from blochdecay.bands import _CHUNK_ELEMENTS
@@ -605,12 +605,34 @@ def test_many_distinct_k_are_refused_before_any_eigensolve(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="the distinct quasimomenta and the band cutoff "
-                                             r"need ~1.11e\+08 bytes / ~8.48 s"):
+                                             r"need ~1.16e\+08 bytes / ~8.51 s"):
             band_projections(states, LatticeParams(2.0, 0.5), 2, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 23, peak
+
+
+def test_band_projections_are_priced_per_sample(monkeypatch):
+    # 10^5 samples on the 64 quasimomenta of a trace, state cutoff 32, band cutoff 10:
+    # the sort of the quasimomenta and its inverse (41 bytes per sample) set the peak,
+    # not the 64 eigensolves.  The byte estimate lies within 1-2x of tracemalloc's peak
+    # (measured 1.69x).  The amplitudes are one broadcast row, allocated before the
+    # trace starts
+    estimates = []
+    check_work = bands.check_work
+    monkeypatch.setattr(bands, "check_work", lambda flags, cost, *sizes:
+                        estimates.append(cost(*sizes)[0]) or check_work(flags, cost, *sizes))
+    k = np.resize(np.linspace(-1.0, 1.0, MIN_SAMPLES_PER_CYCLE, endpoint=False), 10 ** 5)
+    amps = np.broadcast_to(np.ones(65, complex) / 65.0, (len(k), 65))
+    states = HoustonState(amps, k, k)
+    tracemalloc.start()
+    try:
+        band_projections(states, LatticeParams(1.0, 0.383), 2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1 and peak <= estimates[0] <= 2.0 * peak, (estimates, peak)
 
 
 def full_cutoff_projections(state, params):
