@@ -35,18 +35,14 @@ _CHUNK_ELEMENTS = 2 ** 16
 MAX_WORK_BYTES = 2 ** 28
 MAX_WORK_SECONDS = 3.0
 # The prices check_work is given, each fitted in README's calibration table.
-# Seconds per call, and flop/s or seconds per matrix element, of the kernels:
+# Seconds per call, and flop/s, of the kernels (an eigensolve with vectors
+# counts as two eigenvalue solves):
 WIDE_STEP_S, SWEEP_STEP_S, WIDE_STEP_FLOP_RATE = 2.5e-4, 6e-5, 6e10
 BAND_SOLVE_S, BAND_SOLVE_FLOP_RATE = 4e-6, 2e9  # eigenvalues only
-BAND_VECTORS_S, BAND_VECTORS_ELEMENT_S = 4e-6, 7e-8  # with the vectors
-BAND_SAMPLE_BYTES, BAND_SAMPLE_S = 48.0, 3e-7  # a sample's sort, gather and projection
 STEP_PRODUCT_S = 3.5e-6  # one 2x2 step of evolve_steps and its survival value
-# Bytes and seconds of each value or line the CLI writes:
-TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S = 100.0, 8.5e-6  # a trace sample, projected and written
-BAND_VALUE_S = 9e-7  # a band table value, formatted and written
-SWEEP_FORCE_BYTES, SWEEP_FORCE_S = 320.0, 1.5e-6  # a sweep force, its temporaries and text
-SWEEP_ROW_BYTES, SWEEP_ROW_S = 48.0, 2.3e-6  # a sweep output row: phi, Z - 1, its text
-RET_LINE_BYTES, RET_LINE_S = 300.0, 1e-5  # a ret comment line, one per resonance
+# Bytes and seconds of one value a command holds or writes; each priced
+# thing counts its own values:
+VALUE_BYTES, VALUE_S = 20.0, 1e-6
 
 
 class EigensolverError(RuntimeError):
@@ -174,14 +170,11 @@ def check_work(flags: str, cost, *sizes: int) -> None:
     size is counted as a float in [0, 1e300], so a 401-digit flag neither
     raises nor converts, and a cost that overflows is inf and refused.
     Nothing is timed at run time, so a refusal depends on the input alone:
-    seconds are calls times (seconds per call + flops per call / flop/s, or
-    elements per call times seconds per element), with constants fixed per
-    kernel: WIDE_STEP_S, SWEEP_STEP_S and WIDE_STEP_FLOP_RATE, BAND_SOLVE_S
-    and BAND_SOLVE_FLOP_RATE, BAND_VECTORS_S and BAND_VECTORS_ELEMENT_S,
-    BAND_SAMPLE_BYTES and BAND_SAMPLE_S, STEP_PRODUCT_S, and the bytes and
-    seconds of each trace sample, band value, sweep force and row and ret
-    line the CLI writes.  README's calibration table gives what each was
-    fitted to on 2 cores and how far the model is from measured runs.
+    seconds are kernel calls times (seconds per call + flops per call /
+    flop/s) plus VALUE_S per value computed or written, and bytes count
+    VALUE_BYTES per value held.  README's calibration table is the one
+    record of what each price was fitted to and how far it is from
+    measured runs.
     """
     n_bytes, seconds = cost(*(float(min(max(n, 0), 10 ** 300)) for n in sizes))
     if not (n_bytes <= MAX_WORK_BYTES and seconds <= MAX_WORK_SECONDS):
@@ -195,16 +188,11 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
 
     Also refuses, through check_work, a grid and cutoff whose band table or
     n_depths mean gaps (one per depth of a scaling sweep) would not fit the
-    work budget.  The memory is 8 (dim + n_bands + 1) bytes per k point, for
-    every eigenvalue of the chunks kept until the table is joined, plus 16
-    bytes per element of one chunk of hamiltonians; over bands, scaling and
-    ret runs at grids 64 to 10^5 and cutoffs 4 to 200 it came out 1.04-2.2x
-    tracemalloc's peak (a mean gap holds half the grid), and up to 19x at
-    grid 16, where the one chunk dominates.  The time is grid_size
-    band eigensolves per depth at d = dim = 2 cutoff + 1, plus BAND_VALUE_S
-    per value of the rows bands writes (n_bands + 1 each; a mean gap writes
-    none).  A mean gap solves half the grid and takes two Newton steps,
-    which took 0.5-1.0 of the time of grid_size eigensolves (README).
+    work budget: grid_size band eigensolves per depth at d = 2 cutoff + 1,
+    8 (d + n_bands + 1) bytes per k point for the eigenvalues kept until
+    the table is joined, 16 bytes per element of one chunk of hamiltonians,
+    and the n_bands + 1 values of each of the rows bands writes (a mean gap
+    writes none), priced as README's calibration table gives.
     """
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
@@ -215,7 +203,7 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
     def cost(grid, dim, bands, depths, rows):
         return (8.0 * grid * (dim + bands + 1.0) + 16.0 * max(_CHUNK_ELEMENTS, dim * dim),
                 depths * grid * (BAND_SOLVE_S + 4.0 / 3.0 * dim * dim * dim / BAND_SOLVE_FLOP_RATE)
-                + rows * (bands + 1.0) * BAND_VALUE_S)
+                + rows * (bands + 1.0) * VALUE_S)
     check_work("the grid, the cutoff and the depths", cost,
                grid_size, 2 * cutoff + 1, n_bands, n_depths, rows)
 
@@ -223,20 +211,18 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
 def check_band_vectors(n_samples: int, n_k: int, cutoff: int, n_bands: int) -> None:
     """Raise ValueError unless band_projections can project n_samples on n_k quasimomenta.
 
-    The price of dynamics.band_projections, checked through
-    check_work: for each of the n_k matrices, BAND_VECTORS_S plus
-    BAND_VECTORS_ELEMENT_S per element of the d x d matrix, d = 2 cutoff + 1,
-    and of its n_bands vectors, and 16 (d + 1) n_bands bytes for its kept
-    vectors and values and their joined copy; plus 32 bytes per element of
-    one chunk of hamiltonians and their vectors.  Each sample adds
-    BAND_SAMPLE_BYTES and BAND_SAMPLE_S, for the sort of the quasimomenta,
-    its inverse, its gathered basis and its populations.
+    The price of dynamics.band_projections, checked through check_work: for
+    each of the n_k matrices, one eigensolve with vectors at d = 2 cutoff + 1
+    and 16 (d + 1) n_bands bytes for its kept vectors and values and their
+    joined copy; 32 bytes per element of one chunk of hamiltonians and their
+    vectors; and each sample's n_bands populations as values, priced as
+    README's calibration table gives.
     """
     def cost(samples, n_k, dim, bands):
         return (16.0 * n_k * (dim + 1.0) * bands + 32.0 * max(_CHUNK_ELEMENTS, dim * dim)
-                + samples * BAND_SAMPLE_BYTES,
-                n_k * (BAND_VECTORS_S + dim * (dim + bands) * BAND_VECTORS_ELEMENT_S)
-                + samples * BAND_SAMPLE_S)
+                + samples * bands * VALUE_BYTES,
+                2.0 * n_k * (BAND_SOLVE_S + 4.0 / 3.0 * dim * dim * dim / BAND_SOLVE_FLOP_RATE)
+                + samples * bands * VALUE_S)
     check_work("the samples, the distinct quasimomenta and the band cutoff", cost,
                n_samples, n_k, 2 * cutoff + 1, n_bands)
 
@@ -339,7 +325,9 @@ def _newton_step(v0: float, k: np.ndarray, pair: np.ndarray, cutoff: int):
         slope += r
         t = b2 / q
     below = np.count_nonzero(pivots < 0, axis=0)
-    if b2 == 0.0:  # H is diagonal (v0 = 0, or b^2 underflows): LAPACK's pair is exact
+    # Weyl's bound puts every eigenvalue within 2 b of the diagonal, so at b <= eps
+    # LAPACK's pair is as good as a step, and exact at v0 = 0
+    if v0 / 4.0 <= np.finfo(float).eps:
         return pair, below
     return scale * (x - 1.0 / slope), below
 

@@ -24,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, RET_LINE_BYTES, RET_LINE_S,
-                    SWEEP_FORCE_BYTES, SWEEP_FORCE_S, SWEEP_ROW_BYTES, SWEEP_ROW_S,
-                    LatticeParams, band_energies, check_band_grid, check_work, mean_band_gap)
+from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, VALUE_BYTES, VALUE_S, LatticeParams,
+                    band_energies, check_band_grid, check_work, mean_band_gap)
 from .dynamics import (MIN_CYCLES, SolverConfig, evolve_lattice, extract_plateaus, step_grid,
                        trace_rows)
 from .stepmodel import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, DegenerateSpectrumError,
@@ -331,19 +330,17 @@ def _force_grid(opts: dict, n_depths: int = 1) -> np.ndarray:
     """The checked sweep forces linspace(f0-min, f0-max, n-points) of scaling and ret.
 
     Refuses, through check_work, a sweep whose step-model arrays and output
-    columns would not fit the work budget: bands.SWEEP_FORCE_BYTES and
-    SWEEP_FORCE_S per force (one depth's temporaries and the formatted
-    force) plus SWEEP_ROW_BYTES (phi and Z - 1, twice, and two text
-    references) and SWEEP_ROW_S per output row.  At 1 to 32 depths and 10^4
-    to 10^5 forces the memory came out 4-47% above tracemalloc's peak.
+    columns would not fit the work budget: each force holds about 16
+    step-model values and writes about 2 (its text), and each output row
+    holds and writes 4, priced as README's calibration table gives.
     """
     if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
         raise StageError("parameters: need n-points >= 0 and 0 < f0-min <= f0-max < inf, got "
                          f"n-points {opts['n_points']}, f0-min {opts['f0_min']}, "
                          f"f0-max {opts['f0_max']}", stage="parameters")
     _stage("parameters", check_work, "--n-points and the depths",
-           lambda n, depths: (n * (SWEEP_FORCE_BYTES + SWEEP_ROW_BYTES * depths),
-                              n * (SWEEP_FORCE_S + SWEEP_ROW_S * depths)),
+           lambda n, depths: (n * (16.0 + 4.0 * depths) * VALUE_BYTES,
+                              n * (2.0 + 4.0 * depths) * VALUE_S),
            opts["n_points"], n_depths)
     return np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
 
@@ -377,8 +374,9 @@ def cmd_scaling(opts: dict) -> int:
 def cmd_ret(opts: dict) -> int:
     runspec = _runspec_json("ret", opts)
     f0_grid = _force_grid(opts)
-    _stage("parameters", check_work, "--j-max", lambda j: (RET_LINE_BYTES * j, RET_LINE_S * j),
-           opts["j_max"])
+    # each resonance's 4 fields are written twice, to the CSV and to stdout
+    _stage("parameters", check_work, "--j-max",
+           lambda j: (8.0 * j * VALUE_BYTES, 8.0 * j * VALUE_S), opts["j_max"])
     params = _stage("parameters", LatticeParams, opts["v0"], f0_grid)
     _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"])
     gap = _stage("band-structure", mean_band_gap, params,

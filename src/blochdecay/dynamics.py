@@ -55,10 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S,
-                    TRACE_SAMPLE_BYTES, TRACE_SAMPLE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S,
-                    LatticeParams, check_band_vectors, check_work, lowest_bands,
-                    lowest_eigenpairs)
+from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S, VALUE_BYTES,
+                    VALUE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S, LatticeParams, check_band_vectors,
+                    check_work, lowest_bands, lowest_eigenpairs)
 from .stepmodel import SurvivalSeries, _check_sweep
 
 # Yoshida composition weights for the fourth-order splitting.
@@ -213,15 +212,15 @@ def _half_steps(span: float, dt: float, dim: int, samples: int, step_s: float, f
 
     bands.check_work refuses, naming flags, a build whose two (dim, K, dim)
     blocks (16 K dim^2 bytes each), m / K wide steps (step_s + 24 K dim^3
-    flops each) and samples (16 dim + 24 bytes, plus TRACE_SAMPLE_BYTES and
-    TRACE_SAMPLE_S to project and write each) exceed the budget.
+    flops each) and samples (16 dim + 24 bytes, plus the 5 values run
+    projects and writes of each) exceed the budget.
     """
     m = float(_HALF_SEGMENTS * np.ceil(span / dt / _HALF_SEGMENTS))
     def cost(dim, samples):
         k = _HALF_SEGMENTS
-        return (2.0 * 16.0 * k * dim * dim + samples * (16.0 * dim + 24.0 + TRACE_SAMPLE_BYTES),
+        return (2.0 * 16.0 * k * dim * dim + samples * (16.0 * dim + 24.0 + 5.0 * VALUE_BYTES),
                 m / k * (step_s + 24.0 * k * dim * dim * dim / WIDE_STEP_FLOP_RATE)
-                + samples * TRACE_SAMPLE_S)
+                + samples * 5.0 * VALUE_S)
     check_work(flags, cost, dim, samples)
     return int(m)
 
@@ -231,11 +230,9 @@ def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
 
     m >= K, so every dt gives at least 64 steps per cycle, one per sample.
     Samples are priced as run projects and writes them, a library trace's
-    too: TRACE_SAMPLE_BYTES covers trace_rows' rows and the chunked buffers
-    of band_projections and HoustonState.norm, 72-110 bytes per sample
-    beyond the trace.  Over evolve_lattice and trace_rows (cutoffs 8-32,
-    1 to 2,000 cycles) the memory estimate was 0.65-1.27x tracemalloc's
-    peak, 1.03-1.14x from 300 cycles on; fixed buffers dominate below.
+    too: the 5 values of each trace_rows row, whose bytes also cover the
+    chunked buffers of band_projections and HoustonState.norm, priced as
+    README's calibration table gives.
     """
     return _half_steps(params.bloch_period / 2.0, cfg.dt, 2 * cfg.cutoff + 1,
                        MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1, WIDE_STEP_S,
@@ -399,7 +396,7 @@ def band_projections(states: HoustonState, params: LatticeParams, n_bands: int =
     64 quasimomenta every cycle, so it takes 64 eigensolves whatever its
     length, and its cycle boundaries (all at k = 0) take one.  A caller's
     own stack is priced by bands.check_band_vectors, one eigensolve per
-    distinct quasimomentum and the work of each sample, before any
+    distinct quasimomentum and the populations of each sample, before any
     eigensolve runs; only the sort that counts the quasimomenta precedes
     it, at 41 bytes per sample against the stack's 16 (2c + 1).
     """

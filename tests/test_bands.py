@@ -123,14 +123,17 @@ def test_mean_gap_free_value():
     assert mean_band_gap(LatticeParams(0.0, 1.0)) == pytest.approx(2.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("v0", [0.0, 1e-200])
+@pytest.mark.parametrize("v0", [0.0, 1e-200, 1e-160, 1e-40, 1e-20])
 def test_mean_gap_is_exact_where_the_hamiltonians_are_diagonal(v0):
-    # b^2 = (v0/4)^2 is 0 at v0 = 0 and underflows at 1e-200: every hamiltonian is
-    # diagonal, so LAPACK's pair is exact and neither Newton step may move it.  Over
-    # these grids 4 - 4|k| averages to exactly 2
+    # b = v0/4 is 0 at v0 = 0 and at most eps at the other depths: every eigenvalue lies
+    # within 2 b of the diagonal, so LAPACK's pair stands and neither Newton step may move
+    # it.  Over the even grids 4 - 4|k| averages to exactly 2; an odd grid gives the free
+    # lattice's own mean
     for grid_size in (16, 512):
         for cutoff in (4, 10):
             assert mean_band_gap(LatticeParams(v0, 1.0), grid_size, cutoff) == 2.0
+    free = mean_band_gap(LatticeParams(0.0, 1.0), 513, 10)
+    assert mean_band_gap(LatticeParams(v0, 1.0), 513, 10) == free
 
 
 def test_mean_gap_grid_refinement():

@@ -405,22 +405,24 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         (["bands", "--v0", "1", "--cutoff", "1000"], band),
         (["bands", "--v0", "1", "--cutoff", huge, "--n-bands", "2"], band),
         # 540,000 rows of 5 values: the eigensolves are priced at ~2.42 s and the rows at
-        # ~2.43 s; unpriced, the rows took 1.9-2.1 s and the command 4.2-4.8 s
+        # ~2.7 s; unpriced, the rows took 1.9-2.1 s and the command 4.2-4.8 s
         (["bands", "--v0", "1", "--cutoff", "4", "--n-bands", "4", "--grid", "540000"], band),
-        (["bands", "--v0", "1", "--cutoff", "4", "--n-bands", "4", "--grid", "333853"], band),
+        (["bands", "--v0", "1", "--cutoff", "4", "--n-bands", "4", "--grid", "316256"], band),
         (["scaling", "--grid", "10000000"], band),
         (["scaling", "--cutoff", "1000"], band),
         (["scaling", "--n-points", "100000000"], sweep),
+        (["scaling", "--v0", "1", "--n-points", "500001"], sweep),
         (["scaling", "--n-points", huge], sweep),
         # 10^5 forces pass at one depth, not at 64
         (["scaling", "--v0", ",".join(["1"] * 64), "--n-points", "100000"], sweep),
         (["ret", "--grid", "10000000"], band),
         (["ret", "--cutoff", "1000"], band),
         (["ret", "--n-points", "100000000"], sweep),
-        # one comment line per resonance: 10^7 of them would take ~100 s, and 401 digits
-        # are counted as 1e300, not passed to numpy
+        # one comment line per resonance, written twice: 10^7 of them are priced at ~80 s,
+        # and 401 digits are counted as 1e300, not passed to numpy
         (["ret", "--j-max", "10000000"], "--j-max"),
         (["ret", "--j-max", huge], "--j-max"),
+        (["ret", "--j-max", "375001"], "--j-max"),
         (["run", "--v0", "1", "--f0", "0.4", "--grid", "10000000"], band),
         (["run", "--v0", "1", "--f0", "0.4", "--band-cutoff", "1000"], band),
         # a cutoff or cycle count beyond a float is counted as 1e300, not converted
@@ -432,6 +434,8 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         # 896,001 trace samples at an adiabatic point, each priced as projected and written:
         # unpriced, it ran 7.9 s to a 1 GB peak and a 94 MB run_trace.csv
         (["run", "--v0", "40", "--f0", "0.5", "--cycles", "14000", "--cutoff", "8",
+          "--fit-window", "1:5"], solver),
+        (["run", "--v0", "40", "--f0", "0.5", "--cycles", "9356", "--cutoff", "8",
           "--fit-window", "1:5"], solver),
         # each depth is a mean gap, priced at 5.2 ms at the default grid and cutoff
         (["scaling", "--v0", ",".join(["1"] * 576)], band),
@@ -447,9 +451,16 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert not list(tmp_path.glob("huge*"))
-    # the last that pass
+    # the last that pass; a command the budget admits reaches its mean gap, here None
     cli.check_band_grid(2, cli.DEFAULT_GRID_SIZE, cli.DEFAULT_CUTOFF, 575)
-    cli.check_band_grid(4, 333852, 4, rows=333852)
+    cli.check_band_grid(4, 316255, 4, rows=316255)
+    for argv in (["run", "--v0", "40", "--f0", "0.5", "--cycles", "9355", "--cutoff", "8",
+                  "--fit-window", "1:5"],
+                 ["scaling", "--v0", "1", "--n-points", "500000"],
+                 ["ret", "--j-max", "375000"]):
+        out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "last")]
+        assert main(argv + out) == 3, argv
+        assert "error: band-structure:" in capsys.readouterr().err, argv
 
 
 # Every documented command: the README quickstart, the scipy-free CI step, the CLI calls

@@ -595,7 +595,7 @@ def test_band_projections_chunk_many_distinct_k_and_match_one_at_a_time(monkeypa
 
 def test_many_distinct_k_are_refused_before_any_eigensolve(monkeypatch):
     # a caller's stack of 10^5 snapshots, each at its own quasimomentum: 10^5 eigensolves
-    # with vectors at band cutoff 16 are priced at ~8.5 s (bands.check_band_vectors) and
+    # with vectors at band cutoff 16 are priced at ~5.8 s (bands.check_band_vectors) and
     # refused before any runs.  The amplitudes are one broadcast row, so the peak is
     # np.unique's sort of k (4.9e6 bytes), far below the 5.3e7 bytes the band vectors
     # alone would hold
@@ -605,7 +605,7 @@ def test_many_distinct_k_are_refused_before_any_eigensolve(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="the distinct quasimomenta and the band cutoff "
-                                             r"need ~1.16e\+08 bytes / ~8.51 s"):
+                                             r"need ~1.15e\+08 bytes / ~5.79 s"):
             band_projections(states, LatticeParams(2.0, 0.5), 2, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -183,9 +183,9 @@ def test_step_times_ladder():
 
 
 def test_long_series_is_refused_before_any_allocation():
-    # n_steps + 1 floats and n_steps products of bands.STEP_PRODUCT_S (measured 3.1-3.5 us
-    # each at 10^4 to 10^6 steps): 10^8 steps would hold 800 MB and take ~6 minutes, and
-    # the work budget refuses them, naming n_steps, before the series is allocated
+    # n_steps + 1 floats and n_steps products of bands.STEP_PRODUCT_S (fitted in README's
+    # calibration table): 10^8 steps would hold 800 MB and take minutes, and the work
+    # budget refuses them, naming n_steps, before the series is allocated
     op = make_op(0.7, 0.1, 0.2)
     tracemalloc.start()
     try:
