@@ -21,7 +21,13 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
+# The CLI's one threaded kernel, the half-cycle build, runs its own chains, one per CPU
+# (dynamics._chain_count), so BLAS gets one thread unless the caller sets another: an
+# idle BLAS worker spins after every threaded call.  numpy reads these when it loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread defaults)
 
 from . import __version__
 from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, VALUE_BYTES, VALUE_S, LatticeParams,

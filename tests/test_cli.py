@@ -190,6 +190,50 @@ def test_run_files_byte_identical_across_blas_threads(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(tmp_path, *args, **env):
+    """Run python with args in a fresh process whose BLAS thread variables are env's only."""
+    child_env = package_env(**env)
+    for var in set(_BLAS_THREAD_VARS) - set(env):
+        child_env.pop(var, None)
+    done = subprocess.run([sys.executable, *args], cwd=tmp_path, env=child_env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_package_import_loads_no_numpy(tmp_path):
+    # the exports resolve on first use, so the CLI's thread defaults precede numpy
+    run_python(tmp_path, "-c", "import sys, blochdecay\n"
+               "assert 'numpy' not in sys.modules, sorted(sys.modules)")
+
+
+def test_cli_pins_blas_to_one_thread_unless_the_caller_sets_it(tmp_path):
+    script = "import os, blochdecay.cli; print(*(os.environ[v] for v in {}))".format(
+        _BLAS_THREAD_VARS)
+    assert run_python(tmp_path, "-c", script).stdout.split() == ["1", "1", "1"]
+    done = run_python(tmp_path, "-c", script, OPENBLAS_NUM_THREADS="3")
+    assert done.stdout.split() == ["3", "1", "1"]
+
+
+def test_every_export_resolves_and_the_cli_module_runs_without_warnings(tmp_path):
+    script = """if True:
+        import blochdecay
+        assert blochdecay.__all__ and all(getattr(blochdecay, name) is not None
+                                          for name in blochdecay.__all__)
+        names = {}
+        exec("from blochdecay import *", names)
+        assert set(blochdecay.__all__) <= set(names)
+        assert blochdecay.dynamics.evolve_lattice is blochdecay.evolve_lattice
+        """
+    run_python(tmp_path, "-c", script)
+    done = run_python(tmp_path, "-W", "default", "-m", "blochdecay.cli", "bands", "--v0", "1",
+                      "--grid", "16")
+    assert "Warning" not in done.stderr, done.stderr
+
+
 def test_run_free_lattice_trace_collapses(tmp_path):
     prefix = tmp_path / "free"
     assert main(["run", "--v0", "0", "--f0", "0.383", "--cycles", "3",

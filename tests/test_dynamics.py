@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -15,7 +17,7 @@ from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         band_survival, bands, build_bloch_hamiltonian, dynamics,
                         evolve_lattice, extract_plateaus, lz_probability,
                         lz_two_level_ode, trace_rows)
-from blochdecay.bands import _CHUNK_ELEMENTS
+from blochdecay.bands import _CHUNK_ELEMENTS, SWEEP_STEP_S, WIDE_STEP_S
 from blochdecay.dynamics import (_SEGMENTS, _W0, _W1, MIN_SAMPLES_PER_CYCLE,
                                  NORM_TOLERANCE, _coupling_exponentials,
                                  _kinetic_phases, _step, _sweep_phases, step_grid)
@@ -294,31 +296,111 @@ def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff, f0
 
 def test_cycle_map_steps_half_a_cycle(monkeypatch):
     # only the identities are stepped, the m steps of k in [0, 1] once each: the mirror
-    # gives the rest of the cycle, and the samples are gemms on the segment maps.  All
-    # 32 segments step as one (dim, 32, dim) block against one scratch block, m / 32 times
-    step = dynamics._step
-    blocks = []  # (x, y) of every call, held so that no id is reused
+    # gives the rest of the cycle, and the samples are gemms on the segment maps.  The 32
+    # segments split into chains of contiguous segments that cover each segment once;
+    # each chain steps its own (dim, K_c, dim) block against one scratch block of its
+    # own, m / 32 times
+    half_span, step = dynamics._half_span, dynamics._step
+    local, calls = threading.local(), []
+    def recording_span(dim, m, phases, *args):
+        def recorded(j):
+            local.j = j  # the step indices of this thread's next _step
+            return phases(j)
+        return half_span(dim, m, recorded, *args)
     def record(x, y, *args):
-        blocks.append((x, y))
+        calls.append((x, y, local.j))  # x and y held so that no id is reused
         return step(x, y, *args)
+    monkeypatch.setattr(dynamics, "_half_span", recording_span)
     monkeypatch.setattr(dynamics, "_step", record)
-    for cutoff in (8, 32):
-        params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=2)
-        blocks.clear()
-        evolve_lattice(params, cfg)
-        dim = 2 * cutoff + 1
-        assert len(blocks) == step_grid(params, cfg) // 32
-        assert {(x.shape, y.shape) for x, y in blocks} == {((dim, 32, dim), (dim, 32, dim))}
-        # the two buffers trade places every step; no step gets a new one
-        assert len({id(a) for pair in blocks for a in pair}) == 2
-    # the sweep steps its half span [0, t1] through the same build: m rounded up to
-    # whole segments, m / 32 steps of one (2, 32, 2) block, and the mirror for [-t1, 0]
-    blocks.clear()
+
+    def chain_count(m, dim):
+        """Chains of the recorded calls, after checking their buffers and steps."""
+        per, chains = m // 32, {}
+        for x, y, j in calls:
+            chains.setdefault(frozenset((id(x), id(y))), []).append((x, y, j))
+        # the two buffers of a chain trade places every step; no step gets a new one
+        assert len({id(a) for x, y, _ in calls for a in (x, y)}) == 2 * len(chains)
+        for chain in chains.values():
+            first = chain[0][2]
+            assert len(chain) == per and first[0] % per == 0
+            assert {(x.shape, y.shape) for x, y, _ in chain} == {((dim, len(first), dim),) * 2}
+            assert all(np.array_equal(j, first + i) for i, (_, _, j) in enumerate(chain))
+        segments = [chain[0][2] // per for chain in chains.values()]
+        assert all(np.array_equal(seg, seg[0] + np.arange(len(seg))) for seg in segments)
+        assert sorted(np.concatenate(segments)) == list(range(32))
+        return len(chains)
+
+    # the sweep steps its half span [0, t1] through the same build in one chain: m rounded
+    # up to whole segments, m / 32 steps of one (2, 32, 2) block, and the mirror for [-t1, 0]
     span, dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
     lz_two_level_ode(1.0, 1.0, span, dt)
-    assert len(blocks) == math.ceil(math.ceil(span[1] / dt) / 32)
-    assert {(x.shape, y.shape) for x, y in blocks} == {((2, 32, 2), (2, 32, 2))}
-    assert len({id(a) for pair in blocks for a in pair}) == 2
+    assert chain_count(32 * math.ceil(math.ceil(span[1] / dt) / 32), 2) == 1
+    params = LatticeParams(1.0, 0.383)
+    for cutoff, forced in ((8, None), (32, None), (16, 3), (8, 4)):
+        if forced:
+            monkeypatch.setattr(dynamics, "_chain_count", lambda dim, step_s, n=forced: n)
+        cfg, dim = SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=2), 2 * cutoff + 1
+        calls.clear()
+        evolve_lattice(params, cfg)
+        chains = forced or dynamics._chain_count(dim, WIDE_STEP_S)
+        assert chain_count(step_grid(params, cfg), dim) == chains
+
+
+def test_chain_count_follows_the_gemm_work_up_to_the_cpus(monkeypatch):
+    # one chain per WIDE_STEP_S of a wide step's 24 * 32 dim^3 gemm flops, at most one per
+    # CPU and one per group of 8 segments: one for the sweep and to cutoff 12, two on two
+    # CPUs from 13
+    count = dynamics._chain_count
+    for cpus in (1, 2, 3, 64):
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        assert count(2, SWEEP_STEP_S) == 1
+        assert count(25, WIDE_STEP_S) == 1  # cutoff 12
+        assert count(27, WIDE_STEP_S) == min(cpus, 2)  # cutoff 13
+        assert count(65, WIDE_STEP_S) == min(cpus, 4)  # cutoff 32: 15 by the work
+
+
+def test_chain_count_leaves_maps_and_traces_bit_identical(monkeypatch):
+    # the segments are independent: at 1, 2, 3 (16, 8 and 8 segments) and 4 chains the
+    # segment maps G_j, their product A, a lattice trace and the sweep agree bit for bit
+    params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=8, dt=0.01, n_cycles=3)
+    m = step_grid(params, cfg)
+    dt = params.bloch_period / 2.0 / m
+    def phases(j):
+        return _kinetic_phases(j / m, params.f0 / math.pi, dt, cfg.cutoff)
+    span, sweep_dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the chains' threads interleave as finely as they can
+    try:
+        for chains in (1, 2, 3, 4):
+            monkeypatch.setattr(dynamics, "_chain_count", lambda dim, step_s, n=chains: n)
+            maps, half_map = dynamics._half_span(17, m, phases, params.v0 / 4.0, dt, WIDE_STEP_S)
+            results.append((maps, half_map, evolve_lattice(params, cfg).amplitudes,
+                            np.array(lz_two_level_ode(1.0, 1.0, span, sweep_dt))))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0][0].shape == (32, 17, 17)
+    for got in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(results[0], got))
+
+
+def test_an_exception_in_a_chain_reaches_the_caller(monkeypatch):
+    # a chain's thread would swallow what it raises: _half_span raises it once every
+    # chain has ended, from a worker's chain or from the calling thread's own
+    step = dynamics._step
+    monkeypatch.setattr(dynamics, "_chain_count", lambda dim, step_s: 3)  # 16, 8, 8 segments
+    params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=8, dt=0.01, n_cycles=2)
+    threads = threading.active_count()
+    for failing in ({8}, {8, 16}):
+        def fail(x, y, *args, failing=failing):
+            if x.shape[1] in failing:
+                raise FloatingPointError(f"chain of {x.shape[1]} segments")
+            return step(x, y, *args)
+        monkeypatch.setattr(dynamics, "_step", fail)
+        with pytest.raises(FloatingPointError, match="chain of (8|16) segments"):
+            evolve_lattice(params, cfg)
+        assert threading.active_count() == threads
 
 
 def test_solver_memory_does_not_grow_with_the_step_count():
