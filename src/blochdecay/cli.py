@@ -7,12 +7,23 @@ are resolved against the BLOCHDECAY_OUTDIR environment variable when it is
 set.  An optional config file (one `key = value` per line) overrides
 built-in defaults; command-line flags override both.
 
-Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
+Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.  Every
+step of a command runs inside one of its stages (_stage), so a failure
+after argument parsing prints `error: <stage>: <reason>` and exits 2 from
+parameters, 3 from any other.  The stages, in order (a second parameters
+check needs the mean gap: a sweep's phase per cycle, ret's resonances):
+
+  bands    parameters, band-structure, write
+  run      parameters, band-structure, step-ingredients, effective-model,
+           full-solver, plateau-extraction, fit, comparison, write
+  scaling  parameters, then per depth band-structure, parameters, sweep; write
+  ret      parameters, band-structure, parameters, sweep, write
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -47,14 +58,16 @@ _CSV_CHUNK_VALUES = 4 * 4096
 class StageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
-    def __init__(self, message: str, stage: str = ""):
+    def __init__(self, message: str, stage: str):
         super().__init__(message)
         self.stage = stage
 
 
-def _stage(name, fn, *args, **kwargs):
+@contextlib.contextmanager
+def _stage(name: str):
+    """Run a block as the stage name: its exceptions, but a StageError, become StageErrors."""
     try:
-        return fn(*args, **kwargs)
+        yield
     except StageError:
         raise
     except Exception as exc:
@@ -64,16 +77,8 @@ def _stage(name, fn, *args, **kwargs):
 _FLOAT_FMT = "%.17g"  # 17 significant digits: a float reads back exactly
 
 
-def _fmt(x) -> str:
-    """A float by _FLOAT_FMT, anything else by str."""
-    return _FLOAT_FMT % x if isinstance(x, float) else str(x)
-
-
 def _resolve_out(path: str) -> Path:
-    p = Path(path)
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not p.is_absolute():
-        p = Path(outdir) / p
+    p = Path(os.environ.get(OUTDIR_ENV, ""), path)  # an absolute path ignores the directory
     p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
@@ -186,10 +191,7 @@ def _config_defaults(command: str, path: str, parser: argparse.ArgumentParser) -
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        else:
-            key, _, val = line.partition(" ")
+        key, _, val = line.partition("=" if "=" in line else " ")
         key = key.strip().replace("-", "_")
         val = val.strip()
         if not key or not val:
@@ -206,108 +208,98 @@ def _config_defaults(command: str, path: str, parser: argparse.ArgumentParser) -
     return pairs
 
 
-def _parse_window(text: str) -> tuple[int, int]:
-    """LO, HI of --fit-window LO:HI; a fit needs two plateaus, and cmd_run clamps HI."""
-    lo, _, hi = text.partition(":")
-    try:
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise ValueError(f"bad --fit-window {text!r}, expected LO:HI") from None
-    if not 0 <= lo < hi:
-        raise ValueError(f"bad --fit-window {text!r}, need 0 <= LO < HI")
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_bands(opts: dict) -> int:
     runspec = _runspec_json("bands", opts)
-    params = _stage("parameters", LatticeParams, opts["v0"], 1.0)
-    _stage("parameters", check_band_grid, opts["n_bands"], opts["grid"], opts["cutoff"],
-           rows=opts["grid"])
-    table = _stage("band-structure", band_energies, params,
-                   n_bands=opts["n_bands"], grid_size=opts["grid"],
-                   cutoff=opts["cutoff"])
-    header = "k," + ",".join(f"E{b + 1}" for b in range(opts["n_bands"]))
-    target = _stage("write", _write_csv, opts["out"], runspec, header,
-                    [table.k_grid, *table.energies.T])
+    with _stage("parameters"):
+        params = LatticeParams(opts["v0"], 1.0)
+        check_band_grid(opts["n_bands"], opts["grid"], opts["cutoff"], rows=opts["grid"])
+    with _stage("band-structure"):
+        table = band_energies(params, n_bands=opts["n_bands"], grid_size=opts["grid"],
+                              cutoff=opts["cutoff"])
+    with _stage("write"):
+        header = "k," + ",".join(f"E{b + 1}" for b in range(opts["n_bands"]))
+        target = _write_csv(opts["out"], runspec, header, [table.k_grid, *table.energies.T])
     print(f"wrote {target}")
     return 0
 
 
 def cmd_run(opts: dict) -> int:
     runspec = _runspec_json("run", opts)
-    lo, hi = _stage("parameters", _parse_window, opts["fit_window"])
-    params = _stage("parameters", LatticeParams, opts["v0"], opts["f0"])
-    cfg = _stage("parameters", SolverConfig, cutoff=opts["cutoff"],
-                 dt=opts["dt"], n_cycles=opts["cycles"])
-    _stage("parameters", step_grid, params, cfg)
-    _stage("parameters", check_band_grid, 2, opts["grid"], opts["band_cutoff"])
-    if opts["cycles"] < MIN_CYCLES:
-        raise StageError(f"parameters: need cycles >= {MIN_CYCLES} to extract plateaus, "
-                         f"got {opts['cycles']}", stage="parameters")
-    if lo >= opts["cycles"]:
-        raise StageError(f"parameters: fit window {opts['fit_window']} needs cycles >= {lo + 1}, "
-                         f"got {opts['cycles']}", stage="parameters")
-    if params.bloch_period < math.sqrt(sys.float_info.min):  # from f0 ~ 4.2e154
-        raise StageError(f"parameters: f0={opts['f0']} too large: the fit squares the plateau "
-                         "times n T_B = 2 pi n / f0, which underflow", stage="parameters")
-    hi = min(hi, opts["cycles"])  # only HI is clamped, to the last plateau
-    gap = _stage("band-structure", mean_band_gap, params,
-                 grid_size=opts["grid"], cutoff=opts["band_cutoff"])
-    ing = _stage("step-ingredients", StepIngredients.from_lattice, params,
-                 mean_gap=gap)
-    op = _stage("step-ingredients", step_operator, ing)
-    series = _stage("effective-model", evolve_steps, op, opts["cycles"],
-                    t_bloch=params.bloch_period)
-    try:
-        fit_eff = _stage("effective-model", renorm_fit, op, series)
-    except StageError as exc:
-        if not isinstance(exc.__cause__, DegenerateSpectrumError):
-            raise
-        fit_eff = None  # fully decayed edge (e.g. v0 = 0); no spectral asymptotics
-    trace = _stage("full-solver", evolve_lattice, params, cfg)
-    plate_full = _stage("plateau-extraction", extract_plateaus, trace, params,
-                        band_cutoff=opts["band_cutoff"])
-    if np.all(plate_full.probabilities[lo:hi + 1] > 0):
-        fit_full = _stage("fit", fit_exponential, plate_full, (lo, hi))
-    else:
-        fit_full = None  # survival hit zero; no exponential regime to fit
-    devs, max_dev = _stage("comparison", compare_models, plate_full, series)
-
-    prefix = opts["out_prefix"]
-    t_csv = _stage("write", _write_csv, f"{prefix}_trace.csv", runspec,
-                   "tau,P1,P2,Prest,norm", trace_rows(trace, params, opts["band_cutoff"]).T)
-    n = np.arange(len(series))
-    s_csv = _stage("write", _write_csv, f"{prefix}_steps.csv", runspec, "n,t,P",
-                   [n, series.t_bloch * (n + 0.5),  # each step ends at a crossing
-                    series.probabilities])
-    c_csv = _stage("write", _write_csv, f"{prefix}_compare.csv", runspec,
-                   "n,P_full,P_eff,rel_dev",
-                   [n, plate_full.probabilities, series.probabilities, devs])
-    fit_doc = {
-        "runspec": json.loads(runspec),
-        "full_fit": dataclasses.asdict(fit_full) if fit_full else None,
-        "effective": {
-            "gamma_per_cycle": fit_eff.gamma,
-            "gamma_per_time": fit_eff.gamma / params.bloch_period,
-            "z": fit_eff.z,
-            "z_first_order": z_first_order(ing) if ing.s12 > 0 else None,
-            "converged": fit_eff.converged,
-            "tol_achieved": fit_eff.tol_achieved,
-        } if fit_eff else None,
-        "mean_gap": gap,
-        "phi": ing.phi,
-        "comparison_max_rel_dev": max_dev,
-    }
-    def write_fit():  # strict JSON: every nan or -+inf is written as null
-        doc = json.loads(json.dumps(fit_doc), parse_constant=lambda _: None)
-        target = _resolve_out(f"{prefix}_fit.json")
-        target.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
-        return target
-    f_json = _stage("write", write_fit)
+    cycles, window = opts["cycles"], opts["fit_window"]
+    with _stage("parameters"):
+        lo, _, hi = window.partition(":")  # a fit needs two plateaus: 0 <= LO < HI
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"bad --fit-window {window!r}, expected LO:HI") from None
+        if not 0 <= lo < hi:
+            raise ValueError(f"bad --fit-window {window!r}, need 0 <= LO < HI")
+        params = LatticeParams(opts["v0"], opts["f0"])
+        cfg = SolverConfig(cutoff=opts["cutoff"], dt=opts["dt"], n_cycles=cycles)
+        step_grid(params, cfg)
+        check_band_grid(2, opts["grid"], opts["band_cutoff"])
+        if cycles < MIN_CYCLES:
+            raise ValueError(f"need cycles >= {MIN_CYCLES} to extract plateaus, got {cycles}")
+        if lo >= cycles:
+            raise ValueError(f"fit window {window} needs cycles >= {lo + 1}, got {cycles}")
+        if params.bloch_period < math.sqrt(sys.float_info.min):  # from f0 ~ 4.2e154
+            raise ValueError(f"f0={opts['f0']} too large: the fit squares the plateau times "
+                             "n T_B = 2 pi n / f0, which underflow")
+        hi = min(hi, cycles)  # only HI is clamped, to the last plateau
+    with _stage("band-structure"):
+        gap = mean_band_gap(params, grid_size=opts["grid"], cutoff=opts["band_cutoff"])
+    with _stage("step-ingredients"):
+        ing = StepIngredients.from_lattice(params, mean_gap=gap)
+        op = step_operator(ing)
+    with _stage("effective-model"):
+        series = evolve_steps(op, cycles, t_bloch=params.bloch_period)
+        try:
+            fit_eff = renorm_fit(op, series)
+        except DegenerateSpectrumError:
+            fit_eff = None  # fully decayed edge (e.g. v0 = 0); no spectral asymptotics
+        z1 = z_first_order(ing) if fit_eff and ing.s12 > 0 else None
+    with _stage("full-solver"):
+        trace = evolve_lattice(params, cfg)
+    with _stage("plateau-extraction"):
+        plate_full = extract_plateaus(trace, params, band_cutoff=opts["band_cutoff"])
+        rows = trace_rows(trace, params, opts["band_cutoff"])
+    with _stage("fit"):  # a survival that hit zero has no exponential regime to fit
+        fit_full = (fit_exponential(plate_full, (lo, hi))
+                    if np.all(plate_full.probabilities[lo:hi + 1] > 0) else None)
+    with _stage("comparison"):
+        devs, max_dev = compare_models(plate_full, series)
+    with _stage("write"):
+        prefix = opts["out_prefix"]
+        t_csv = _write_csv(f"{prefix}_trace.csv", runspec, "tau,P1,P2,Prest,norm", rows.T)
+        n = np.arange(len(series))
+        s_csv = _write_csv(f"{prefix}_steps.csv", runspec, "n,t,P",
+                           [n, series.t_bloch * (n + 0.5),  # each step ends at a crossing
+                            series.probabilities])
+        c_csv = _write_csv(f"{prefix}_compare.csv", runspec, "n,P_full,P_eff,rel_dev",
+                           [n, plate_full.probabilities, series.probabilities, devs])
+        fit_doc = {
+            "runspec": json.loads(runspec),
+            "full_fit": dataclasses.asdict(fit_full) if fit_full else None,
+            "effective": {
+                "gamma_per_cycle": fit_eff.gamma,
+                "gamma_per_time": fit_eff.gamma / params.bloch_period,
+                "z": fit_eff.z,
+                "z_first_order": z1,
+                "converged": fit_eff.converged,
+                "tol_achieved": fit_eff.tol_achieved,
+            } if fit_eff else None,
+            "mean_gap": gap,
+            "phi": ing.phi,
+            "comparison_max_rel_dev": max_dev,
+        }
+        # strict JSON: every nan or -+inf is written as null
+        fit_doc = json.loads(json.dumps(fit_doc), parse_constant=lambda _: None)
+        f_json = _resolve_out(f"{prefix}_fit.json")
+        f_json.write_text(json.dumps(fit_doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     print(f"wrote {t_csv} {s_csv} {f_json} {c_csv}")
     if fit_full:
         print(f"z={fit_full.z:.6g} gamma={fit_full.gamma:.6g} "
@@ -320,16 +312,17 @@ def _sweep(params: LatticeParams, gap: float, quantity):
 
     Degenerate points get nan in both and one stderr line each.
     """
-    with np.errstate(over="ignore"):  # a phase that overflows is an invalid force
+    with _stage("parameters"), np.errstate(over="ignore"):  # an overflowing phase: bad force
         if not math.isfinite(-2.0 * math.pi * gap / params.f0.min(initial=math.inf)):
-            raise StageError(f"parameters: f0={params.f0.min()} too small at v0={params.v0}: "
-                             "the phase per cycle overflows", stage="parameters")
-    ing = StepIngredients.from_lattice(params, mean_gap=gap)
-    sd = spectral_decompose(step_operator(ing))
-    for f0 in params.f0[sd.degenerate]:
-        print(f"point v0={params.v0} f0={f0} failed: eigenvalue moduli coincide",
-              file=sys.stderr)
-    return np.where(sd.degenerate, np.nan, ing.phi), quantity(sd)
+            raise ValueError(f"f0={params.f0.min()} too small at v0={params.v0}: "
+                             "the phase per cycle overflows")
+    with _stage("sweep"):
+        ing = StepIngredients.from_lattice(params, mean_gap=gap)
+        sd = spectral_decompose(step_operator(ing))
+        for f0 in params.f0[sd.degenerate]:
+            print(f"point v0={params.v0} f0={f0} failed: eigenvalue moduli coincide",
+                  file=sys.stderr)
+        return np.where(sd.degenerate, np.nan, ing.phi), quantity(sd)
 
 
 def _force_grid(opts: dict, n_depths: int = 1) -> np.ndarray:
@@ -340,71 +333,72 @@ def _force_grid(opts: dict, n_depths: int = 1) -> np.ndarray:
     step-model values and writes about 2 (its text), and each output row
     holds and writes 4, priced as README's calibration table gives.
     """
-    if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
-        raise StageError("parameters: need n-points >= 0 and 0 < f0-min <= f0-max < inf, got "
-                         f"n-points {opts['n_points']}, f0-min {opts['f0_min']}, "
-                         f"f0-max {opts['f0_max']}", stage="parameters")
-    _stage("parameters", check_work, "--n-points and the depths",
-           lambda n, depths: (n * (16.0 + 4.0 * depths) * VALUE_BYTES,
-                              n * (2.0 + 4.0 * depths) * VALUE_S),
-           opts["n_points"], n_depths)
-    return np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
+    with _stage("parameters"):
+        if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
+            raise ValueError("need n-points >= 0 and 0 < f0-min <= f0-max < inf, got "
+                             f"n-points {opts['n_points']}, f0-min {opts['f0_min']}, "
+                             f"f0-max {opts['f0_max']}")
+        check_work("--n-points and the depths",
+                   lambda n, depths: (n * (16.0 + 4.0 * depths) * VALUE_BYTES,
+                                      n * (2.0 + 4.0 * depths) * VALUE_S),
+                   opts["n_points"], n_depths)
+        return np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
 
 
 def cmd_scaling(opts: dict) -> int:
     runspec = _runspec_json("scaling", opts)
-    try:
-        v0_list = [float(x) for x in str(opts["v0"]).split(",")]
-    except ValueError as exc:
-        raise StageError(f"parameters: bad depth list {opts['v0']!r}: {exc}",
-                         stage="parameters")
-    f0_grid = _force_grid(opts, len(v0_list))
-    depths = [_stage("parameters", LatticeParams, v0, f0_grid) for v0 in v0_list]
-    _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"], len(depths))
-    phis, zm1s = [], []
+    with _stage("parameters"):
+        try:
+            v0_list = [float(x) for x in str(opts["v0"]).split(",")]
+        except ValueError as exc:
+            raise ValueError(f"bad depth list {opts['v0']!r}: {exc}") from None
+        f0_grid = _force_grid(opts, len(v0_list))
+        depths = [LatticeParams(v0, f0_grid) for v0 in v0_list]
+        check_band_grid(2, opts["grid"], opts["cutoff"], len(depths))
+    sweeps = []
     for params in depths:
-        gap = _stage("band-structure", mean_band_gap, params,
-                     grid_size=opts["grid"], cutoff=opts["cutoff"])
-        phi, z = _stage("sweep", _sweep, params, gap, z_exact)
-        phis.append(phi)
-        zm1s.append(z - 1.0)
-    # each depth's v0 and the forces are formatted once, not once per row
-    v0_text = [text for params in depths for text in [_fmt(params.v0)] * len(f0_grid)]
-    columns = [v0_text, [_fmt(f0) for f0 in f0_grid.tolist()] * len(depths),
-               np.concatenate(phis), np.concatenate(zm1s)]
-    target = _stage("write", _write_csv, opts["out"], runspec, "v0,f0,phi,Z_minus_1", columns)
+        with _stage("band-structure"):
+            gap = mean_band_gap(params, grid_size=opts["grid"], cutoff=opts["cutoff"])
+        sweeps.append(_sweep(params, gap, z_exact))
+    phis, zs = zip(*sweeps)
+    with _stage("write"):
+        # each depth's v0 and the forces are formatted once, not once per row
+        v0_text = [text for params in depths for text in [_FLOAT_FMT % params.v0] * len(f0_grid)]
+        columns = [v0_text, [_FLOAT_FMT % f0 for f0 in f0_grid.tolist()] * len(depths),
+                   np.concatenate(phis), np.concatenate(zs) - 1.0]
+        target = _write_csv(opts["out"], runspec, "v0,f0,phi,Z_minus_1", columns)
     print(f"wrote {target}")
     return 0
 
 
 def cmd_ret(opts: dict) -> int:
     runspec = _runspec_json("ret", opts)
-    f0_grid = _force_grid(opts)
-    # each resonance's 4 fields are written twice, to the CSV and to stdout
-    _stage("parameters", check_work, "--j-max",
-           lambda j: (8.0 * j * VALUE_BYTES, 8.0 * j * VALUE_S), opts["j_max"])
-    params = _stage("parameters", LatticeParams, opts["v0"], f0_grid)
-    _stage("parameters", check_band_grid, 2, opts["grid"], opts["cutoff"])
-    gap = _stage("band-structure", mean_band_gap, params,
-                 grid_size=opts["grid"], cutoff=opts["cutoff"])
-    predicted = _stage("parameters", ret_resonances, params, gap, opts["j_max"])
-    _, gammas = _stage("sweep", _sweep, params, gap, gamma_asymptotic)
-    is_max = np.zeros(len(gammas), dtype=int)
-    is_max[1:-1] = (gammas[1:-1] > gammas[:-2]) & (gammas[1:-1] > gammas[2:])
-    step = f0_grid[1] - f0_grid[0] if len(f0_grid) > 1 else math.nan
-    comments = [f"mean_gap {_fmt(float(gap))}", f"grid_step {_fmt(float(step))}"]
-    max_positions = f0_grid[is_max.astype(bool)]
-    for j, pred in enumerate(predicted, start=1):
-        if len(max_positions):
-            nearest = float(max_positions[np.argmin(np.abs(max_positions - pred))])
-            hit = abs(nearest - pred) <= step
-        else:
-            nearest, hit = math.nan, False
-        comments.append(
-            f"resonance j={j} predicted_f0={_fmt(float(pred))} "
-            f"nearest_max_f0={_fmt(nearest)} within_one_step={hit}")
-    target = _stage("write", _write_csv, opts["out"], runspec, "f0,gamma,local_max",
-                    [f0_grid, gammas, is_max], comments=comments)
+    with _stage("parameters"):
+        f0_grid = _force_grid(opts)
+        # each resonance's 4 fields are written twice, to the CSV and to stdout
+        check_work("--j-max", lambda j: (8.0 * j * VALUE_BYTES, 8.0 * j * VALUE_S),
+                   opts["j_max"])
+        params = LatticeParams(opts["v0"], f0_grid)
+        check_band_grid(2, opts["grid"], opts["cutoff"])
+    with _stage("band-structure"):
+        gap = mean_band_gap(params, grid_size=opts["grid"], cutoff=opts["cutoff"])
+    with _stage("parameters"):
+        predicted = ret_resonances(params, gap, opts["j_max"])
+    _, gammas = _sweep(params, gap, gamma_asymptotic)
+    with _stage("write"):
+        is_max = np.zeros(len(gammas), dtype=int)
+        is_max[1:-1] = (gammas[1:-1] > gammas[:-2]) & (gammas[1:-1] > gammas[2:])
+        step = f0_grid[1] - f0_grid[0] if len(f0_grid) > 1 else math.nan
+        comments = [f"mean_gap {_FLOAT_FMT % gap}", f"grid_step {_FLOAT_FMT % step}"]
+        max_positions = f0_grid[is_max.astype(bool)]
+        for j, pred in enumerate(predicted, start=1):  # no maximum: nan, never within a step
+            nearest = (float(max_positions[np.argmin(np.abs(max_positions - pred))])
+                       if len(max_positions) else math.nan)
+            comments.append(f"resonance j={j} predicted_f0={_FLOAT_FMT % pred} "
+                            f"nearest_max_f0={_FLOAT_FMT % nearest} "
+                            f"within_one_step={abs(nearest - pred) <= step}")
+        target = _write_csv(opts["out"], runspec, "f0,gamma,local_max",
+                            [f0_grid, gammas, is_max], comments=comments)
     print(f"wrote {target}")
     for line in comments:
         print(line)

@@ -39,11 +39,12 @@ over [-t1, t1] is A P A^T P, with A the map over [0, t1].
 Both solvers therefore step half their span once, on the identity:
 _half_span builds the span's coupling exponentials and returns its K = 32
 segment maps G_j and their product A.  The segments are independent, so
-_half_span splits them into chains, one per step_s of gemm work in a wide
-step, at most one per CPU and 4 in all (_chain_count), and steps each
-chain on its own thread; numpy releases the GIL in the gemms and the
-in-place kinetic products, so the chains run on every core, and the G_j
-do not depend on the chain count.  _cycle_map builds the lattice's M,
+_half_span splits them into chains, one per WIDE_STEP_S of gemm work in a
+wide step, at most one per CPU and 4 in all (_chain_count); each chain
+steps a block of its own against a scratch block of its own, on its own
+thread.  numpy releases the GIL in the gemms and the in-place kinetic
+products, so the chains run on every core, and the G_j do not depend on
+the chain count.  _cycle_map builds the lattice's M,
 psi0 and G_j, and evolve_lattice runs them: its samples, m / K steps
 apart, are the ends of the cycle's 2K segments, so every cycle boundary
 n T_B (k = 0) is one.  That costs about one dim^3 build of half a cycle
@@ -185,8 +186,7 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
 
     m = _half_steps(t1, dt, 2, 0, SWEEP_STEP_S, "the sweep's steps t_edge / dt")
     h = t1 / m
-    _, half_map = _half_span(2, m, lambda j: _sweep_phases(alpha, h * j, h), delta, h,
-                             SWEEP_STEP_S)
+    _, half_map = _half_span(2, m, lambda j: _sweep_phases(alpha, h * j, h), delta, h)
     u = half_map @ half_map.T[::-1, ::-1]
     ends = np.array([[[-alpha * t, delta], [delta, alpha * t]] for t in (-t1, t1)])
     _, basis = lowest_eigenpairs(ends, 2, vectors=True)
@@ -306,35 +306,36 @@ def _step(x: np.ndarray, y: np.ndarray, ph: np.ndarray, b_long: np.ndarray,
     return y
 
 
-def _chain_count(dim: int, step_s: float) -> int:
-    """Chains of a half-span build: one per step_s of a wide step's gemm work, one per CPU at most.
+def _chain_count(dim: int) -> int:
+    """Chains of a half-span build: one per WIDE_STEP_S of a wide step's gemm, at most one per CPU.
 
-    A wide step's 24 K dim^3 flops are priced at WIDE_STEP_FLOP_RATE: the
-    sweep (dim = 2) and cutoffs up to 12 take one chain, which runs in the
-    calling thread; from cutoff 13 on every CPU the process may use runs
-    one, up to K / 8 = 4 chains of _CHAIN_SEGMENTS-segment groups.
+    A wide step's 24 K dim^3 flops are priced at WIDE_STEP_FLOP_RATE, as
+    the lattice prices its steps: the sweep (dim = 2) and cutoffs up to 12
+    take one chain, which runs in the calling thread; from cutoff 13 on
+    every CPU the process may use runs one, up to K / 8 = 4 chains of
+    _CHAIN_SEGMENTS-segment groups.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         cpus = os.cpu_count() or 1
     gemm_s = 24.0 * _HALF_SEGMENTS * dim * dim * dim / WIDE_STEP_FLOP_RATE
-    return min(cpus, _HALF_SEGMENTS // _CHAIN_SEGMENTS, math.ceil(gemm_s / step_s))
+    return min(cpus, _HALF_SEGMENTS // _CHAIN_SEGMENTS, math.ceil(gemm_s / WIDE_STEP_S))
 
 
-def _half_span(dim: int, m: int, phases, coupling: float, dt: float, step_s: float):
+def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
     """Segment maps G_j (K, dim, dim) and their product A of m steps of dt from the identity.
 
     The m steps (a multiple of K = 32) are K contiguous segments of m / K
     steps; phases(j) gives the kinetic phases (4, dim, len(j)) of the steps
     j.  The two exponentials of the constant coupling are built here, once.
-    The segments split into _chain_count(dim, step_s) chains of contiguous
-    groups of _CHAIN_SEGMENTS segments.  This thread allocates each chain's
-    identities, one (dim, K_c, dim) block with the mode axis first, and a
-    scratch block of the same shape; the chain steps them on its own thread
-    (the first chain on this one), so every coupling exponential is one
-    (dim, dim) x (dim, K_c dim) gemm and each kinetic factor multiplies in
-    place, and no step allocates a block.  Step i of every segment j is
+    The segments split into _chain_count(dim) chains of contiguous groups
+    of _CHAIN_SEGMENTS segments.  Each chain, on its own thread (the first
+    on this one), allocates its identities, one (dim, K_c, dim) block with
+    the mode axis first, and a scratch block of the same shape, and steps
+    them, so every coupling exponential is one (dim, dim) x (dim, K_c dim)
+    gemm and each kinetic factor multiplies in place, and no step
+    allocates a block.  Step i of every segment j is
     step j m / K + i of the span.  An exception in a chain is raised here
     once every chain has ended.  The chains' blocks, joined, are the
     segment maps, and A = G_{K-1} ... G_0.
@@ -342,17 +343,14 @@ def _half_span(dim: int, m: int, phases, coupling: float, dt: float, step_s: flo
     per = m // _HALF_SEGMENTS
     b_long, b_back = _coupling_exponentials(coupling, dim, dt)
     groups = np.arange(_HALF_SEGMENTS).reshape(-1, _CHAIN_SEGMENTS)
-    segments = [chain.ravel() for chain in np.array_split(groups, _chain_count(dim, step_s))]
-    blocks = []
-    for seg in segments:
-        block = np.empty((dim, len(seg), dim), complex)
-        block[...] = np.eye(dim)[:, None]  # block[:, j] is segment seg[j]'s identity
-        blocks.append((block, np.empty_like(block)))
-    errors = []
+    segments = [chain.ravel() for chain in np.array_split(groups, _chain_count(dim))]
+    blocks, errors = [None] * len(segments), []
 
     def step_chain(c):
         try:
-            (block, scratch), starts = blocks[c], per * segments[c]
+            block = np.empty((dim, len(segments[c]), dim), complex)
+            block[...] = np.eye(dim)[:, None]  # block[:, j] is segment segments[c][j]'s identity
+            scratch, starts = np.empty_like(block), per * segments[c]
             for i in range(per):
                 block, scratch = _step(block, scratch, phases(starts + i), b_long, b_back), block
             blocks[c] = block  # the scratch block is freed with this frame
@@ -383,7 +381,7 @@ def _cycle_map(params: LatticeParams, cfg: SolverConfig):
     m = step_grid(params, cfg)
     dt = params.bloch_period / 2.0 / m
     maps, half_map = _half_span(2 * cfg.cutoff + 1, m, lambda j: _kinetic_phases(
-        j / m, params.f0 / math.pi, dt, cfg.cutoff), params.v0 / 4.0, dt, WIDE_STEP_S)
+        j / m, params.f0 / math.pi, dt, cfg.cutoff), params.v0 / 4.0, dt)
     _, psi0 = lowest_bands(params, np.zeros(1), cfg.cutoff, 1, vectors=True)
     return m, half_map.T[::-1, ::-1] @ _fold(half_map.copy()), psi0[0, :, 0], maps
 

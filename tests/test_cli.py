@@ -627,6 +627,45 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     assert not list(tmp_path.glob("eff*"))
 
 
+# Each package function a command calls through blochdecay.cli, or _write_csv, with a
+# command that reaches it and the stage that runs the call.
+_STAGED_CALLS = {
+    "LatticeParams": ("bands", "parameters"), "check_band_grid": ("bands", "parameters"),
+    "band_energies": ("bands", "band-structure"), "_write_csv": ("bands", "write"),
+    "check_work": ("ret", "parameters"), "ret_resonances": ("ret", "parameters"),
+    "gamma_asymptotic": ("ret", "sweep"), "spectral_decompose": ("scaling", "sweep"),
+    "z_exact": ("scaling", "sweep"), "mean_band_gap": ("run", "band-structure"),
+    "SolverConfig": ("run", "parameters"), "step_grid": ("run", "parameters"),
+    "StepIngredients.from_lattice": ("run", "step-ingredients"),
+    "step_operator": ("run", "step-ingredients"), "evolve_steps": ("run", "effective-model"),
+    "renorm_fit": ("run", "effective-model"), "z_first_order": ("run", "effective-model"),
+    "evolve_lattice": ("run", "full-solver"), "extract_plateaus": ("run", "plateau-extraction"),
+    "trace_rows": ("run", "plateau-extraction"), "fit_exponential": ("run", "fit"),
+    "compare_models": ("run", "comparison"),
+}
+
+
+def test_every_call_fails_inside_its_stage(tmp_path, capsys):
+    # whatever a call raises leaves main as `error: <stage>: <message>`, exit 2 from
+    # parameters and 3 from any other stage; nothing escapes main
+    imported = {name for name, obj in vars(cli).items()
+                if callable(obj) and getattr(obj, "__module__", "").startswith("blochdecay.")
+                and obj.__module__ != cli.__name__
+                and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    assert imported == {name.split(".")[0] for name in _STAGED_CALLS} - {"_write_csv"}
+    def injected(*args, **kwargs):
+        raise RuntimeError("injected")
+    for name, (command, stage) in _STAGED_CALLS.items():
+        argv = [command] + [f"--{k}={v}" for k, v in _BASE_FLAGS[command].items()]
+        argv += ["--out-prefix" if command == "run" else "--out", str(tmp_path / name)]
+        with pytest.MonkeyPatch.context() as mp:
+            owner, _, attr = name.rpartition(".")
+            mp.setattr(getattr(cli, owner) if owner else cli, attr, injected)
+            code = main(argv)
+        assert capsys.readouterr().err == f"error: {stage}: injected\n", name
+        assert code == (2 if stage == "parameters" else 3), name
+
+
 def test_gap_check_exits_three_naming_stage_and_cutoff(tmp_path, capsys):
     out = ["--n-points", "5", "--out", str(tmp_path / "s.csv")]
     # at v0 = 1e308 the mean gap's sum overflows: not finite is not converged either

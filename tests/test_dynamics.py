@@ -17,7 +17,7 @@ from blochdecay import (EigensolverError, HoustonState, LatticeParams,
                         band_survival, bands, build_bloch_hamiltonian, dynamics,
                         evolve_lattice, extract_plateaus, lz_probability,
                         lz_two_level_ode, trace_rows)
-from blochdecay.bands import _CHUNK_ELEMENTS, SWEEP_STEP_S, WIDE_STEP_S
+from blochdecay.bands import _CHUNK_ELEMENTS
 from blochdecay.dynamics import (_SEGMENTS, _W0, _W1, MIN_SAMPLES_PER_CYCLE,
                                  NORM_TOLERANCE, _coupling_exponentials,
                                  _kinetic_phases, _step, _sweep_phases, step_grid)
@@ -338,11 +338,11 @@ def test_cycle_map_steps_half_a_cycle(monkeypatch):
     params = LatticeParams(1.0, 0.383)
     for cutoff, forced in ((8, None), (32, None), (16, 3), (8, 4)):
         if forced:
-            monkeypatch.setattr(dynamics, "_chain_count", lambda dim, step_s, n=forced: n)
+            monkeypatch.setattr(dynamics, "_chain_count", lambda dim, n=forced: n)
         cfg, dim = SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=2), 2 * cutoff + 1
         calls.clear()
         evolve_lattice(params, cfg)
-        chains = forced or dynamics._chain_count(dim, WIDE_STEP_S)
+        chains = forced or dynamics._chain_count(dim)
         assert chain_count(step_grid(params, cfg), dim) == chains
 
 
@@ -354,10 +354,10 @@ def test_chain_count_follows_the_gemm_work_up_to_the_cpus(monkeypatch):
     for cpus in (1, 2, 3, 64):
         monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                             raising=False)
-        assert count(2, SWEEP_STEP_S) == 1
-        assert count(25, WIDE_STEP_S) == 1  # cutoff 12
-        assert count(27, WIDE_STEP_S) == min(cpus, 2)  # cutoff 13
-        assert count(65, WIDE_STEP_S) == min(cpus, 4)  # cutoff 32: 15 by the work
+        assert count(2) == 1
+        assert count(25) == 1  # cutoff 12
+        assert count(27) == min(cpus, 2)  # cutoff 13
+        assert count(65) == min(cpus, 4)  # cutoff 32: 15 by the work
 
 
 def test_chain_count_leaves_maps_and_traces_bit_identical(monkeypatch):
@@ -374,8 +374,8 @@ def test_chain_count_leaves_maps_and_traces_bit_identical(monkeypatch):
     sys.setswitchinterval(1e-6)  # the chains' threads interleave as finely as they can
     try:
         for chains in (1, 2, 3, 4):
-            monkeypatch.setattr(dynamics, "_chain_count", lambda dim, step_s, n=chains: n)
-            maps, half_map = dynamics._half_span(17, m, phases, params.v0 / 4.0, dt, WIDE_STEP_S)
+            monkeypatch.setattr(dynamics, "_chain_count", lambda dim, n=chains: n)
+            maps, half_map = dynamics._half_span(17, m, phases, params.v0 / 4.0, dt)
             results.append((maps, half_map, evolve_lattice(params, cfg).amplitudes,
                             np.array(lz_two_level_ode(1.0, 1.0, span, sweep_dt))))
     finally:
@@ -389,7 +389,7 @@ def test_an_exception_in_a_chain_reaches_the_caller(monkeypatch):
     # a chain's thread would swallow what it raises: _half_span raises it once every
     # chain has ended, from a worker's chain or from the calling thread's own
     step = dynamics._step
-    monkeypatch.setattr(dynamics, "_chain_count", lambda dim, step_s: 3)  # 16, 8, 8 segments
+    monkeypatch.setattr(dynamics, "_chain_count", lambda dim: 3)  # 16, 8, 8 segments
     params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=8, dt=0.01, n_cycles=2)
     threads = threading.active_count()
     for failing in ({8}, {8, 16}):
