@@ -4,8 +4,8 @@ Every CSV artifact starts with a `# runspec {...}` comment carrying the
 fully merged parameter set and the blochdecay and numpy versions, so a run
 can be reproduced bit-for-bit from its own output.  Relative output paths
 are resolved against the BLOCHDECAY_OUTDIR environment variable when it is
-set.  An optional config file (one `key = value` per line) overrides
-built-in defaults; command-line flags override both.
+set.  A config file's `key = value` lines are `--key=value` flags ahead of
+the command line's, which win; no flag or key may be abbreviated.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.  Every
 step of a command runs inside one of its stages (_stage), so a failure
@@ -119,7 +119,7 @@ def _runspec_json(command: str, opts: dict) -> str:
 # flag registry: (name, type, default, help); None default means required
 # ---------------------------------------------------------------------------
 
-_COMMON = [("config", str, "", "config file with `key = value` lines overriding defaults")]
+_COMMON = [("config", str, "", "config file whose `key = value` lines are read as flags")]
 
 _SPECS: dict[str, list[tuple]] = {
     "bands": _COMMON + [
@@ -172,40 +172,31 @@ def build_parser() -> argparse.ArgumentParser:
     handlers = {"bands": cmd_bands, "run": cmd_run,
                 "scaling": cmd_scaling, "ret": cmd_ret}
     for command, spec in _SPECS.items():
-        sp = sub.add_parser(command)
+        sp = sub.add_parser(command, allow_abbrev=False)  # a flag is taken only as spelled
         for name, typ, default, help_text in spec:
             sp.add_argument(f"--{name}", type=typ, default=default,
                             required=default is None, help=help_text)
-        sp.set_defaults(handler=handlers[command], subparser=sp)
+        sp.set_defaults(handler=handlers[command])
     return parser
 
 
-def _config_defaults(command: str, path: str, parser: argparse.ArgumentParser) -> dict:
-    """A config file's `key = value` lines as command's typed defaults; all read before a check."""
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """A config file's `key = value` or `key value` lines as `--key=value` flags."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, ValueError) as exc:  # ValueError covers bad bytes
         parser.error(f"config: cannot read {path}: {exc}")
-    pairs = {}
+    flags = []
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, val = line.partition("=" if "=" in line else " ")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
+        key, val = key.strip().replace("_", "-"), val.strip()
         if not key or not val:
             parser.error(f"config: cannot read {path}: malformed config line: {raw!r}")
-        pairs[key] = val
-    types = {name.replace("-", "_"): typ for name, typ, _, _ in _SPECS[command]}
-    for key, raw in pairs.items():
-        if key not in types:
-            parser.error(f"config: unknown key {key!r} for command {command!r}")
-        try:
-            pairs[key] = types[key](raw)
-        except ValueError:
-            parser.error(f"config: bad value for {key!r}: {raw!r}")
-    return pairs
+        flags.append(f"--{key}={val}")
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +324,15 @@ def _force_grid(opts: dict, n_depths: int = 1) -> np.ndarray:
     step-model values and writes about 2 (its text), and each output row
     holds and writes 4, priced as README's calibration table gives.
     """
-    with _stage("parameters"):
-        if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
-            raise ValueError("need n-points >= 0 and 0 < f0-min <= f0-max < inf, got "
-                             f"n-points {opts['n_points']}, f0-min {opts['f0_min']}, "
-                             f"f0-max {opts['f0_max']}")
-        check_work("--n-points and the depths",
-                   lambda n, depths: (n * (16.0 + 4.0 * depths) * VALUE_BYTES,
-                                      n * (2.0 + 4.0 * depths) * VALUE_S),
-                   opts["n_points"], n_depths)
-        return np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
+    if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
+        raise ValueError("need n-points >= 0 and 0 < f0-min <= f0-max < inf, got "
+                         f"n-points {opts['n_points']}, f0-min {opts['f0_min']}, "
+                         f"f0-max {opts['f0_max']}")
+    check_work("--n-points and the depths",
+               lambda n, depths: (n * (16.0 + 4.0 * depths) * VALUE_BYTES,
+                                  n * (2.0 + 4.0 * depths) * VALUE_S),
+               opts["n_points"], n_depths)
+    return np.linspace(opts["f0_min"], opts["f0_max"], opts["n_points"])
 
 
 def cmd_scaling(opts: dict) -> int:
@@ -375,6 +365,8 @@ def cmd_ret(opts: dict) -> int:
     runspec = _runspec_json("ret", opts)
     with _stage("parameters"):
         f0_grid = _force_grid(opts)
+        if opts["j_max"] < 1:  # needs no gap: refused before the band structure
+            raise ValueError(f"j_max >= 1 required, got {opts['j_max']}")
         # each resonance's 4 fields are written twice, to the CSV and to stdout
         check_work("--j-max", lambda j: (8.0 * j * VALUE_BYTES, 8.0 * j * VALUE_S),
                    opts["j_max"])
@@ -407,11 +399,11 @@ def cmd_ret(opts: dict) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:  # the file's values become the subcommand's defaults; a flag wins
-        args.subparser.set_defaults(**_config_defaults(args.command, args.config, parser))
-        args = parser.parse_args(argv)
-    opts = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "subparser")}
+    if args.config:  # the file's lines go ahead of the command line's flags, which win
+        args = parser.parse_args([args.command, *_config_flags(args.config, parser), *argv[1:]])
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
     try:
         return args.handler(opts)
     except StageError as exc:

@@ -321,9 +321,9 @@ def test_outdir_environment_variable(tmp_path, monkeypatch):
     assert (tmp_path / "sub" / "b.csv").exists()
 
 
-def test_config_file_overrides_defaults(tmp_path):
+def test_config_file_overrides_defaults(tmp_path, capsys):
     cfg = tmp_path / "conf"
-    cfg.write_text("grid = 32\nn-bands 2\n# comment\n")
+    cfg.write_text("grid = 32\nn_bands 2\n# comment\n")
     out = tmp_path / "b.csv"
     assert main(["bands", "--v0", "0", "--config", str(cfg),
                  "--out", str(out)]) == 0
@@ -335,6 +335,36 @@ def test_config_file_overrides_defaults(tmp_path):
                  "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert len(rows) == 48
+    # each line is one --key=value flag for argparse: an unknown key, another command's
+    # key and an abbreviated one are refused by name, as is an abbreviated flag
+    capsys.readouterr()
+    refused = tmp_path / "refused.csv"
+    for line, flag in (("no-such-key = 3", "--no-such-key=3"), ("f0 = 1", "--f0=1"),
+                       ("cut = 5", "--cut=5")):
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bands", "--v0", "1", "--config", str(cfg), "--out", str(refused)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag}\n" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", "--v0", "1", "--cut", "5", "--out", str(refused)])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --cut 5" in capsys.readouterr().err
+    assert not refused.exists()
+    # a config-driven run writes what the same flags write, the runspec aside
+    cfg.write_text("cycles = 6\nfit-window = 5:6\n")
+    base = ["run", "--v0", "1", "--f0", "0.383", "--out-prefix"]
+    assert main(base + [str(tmp_path / "cfg"), "--config", str(cfg)]) == 0
+    assert main(base + [str(tmp_path / "flag"), "--cycles", "6", "--fit-window", "5:6"]) == 0
+    for name in ("trace.csv", "steps.csv", "compare.csv"):
+        cfg_lines, flag_lines = ((tmp_path / f"{run}_{name}").read_text().splitlines()
+                                 for run in ("cfg", "flag"))
+        assert cfg_lines[1:] == flag_lines[1:] and len(flag_lines) > 8, name
+    fits = [json.loads((tmp_path / f"{run}_fit.json").read_text()) for run in ("cfg", "flag")]
+    for fit in fits:
+        assert fit.pop("runspec")["fit_window"] == "5:6"
+    assert fits[0] == fits[1]
 
 
 def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
@@ -370,6 +400,8 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     for argv in (["scaling", "--v0", "-1"], ["scaling", "--v0", "1,nan"],
                  ["ret", "--j-max", "0"], ["scaling", "--v0", "1", "--f0-min", "1e-310"],
+                 # refused before the mean gap, which does not converge at v0 = 200
+                 ["ret", "--j-max", "0", "--v0", "200"],
                  ["ret", "--v0", "1", "--f0-min", "1e-310"]):
         assert main(argv + ["--grid", "32", "--out", str(tmp_path / "s.csv")]) == 2
         assert "error: parameters:" in capsys.readouterr().err
