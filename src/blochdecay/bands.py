@@ -9,9 +9,9 @@ exp(i (k + 2n) pi x / d_L) that differ by one reciprocal-lattice vector
 with strength v0/4, giving a real symmetric tridiagonal Hamiltonian with
 diagonal (k + 2n)^2, n = -cutoff..cutoff, stored dense so that one LAPACK
 call diagonalizes a whole stack of quasimomenta.  lowest_eigenpairs is the
-package's one symmetric eigensolver: it serves every matrix of that form
-(band tables, band projections, the start state, the coupling matrix and
-the two-level sweep's end hamiltonians) and refines every vector it returns.
+package's one symmetric eigensolver: it serves the band tables, band
+projections, the start state and the two-level sweep's end hamiltonians,
+and refines every vector it returns.
 """
 
 from __future__ import annotations

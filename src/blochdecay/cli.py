@@ -195,6 +195,8 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
         key, val = key.strip().replace("_", "-"), val.strip()
         if not key or not val:
             parser.error(f"config: cannot read {path}: malformed config line: {raw!r}")
+        if key == "config":  # its flag would lose to the command line's --config
+            parser.error(f"config: {path} cannot name another config file: {raw!r}")
         flags.append(f"--{key}={val}")
     return flags
 

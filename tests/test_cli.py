@@ -351,6 +351,14 @@ def test_config_file_overrides_defaults(tmp_path, capsys):
         main(["bands", "--v0", "1", "--cut", "5", "--out", str(refused)])
     assert exc.value.code == 2
     assert "error: unrecognized arguments: --cut 5" in capsys.readouterr().err
+    # a config file cannot name another: its --config flag would lose to the command
+    # line's, and the line would be silently ignored
+    cfg.write_text("config = nonexistent\ngrid = 32\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", "--v0", "1", "--config", str(cfg), "--out", str(refused)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert "error: config: " in err and "'config = nonexistent'" in err
     assert not refused.exists()
     # a config-driven run writes what the same flags write, the runspec aside
     cfg.write_text("cycles = 6\nfit-window = 5:6\n")
@@ -594,21 +602,23 @@ _FLAG_POOLS = {
 }
 _SCALING_DEPTHS = ["1,2", "0.5,4", "200", "1,nan", "", "a"]
 _CONFIGS = ["# only a comment\n", "grid = 32\n", "cutoff 5\n", "grid\n", "grid = \n",
-            b"\xff\xfe\n", "no-such-key = 1\n", "grid = x\n", "missing", "directory"]
+            b"\xff\xfe\n", "no-such-key = 1\n", "grid = x\n", "config = other\n", "missing",
+            "directory"]
 
 
 def test_cli_contract_holds_over_the_flag_space(tmp_path, capsys):
-    # every pool value once for each command that takes its flag, then 60 seeded draws
-    # of up to two overrides and a config file
+    # every pool value once for each command that takes its flag, every config once for
+    # each command, then 60 seeded draws of up to two overrides and a config file
     rng = np.random.default_rng(2024)
     (tmp_path / "directory").mkdir()
-    stage = re.compile(r"error: ([a-z-]+|argument --[a-z0-9-]+): ")
+    stage = re.compile(r"error: ([a-z-]+|argument --[a-z0-9-]+|unrecognized arguments): ")
     def pool(command, name):
         return _SCALING_DEPTHS if (command, name) == ("scaling", "v0") else _FLAG_POOLS[name]
     def names(command):
         return [name for name, *_ in cli._SPECS[command] if name in _FLAG_POOLS]
     cases = [(command, {name: value}, None) for command in sorted(_BASE_FLAGS)
              for name in names(command) for value in pool(command, name)]
+    cases += [(command, {}, config) for command in sorted(_BASE_FLAGS) for config in _CONFIGS]
     for _ in range(60):
         command = str(rng.choice(sorted(_BASE_FLAGS)))
         overrides = {name: str(rng.choice(pool(command, name)))
