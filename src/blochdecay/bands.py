@@ -164,11 +164,13 @@ def check_work(flags: str, cost, *sizes: int) -> None:
     """Raise ValueError unless cost(*sizes), an estimate (bytes, seconds), fits the budget.
 
     The one refusal of oversized work, before anything is allocated:
-    dynamics._half_steps, check_band_grid, check_band_vectors,
-    stepmodel.evolve_steps and the CLI's sweeps and resonance list each
-    state their own cost through it, naming the flags that set it.  Each
-    size is counted as a float in [0, 1e300], so a 401-digit flag neither
-    raises nor converts, and a cost that overflows is inf and refused.
+    dynamics._half_steps (for the two-level sweep, step_grid's build and
+    trace, and cycle_map's build alone), check_band_grid,
+    check_band_vectors, stepmodel.evolve_steps and the CLI's sweeps and
+    resonance list each state their own cost through it, naming the flags
+    that set it.  Each size is counted as a float in [0, 1e300], so a
+    401-digit flag neither raises nor converts, and a cost that overflows
+    is inf and refused.
     Nothing is timed at run time, so a refusal depends on the input alone:
     seconds are kernel calls times (seconds per call + flops per call /
     flop/s) plus VALUE_S per value computed or written, and bytes count

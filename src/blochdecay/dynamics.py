@@ -44,11 +44,14 @@ wide step, at most one per CPU and 4 in all (_chain_count); each chain
 steps a block of its own against a scratch block of its own, on its own
 thread.  numpy releases the GIL in the gemms and the in-place kinetic
 products, so the chains run on every core, and the G_j do not depend on
-the chain count.  _cycle_map builds the lattice's M,
-psi0 and G_j, and evolve_lattice runs them: its samples, m / K steps
-apart, are the ends of the cycle's 2K segments, so every cycle boundary
-n T_B (k = 0) is one.  That costs about one dim^3 build of half a cycle
-in m / K wide steps, plus 2K - 1 dim^2 N gemms.
+the chain count.  cycle_map(params, cutoff, m) builds the lattice's M,
+psi0 and G_j from exactly the m half-cycle steps it is given, priced as a
+build alone; evolve_lattice takes m from step_grid and runs them: its
+samples, m / K steps apart, are the ends of the cycle's 2K segments, so
+every cycle boundary n T_B (k = 0) is one.  That costs about one dim^3
+build of half a cycle in m / K wide steps, plus 2K - 1 dim^2 N gemms.
+All three step counts (the sweep's, step_grid's and cycle_map's) are
+rounded up to whole segments and priced by one rule, _half_steps.
 
 The survival is flat between zone-edge crossings: extract_plateaus reads
 its plateaus off a trace's cycle starts, rows 64 n at t = n T_B.
@@ -154,9 +157,9 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     symmetric and wide enough that the residual eigenbasis dressing at
     the edges is negligible: |t_edge| >= 20 max(delta/alpha, 1/sqrt(alpha)).
     A dt above 0.5 / hypot(alpha t_edge, delta) is refused up front.  The
-    half span [0, t_edge] takes _half_steps' m steps, as in step_grid but
-    priced at SWEEP_STEP_S per wide step; _half_span builds its map A,
-    and the span's map is A P A^T P.  Both end bases come from one stacked
+    half span [0, t_edge] takes _half_steps' m steps of t_edge / dt, priced
+    at SWEEP_STEP_S per wide step and with no samples; _half_span builds
+    its map A, and the span's map is A P A^T P.  Both end bases come from one stacked
     lowest_eigenpairs call on the hamiltonians [[-alpha t, delta],
     [delta, alpha t]] at -+t_edge.
     """
@@ -180,7 +183,7 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
             f"dt={dt} too coarse: {edge_rate * dt:.3g} rad per step at the span edge "
             f"(> 0.5); reduce dt below {0.5 / edge_rate:.3g}")
 
-    m = _half_steps(t1, dt, 2, 0, SWEEP_STEP_S, "the sweep's steps t_edge / dt")
+    m = _half_steps(t1 / dt, 2, 0, SWEEP_STEP_S, "the sweep's steps t_edge / dt")
     h = t1 / m
     _, half_map = _half_span(2, m, lambda j: _sweep_phases(alpha, h * j, h), delta, h)
     u = half_map @ half_map.T[::-1, ::-1]
@@ -216,8 +219,12 @@ def _coupling_exponentials(coupling: float, dim: int, dt: float):
     return tuple(np.eye(dim) + (vec * np.expm1(-1j * lam * (w * dt))) @ vec.T for w in (_W1, _W0))
 
 
-def _half_steps(span: float, dt: float, dim: int, samples: int, step_s: float, flags: str) -> int:
-    """Steps m of a half span, ceil(span / dt) rounded up to a multiple of K = 32, priced.
+def _half_steps(steps: float, dim: int, samples: int, step_s: float, flags: str) -> int:
+    """Steps m of a half span, ceil(steps) rounded up to a multiple of K = 32, priced.
+
+    The one rounding-and-pricing rule of every build: the sweep asks for
+    t_edge / dt steps, step_grid for T_B / (2 dt) and its trace's samples,
+    cycle_map for its own m (whole segments already) and no samples.
 
     bands.check_work refuses, naming flags, a build whose two (dim, K, dim)
     blocks (16 K dim^2 bytes each), m / K wide steps (step_s + 24 K dim^3
@@ -226,7 +233,7 @@ def _half_steps(span: float, dt: float, dim: int, samples: int, step_s: float, f
     split the two blocks and each wide step's gemms, so the price is the
     same at every chain count and a refusal depends on the input alone.
     """
-    m = float(_HALF_SEGMENTS * np.ceil(span / dt / _HALF_SEGMENTS))
+    m = float(_HALF_SEGMENTS * np.ceil(steps / _HALF_SEGMENTS))
     def cost(dim, samples):
         k = _HALF_SEGMENTS
         return (2.0 * 16.0 * k * dim * dim + samples * (16.0 * dim + 24.0 + 5.0 * VALUE_BYTES),
@@ -236,16 +243,29 @@ def _half_steps(span: float, dt: float, dim: int, samples: int, step_s: float, f
     return int(m)
 
 
+def _check_lattice(params: LatticeParams, cutoff: int) -> None:
+    """Raise ValueError unless one lattice build can take params and cutoff.
+
+    A build needs one force, not an array of them, and cutoff >= MIN_CUTOFF.
+    """
+    if np.ndim(params.f0):
+        raise ValueError(f"one force required for a lattice build, got f0={params.f0}")
+    if cutoff < MIN_CUTOFF:
+        raise ValueError(f"cutoff >= {MIN_CUTOFF} required, got {cutoff}")
+
+
 def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
-    """Checked m of the solver, _half_steps of T_B / 2: 2m steps of T_B / (2m) <= cfg.dt per cycle.
+    """Checked m of the solver, _half_steps of T_B / (2 dt): 2m steps of T_B / (2m) <= dt a cycle.
 
     m >= K, so every dt gives at least 64 steps per cycle, one per sample.
-    Samples are priced as run projects and writes them, a library trace's
-    too: the 5 values of each trace_rows row, whose bytes also cover the
-    buffers of band_projections and HoustonState.norm, priced as README's
-    calibration table gives.
+    The build and evolve_lattice's trace are priced in one check: the
+    samples as run projects and writes them, a library trace's too, the 5
+    values of each trace_rows row, whose bytes also cover the buffers of
+    band_projections and HoustonState.norm, priced as README's calibration
+    table gives.  An array force is refused with a ValueError.
     """
-    return _half_steps(params.bloch_period / 2.0, cfg.dt, 2 * cfg.cutoff + 1,
+    _check_lattice(params, cfg.cutoff)
+    return _half_steps(params.bloch_period / 2.0 / cfg.dt, 2 * cfg.cutoff + 1,
                        MIN_SAMPLES_PER_CYCLE * cfg.n_cycles + 1, WIDE_STEP_S,
                        "the cutoff, the cycles and the steps per cycle 2 pi / (f0 dt)")
 
@@ -368,18 +388,28 @@ def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
     return maps, half_map
 
 
-def _cycle_map(params: LatticeParams, cfg: SolverConfig):
-    """Checked half-cycle steps m, cycle map M = P A^T P F A, start state psi0 and maps G_j.
+def cycle_map(params: LatticeParams, cutoff: int, m: int):
+    """Cycle map M = P A^T P F A of 2m steps of T_B / (2m), start state psi0, segment maps G_j.
 
-    step_grid prices the run; _half_span steps the half cycle (k from 0 to
-    1) to the G_j and A; psi0 is band 1 at k = 0, from bands.lowest_bands.
+    Steps exactly m (a positive multiple of K = 32) steps of the half cycle,
+    k from 0 to 1, on the dim = 2 cutoff + 1 modes: _half_span gives the
+    G_j (K, dim, dim) and A; psi0 is band 1 at k = 0, from bands.lowest_bands.
+    Before any step, raises ValueError for an m that is not a positive
+    multiple of K, a cutoff below MIN_CUTOFF, an array force, or a build
+    that _half_steps prices beyond the work budget: its two blocks and
+    m / K wide steps, with no samples (an m past 1e300, which no float
+    holds, is priced as 1e300).
     """
-    m = step_grid(params, cfg)
+    _check_lattice(params, cutoff)
+    if not (isinstance(m, (int, np.integer)) and m > 0 and m % _HALF_SEGMENTS == 0):
+        raise ValueError(f"m must be a positive multiple of {_HALF_SEGMENTS}, got m={m}")
+    dim = 2 * cutoff + 1
+    _half_steps(min(m, 10 ** 300), dim, 0, WIDE_STEP_S, "the cutoff and the half-cycle steps m")
     dt = params.bloch_period / 2.0 / m
-    maps, half_map = _half_span(2 * cfg.cutoff + 1, m, lambda j: _kinetic_phases(
-        j / m, params.f0 / math.pi, dt, cfg.cutoff), params.v0 / 4.0, dt)
-    _, psi0 = lowest_bands(params, np.zeros(1), cfg.cutoff, 1, vectors=True)
-    return m, half_map.T[::-1, ::-1] @ _fold(half_map.copy()), psi0[0, :, 0], maps
+    maps, half_map = _half_span(dim, m, lambda j: _kinetic_phases(
+        j / m, params.f0 / math.pi, dt, cutoff), params.v0 / 4.0, dt)
+    _, psi0 = lowest_bands(params, np.zeros(1), cutoff, 1, vectors=True)
+    return half_map.T[::-1, ::-1] @ _fold(half_map.copy()), psi0[0, :, 0], maps
 
 
 def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
@@ -392,15 +422,17 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     change exceeds NORM_TOLERANCE: the cutoff is too small for the escaped
     population, which climbs one mode per cycle (a smaller dt does not help).
 
-    _cycle_map builds M, psi0 and the G_j; this runs them.  The cycle
-    starts x_n = M^n psi0 fill rows 64 n; the norm monitor checks the built
-    trace's norms there.  The block (dim, N) of cycle starts walks through
+    m comes from step_grid, which prices the build and the trace;
+    cycle_map(params, cfg.cutoff, m) builds M, psi0 and the G_j, and this
+    runs them.  The cycle starts x_n = M^n psi0 fill rows 64 n; the norm
+    monitor checks the built trace's norms there.  The block (dim, N) of cycle starts walks through
     G_0 .. G_{K-1}, is folded, and walks back through the mirror images
     x[::-1] <- G_j^T x[::-1], j = K-1 .. 1; the mirror of G_0 ends on
     x_{n+1}.  Times and quasimomenta are those of a stepwise loop over all
     cycles; amplitudes agree with it to roundoff.
     """
-    m, cycle_map, psi0, maps = _cycle_map(params, cfg)
+    m = step_grid(params, cfg)
+    cycle, psi0, maps = cycle_map(params, cfg.cutoff, m)
     dt = params.bloch_period / 2.0 / m
     n_seg = _HALF_SEGMENTS
 
@@ -409,7 +441,7 @@ def evolve_lattice(params: LatticeParams, cfg: SolverConfig) -> HoustonState:
     starts = amplitudes[::MIN_SAMPLES_PER_CYCLE]
     starts[0] = psi0
     for n in range(1, cfg.n_cycles + 1):
-        starts[n] = cycle_map @ starts[n - 1]
+        starts[n] = cycle @ starts[n - 1]
 
     samples = amplitudes[1:].reshape(cfg.n_cycles, 2 * n_seg, len(psi0))
     x = starts[:-1].T

@@ -20,7 +20,8 @@ from blochdecay import (EigensolverError, HoustonState, LatticeParams,
 from blochdecay.bands import _CHUNK_ELEMENTS
 from blochdecay.dynamics import (_SEGMENTS, _W0, _W1, MIN_SAMPLES_PER_CYCLE,
                                  NORM_TOLERANCE, _coupling_exponentials,
-                                 _kinetic_phases, _step, _sweep_phases, step_grid)
+                                 _kinetic_phases, _step, _sweep_phases, cycle_map,
+                                 step_grid)
 
 
 def span_for(alpha, delta):
@@ -344,6 +345,69 @@ def test_cycle_map_steps_half_a_cycle(monkeypatch):
         evolve_lattice(params, cfg)
         chains = forced or dynamics._chain_count(dim)
         assert chain_count(step_grid(params, cfg), dim) == chains
+    # cycle_map(params, cutoff, m) steps exactly the m it is given (4 chains, as forced
+    # last).  A dt = T_B / (2m) would not say it: at f0 = 0.383, T_B / 2 / dt lands a few
+    # ulps above each of these m, and step_grid rounds it up to m + 32
+    for m in (416, 832, 928, 1664):
+        assert step_grid(params, SolverConfig(cutoff=8, dt=params.bloch_period / (2 * m))) \
+            == m + 32
+        calls.clear()
+        cycle_map(params, 8, m)
+        assert chain_count(m, 17) == 4
+
+
+def test_cycle_map_iterates_to_the_trace_cycle_starts():
+    # M from psi0 gives rows 64 n of a trace bit for bit: at cutoff 8 over 3 cycles, and
+    # over 20 cycles at cutoff 32 (exact-run's point; cutoff 8 trips the norm monitor in
+    # cycle 8), both at dt = 0.01, which gives m = 832
+    params = LatticeParams(1.0, 0.383)
+    for cutoff, cycles in ((8, 3), (32, 20)):
+        cfg = SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=cycles)
+        assert step_grid(params, cfg) == 832
+        cycle, psi0, _ = cycle_map(params, cutoff, 832)
+        starts = evolve_lattice(params, cfg).amplitudes[::MIN_SAMPLES_PER_CYCLE]
+        x = psi0
+        assert np.array_equal(starts[0], x)
+        for n in range(1, cycles + 1):
+            x = cycle @ x
+            assert np.array_equal(starts[n], x), (cutoff, n)
+
+
+def test_cycle_map_refuses_bad_input_before_any_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+    monkeypatch.setattr(dynamics, "_step", no_step)
+    params = LatticeParams(1.0, 0.383)
+    for m in (0, -32, 48, 832.0):
+        with pytest.raises(ValueError, match="m must be a positive multiple of 32"):
+            cycle_map(params, 8, m)
+    with pytest.raises(ValueError, match="cutoff >= 4 required, got 3"):
+        cycle_map(params, 3, 832)
+    # one build takes one force: an array, even of one element, is refused by cycle_map and,
+    # through the same check, by step_grid and so by evolve_lattice
+    forces, cfg = LatticeParams(1.0, np.array([0.383])), SolverConfig(cutoff=8)
+    for build in (lambda: cycle_map(forces, 8, 832), lambda: step_grid(forces, cfg),
+                  lambda: evolve_lattice(forces, cfg)):
+        with pytest.raises(ValueError, match=r"one force required .* got f0=\[0.383\]"):
+            build()
+    # two 53 MB blocks fit, but 26 wide steps of 321-mode gemms are priced at ~11 s; a
+    # 402-digit m, which no float holds, is refused by the same budget
+    for cutoff, m in ((160, 832), (8, 32 * 10 ** 400)):
+        with pytest.raises(ValueError, match=r"^the cutoff and the half-cycle steps m need .* "
+                                             r"reduce the cutoff and the half-cycle steps m$"):
+            cycle_map(params, cutoff, m)
+
+
+def test_cycle_map_prices_no_trace():
+    # CI's refused 14,000-cycle trace at v0 = 40, f0 = 0.5, cutoff 8: step_grid refuses
+    # its 896,001 samples, while the build of the same m alone is admitted
+    params = LatticeParams(40.0, 0.5)
+    with pytest.raises(ValueError, match="reduce the cutoff, the cycles"):
+        step_grid(params, SolverConfig(cutoff=8, n_cycles=14000))
+    m = step_grid(params, SolverConfig(cutoff=8, n_cycles=1))
+    cycle, psi0, maps = cycle_map(params, 8, m)
+    assert m == 640 and maps.shape == (32, 17, 17) and cycle.shape == (17, 17)
+    assert abs(np.linalg.norm(cycle @ psi0) - 1.0) < 1e-12
 
 
 def test_chain_count_follows_the_gemm_work_up_to_the_cpus(monkeypatch):
@@ -362,12 +426,9 @@ def test_chain_count_follows_the_gemm_work_up_to_the_cpus(monkeypatch):
 
 def test_chain_count_leaves_maps_and_traces_bit_identical(monkeypatch):
     # the segments are independent: at 1, 2, 3 (16, 8 and 8 segments) and 4 chains the
-    # segment maps G_j, their product A, a lattice trace and the sweep agree bit for bit
+    # segment maps G_j, the cycle map M, a lattice trace and the sweep agree bit for bit
     params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=8, dt=0.01, n_cycles=3)
     m = step_grid(params, cfg)
-    dt = params.bloch_period / 2.0 / m
-    def phases(j):
-        return _kinetic_phases(j / m, params.f0 / math.pi, dt, cfg.cutoff)
     span, sweep_dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
     results = []
     interval = sys.getswitchinterval()
@@ -375,8 +436,8 @@ def test_chain_count_leaves_maps_and_traces_bit_identical(monkeypatch):
     try:
         for chains in (1, 2, 3, 4):
             monkeypatch.setattr(dynamics, "_chain_count", lambda dim, n=chains: n)
-            maps, half_map = dynamics._half_span(17, m, phases, params.v0 / 4.0, dt)
-            results.append((maps, half_map, evolve_lattice(params, cfg).amplitudes,
+            cycle, _, maps = cycle_map(params, cfg.cutoff, m)
+            results.append((maps, cycle, evolve_lattice(params, cfg).amplitudes,
                             np.array(lz_two_level_ode(1.0, 1.0, span, sweep_dt))))
     finally:
         sys.setswitchinterval(interval)
@@ -423,7 +484,8 @@ def test_solver_memory_does_not_grow_with_the_step_count():
 def test_trace_is_priced_as_projected(cutoff, monkeypatch):
     # step_grid prices a trace as run projects it: the byte estimate the work budget gets
     # lies within 0.8-2x of the traced peak of evolve_lattice plus trace_rows at run's
-    # default band cutoff (counting only the amplitudes, it is ~0.78 of it at cutoff 8)
+    # default band cutoff (counting only the amplitudes, it is ~0.78 of it at cutoff 8).
+    # The build inside, cycle_map, prices itself again, with no samples: no more bytes
     estimates = []
     monkeypatch.setattr(dynamics, "check_work",
                         lambda flags, cost, *sizes: estimates.append(cost(*sizes)[0]))
@@ -435,7 +497,8 @@ def test_trace_is_priced_as_projected(cutoff, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(estimates) == 1 and 0.8 * peak <= estimates[0] <= 2.0 * peak, (estimates, peak)
+    assert len(estimates) == 2 and 0.8 * peak <= estimates[0] <= 2.0 * peak, (estimates, peak)
+    assert estimates[1] <= estimates[0], estimates
 
 
 def test_kinetic_phases_match_exact_arithmetic():

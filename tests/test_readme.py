@@ -3,7 +3,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from blochdecay import bands, cli
+from blochdecay import bands, cli, dynamics, stepmodel
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -47,3 +47,13 @@ def test_calibration_table_names_every_price():
     table = re.search(r"\n *\| kernel or value \|.*\n(?: *\|.*\n)+", README.read_text())[0]
     named = set(re.findall(r"`(?:bands\.)?(" + price.pattern + r")`", table))
     assert defined and named == defined, (sorted(named - defined), sorted(defined - named))
+
+
+def test_readme_code_references_exist():
+    # every `bands.…`, `dynamics.…`, `stepmodel.…` and `cli.…` name the README gives is a
+    # name of that module, so a rename cannot leave a stale reference behind
+    modules = {"bands": bands, "dynamics": dynamics, "stepmodel": stepmodel, "cli": cli}
+    refs = set(re.findall(r"`(" + "|".join(modules) + r")\.(\w+)", README.read_text()))
+    missing = sorted(f"{module}.{name}" for module, name in refs
+                     if not hasattr(modules[module], name))
+    assert len(refs) >= 10 and not missing, missing
