@@ -41,15 +41,22 @@ _half_span builds the span's coupling exponentials and returns its K = 32
 segment maps G_j and their product A.  The segments are independent, so
 _half_span splits them into chains, one per WIDE_STEP_S of gemm work in a
 wide step, at most one per CPU and 4 in all (_chain_count); each chain
-steps a block of its own against a scratch block of its own, on its own
-thread.  numpy releases the GIL in the gemms and the in-place kinetic
-products, so the chains run on every core, and the G_j do not depend on
-the chain count.  cycle_map(params, cutoff, m) builds the lattice's M,
-psi0 and G_j from exactly the m half-cycle steps it is given, priced as a
-build alone; evolve_lattice takes m from step_grid and runs them: its
-samples, m / K steps apart, are the ends of the cycle's 2K segments, so
-every cycle boundary n T_B (k = 0) is one.  That costs about one dim^3
-build of half a cycle in m / K wide steps, plus 2K - 1 dim^2 N gemms.
+steps blocks of its own against scratch blocks of its own, on its own
+thread.  Within one segment the coupling carries amplitude only a few
+modes, its reach w (_reach, a Lieb-Robinson light cone), so the columns
+go in groups of w + 1, each stepped on its window, the rows within w of
+it; where 3w + 1 rows are not fewer than dim, one (dim, K_c, dim) block.
+A lattice segment lasts T_B / 64 whatever m is, so its reach depends on
+v0 and f0 alone.  numpy releases the GIL in the gemms and the in-place
+kinetic products, so the chains run on every core, and the G_j do not
+depend on the chain count.  cycle_map(params, cutoff, m) builds the
+lattice's M, psi0 and G_j from exactly the m half-cycle steps it is
+given, priced as a build alone; evolve_lattice takes m from step_grid and
+runs them: its samples, m / K steps apart, are the ends of the cycle's 2K
+segments, so every cycle boundary n T_B (k = 0) is one.  That costs one
+build of half a cycle in m / K wide steps, of at most dim^3 each and
+about dim (3w)^2 once windows engage (from cutoff 19 at v0 = 1,
+f0 = 0.383, where w = 12), plus 2K - 1 dim^2 N gemms.
 All three step counts (the sweep's, step_grid's and cycle_map's) are
 rounded up to whole segments and priced by one rule, _half_steps.
 
@@ -80,11 +87,15 @@ _SEGMENTS = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2])
 MIN_SAMPLES_PER_CYCLE = 64
 # Segments of the half cycle; their ends and their mirror images are the samples.
 _HALF_SEGMENTS = MIN_SAMPLES_PER_CYCLE // 2
-# Segments of a build's chain come in groups of 8, so a chain's gemms have 8 g dim
-# columns, which every zgemm kernel's column unroll (at most 8) divides, as it divides
-# the one block's 32 dim.  A remainder column takes OpenBLAS's edge kernel, which rounds
-# differently: one-segment chains moved every G_j by ~1e-15.
+# Segments of a build's chain come in groups of 8, so a chain's gemms have 8 g t
+# columns, t those of its column group, which every zgemm kernel's column unroll (at
+# most 8) divides, as it divides the one block's 32 dim.  A remainder column takes
+# OpenBLAS's edge kernel, which rounds differently: one-segment chains moved every G_j
+# by ~1e-15.
 _CHAIN_SEGMENTS = 8
+# A segment map's entries past the reach (_reach) are dropped: 2^-56 is a sixteenth of
+# an ulp of 1, so what a window drops is below the roundoff of an O(1) entry.
+_REACH_TOLERANCE = 2.0 ** -56
 # Largest change of the state norm allowed in one Bloch cycle.
 NORM_TOLERANCE = 1e-8
 # Fewest whole Bloch cycles extract_plateaus takes from a trace.
@@ -232,6 +243,8 @@ def _half_steps(steps: float, dim: int, samples: int, step_s: float, flags: str)
     projects and writes of each) exceed the budget.  _half_span's chains
     split the two blocks and each wide step's gemms, so the price is the
     same at every chain count and a refusal depends on the input alone.
+    Where its windows engage they hold and multiply less, so the blocks
+    and the flops are upper bounds there.
     """
     m = float(_HALF_SEGMENTS * np.ceil(steps / _HALF_SEGMENTS))
     def cost(dim, samples):
@@ -339,6 +352,27 @@ def _chain_count(dim: int) -> int:
     return min(cpus, _HALF_SEGMENTS // _CHAIN_SEGMENTS, math.ceil(gemm_s / WIDE_STEP_S))
 
 
+def _reach(coupling: float, seg_time: float, dim: int) -> int:
+    """Reach w of a segment of seg_time: G_j's entries over w modes off its diagonal are dropped.
+
+    Entrywise |exp(-i T w h)| <= exp(|T| |w| h), and the kinetic factors
+    have modulus 1, so |G_j| <= exp(|T| (2 W1 + |W0|) seg_time); the entries
+    of that matrix d modes off the diagonal are at most I_d(2x) <= x^d / d!
+    e^(x^2), x = |coupling| (2 W1 + |W0|) seg_time.  The reach is the
+    smallest w with x^(w+1) / (w+1)! e^(x^2) <= _REACH_TOLERANCE, compared
+    in logarithms; 0 at zero coupling, and dim once x >= dim, which no w
+    below dim meets.
+    """
+    x = abs(coupling) * (2.0 * _W1 + abs(_W0)) * seg_time
+    if x >= dim:
+        return dim
+    if x == 0.0:
+        return 0
+    limit = math.log(_REACH_TOLERANCE) - x * x
+    return next((w for w in range(dim) if (w + 1) * math.log(x) - math.lgamma(w + 2) <= limit),
+                dim)
+
+
 def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
     """Segment maps G_j (K, dim, dim) and their product A of m steps of dt from the identity.
 
@@ -346,30 +380,53 @@ def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
     steps; phases(j) gives the kinetic phases (4, dim, len(j)) of the steps
     j.  The two exponentials of the constant coupling are built here, once.
     The segments split into _chain_count(dim) chains of contiguous groups
-    of _CHAIN_SEGMENTS segments.  Each chain, on its own thread (the first
-    on this one), allocates its identities, one (dim, K_c, dim) block with
-    the mode axis first, and a scratch block of the same shape, and steps
-    them, so every coupling exponential is one (dim, dim) x (dim, K_c dim)
-    gemm and each kinetic factor multiplies in place, and no step
-    allocates a block.  Step i of every segment j is
-    step j m / K + i of the span.  An exception in a chain is raised here
-    once every chain has ended.  The chains' blocks, joined, are the
-    segment maps, and A = G_{K-1} ... G_0.
+    of _CHAIN_SEGMENTS segments, and the columns into groups of w + 1,
+    w = _reach of a segment: column group [c0, c1) of every G_j vanishes
+    below roundoff off its window, the rows [c0 - w, c1 + w) in [0, dim).
+    When a window of 3 w + 1 rows would not be smaller than dim, the one
+    group is all dim columns on all dim rows.  Each chain, on its own
+    thread (the first on this one), allocates for each column group its
+    identities, one (W, K_c, t) block with the window's W rows first, and a
+    scratch block of the same shape (views of two buffers, one per role),
+    and steps them on the window's sub-blocks of the exponentials and rows
+    of the phases, which it computes once per step for all groups; so
+    every coupling exponential is one (W, W) x (W, K_c t) gemm per group
+    and each kinetic factor multiplies in place, and no step allocates a
+    block.  Step i of every
+    segment j is step j m / K + i of the span.  An exception in a chain is
+    raised here once every chain has ended.  Once the chains, and their
+    scratch buffers, are gone, their blocks fill the segment maps, zero off
+    the windows, and A = G_{K-1} ... G_0.
     """
     per = m // _HALF_SEGMENTS
     b_long, b_back = _coupling_exponentials(coupling, dim, dt)
+    w = _reach(coupling, per * dt, dim)
+    width = w + 1 if 3 * w + 1 < dim else dim
+    columns = [(c0, min(c0 + width, dim)) for c0 in range(0, dim, width)]
+    windows = [(max(c0 - w, 0), min(c1 + w, dim)) for c0, c1 in columns]
+    exponentials = [(b_long[r0:r1, r0:r1], b_back[r0:r1, r0:r1]) for r0, r1 in windows]
     groups = np.arange(_HALF_SEGMENTS).reshape(-1, _CHAIN_SEGMENTS)
     segments = [chain.ravel() for chain in np.array_split(groups, _chain_count(dim))]
     blocks, errors = [None] * len(segments), []
 
     def step_chain(c):
         try:
-            block = np.empty((dim, len(segments[c]), dim), complex)
-            block[...] = np.eye(dim)[:, None]  # block[:, j] is segment segments[c][j]'s identity
-            scratch, starts = np.empty_like(block), per * segments[c]
+            # the groups' blocks are views of two buffers, one per role, so a chain makes two
+            # allocations: one per block raised exact-run's peak RSS by 0.3-0.8 MB.  Every
+            # group takes m / K steps, so all results end in one buffer
+            shapes = [(r1 - r0, len(segments[c]), c1 - c0)
+                      for (r0, r1), (c0, c1) in zip(windows, columns)]
+            ends = np.cumsum([math.prod(shape) for shape in shapes])
+            buffers = [np.split(np.empty(ends[-1], complex), ends[:-1]) for _ in range(2)]
+            pairs = [(a.reshape(shape), b.reshape(shape)) for a, b, shape in zip(*buffers, shapes)]
+            for (block, _), (r0, r1), (c0, c1) in zip(pairs, windows, columns):
+                block[...] = np.eye(r1 - r0, c1 - c0, r0 - c0)[:, None]  # block[:, j]: identity
+            starts = per * segments[c]
             for i in range(per):
-                block, scratch = _step(block, scratch, phases(starts + i), b_long, b_back), block
-            blocks[c] = block  # the scratch block is freed with this frame
+                ph = phases(starts + i)
+                pairs = [(_step(block, scratch, ph[:, r0:r1], *exps), block)
+                         for (block, scratch), (r0, r1), exps in zip(pairs, windows, exponentials)]
+            blocks[c] = [block for block, _ in pairs]  # the scratch buffer is freed with this frame
         except BaseException as exc:  # raised in the calling thread after the join
             errors.append(exc)
 
@@ -381,7 +438,10 @@ def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
         thread.join()
     if errors:
         raise errors[0]
-    maps = np.concatenate(blocks, axis=1).transpose(1, 0, 2)  # maps[j] = G_j
+    maps = np.zeros((_HALF_SEGMENTS, dim, dim), complex)  # maps[j] = G_j
+    for chain, group_blocks in zip(segments, blocks):
+        for (r0, r1), (c0, c1), block in zip(windows, columns, group_blocks):
+            maps[chain[0]:chain[-1] + 1, r0:r1, c0:c1] = block.transpose(1, 0, 2)
     half_map = maps[0]
     for g in maps[1:]:
         half_map = g @ half_map

@@ -298,37 +298,60 @@ def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff, f0
 def test_cycle_map_steps_half_a_cycle(monkeypatch):
     # only the identities are stepped, the m steps of k in [0, 1] once each: the mirror
     # gives the rest of the cycle, and the samples are gemms on the segment maps.  The 32
-    # segments split into chains of contiguous segments that cover each segment once;
-    # each chain steps its own (dim, K_c, dim) block against one scratch block of its
-    # own, m / 32 times
+    # segments split into chains of contiguous segments that cover each segment once, and
+    # the columns into groups of w + 1 that tile them, w the reach of a segment; each
+    # chain steps, for each group, its own (W, K_c, t) block of the identity's columns
+    # on their window, the W rows within w of the group, against one scratch block of its
+    # own, m / 32 times.  Where 3 w + 1 >= dim the one group is a (dim, K_c, dim) block
     half_span, step = dynamics._half_span, dynamics._step
-    local, calls = threading.local(), []
-    def recording_span(dim, m, phases, *args):
+    local, calls, exps = threading.local(), [], []
+    def recording_span(dim, m, phases, coupling, dt):
         def recorded(j):
-            local.j = j  # the step indices of this thread's next _step
-            return phases(j)
-        return half_span(dim, m, recorded, *args)
-    def record(x, y, *args):
-        calls.append((x, y, local.j))  # x and y held so that no id is reused
-        return step(x, y, *args)
+            local.j, local.ph = j, phases(j)  # the step indices and phases of this thread's steps
+            return local.ph
+        exps[:] = _coupling_exponentials(coupling, dim, dt)
+        return half_span(dim, m, recorded, coupling, dt)
+    def record(x, y, ph, b_long, b_back):
+        # the window's first row r0 is where its phases start in the step's (4, dim, K_c)
+        r0 = (ph.__array_interface__["data"][0] - local.ph.__array_interface__["data"][0]) \
+            // local.ph.strides[1]
+        r1 = r0 + len(x)
+        assert np.shares_memory(ph, local.ph) and np.array_equal(ph, local.ph[:, r0:r1])
+        assert all(np.array_equal(b, e[r0:r1, r0:r1]) for b, e in zip((b_long, b_back), exps))
+        calls.append((x, y, local.j, r0, x[:, 0].copy()))  # x and y held: no id is reused
+        return step(x, y, ph, b_long, b_back)
     monkeypatch.setattr(dynamics, "_half_span", recording_span)
     monkeypatch.setattr(dynamics, "_step", record)
 
-    def chain_count(m, dim):
-        """Chains of the recorded calls, after checking their buffers and steps."""
-        per, chains = m // 32, {}
-        for x, y, j in calls:
-            chains.setdefault(frozenset((id(x), id(y))), []).append((x, y, j))
-        # the two buffers of a chain trade places every step; no step gets a new one
-        assert len({id(a) for x, y, _ in calls for a in (x, y)}) == 2 * len(chains)
-        for chain in chains.values():
-            first = chain[0][2]
-            assert len(chain) == per and first[0] % per == 0
-            assert {(x.shape, y.shape) for x, y, _ in chain} == {((dim, len(first), dim),) * 2}
-            assert all(np.array_equal(j, first + i) for i, (_, _, j) in enumerate(chain))
-        segments = [chain[0][2] // per for chain in chains.values()]
+    def chain_count(m, dim, reach=None):
+        """Chains of the recorded calls, after checking their buffers, steps and windows."""
+        per, chains, pairs = m // 32, {}, {}
+        for x, y, j, r0, first_x in calls:
+            pairs.setdefault(frozenset((id(x), id(y))), []).append((x, y, j, r0, first_x))
+        # the two buffers of a group trade places every step; no step gets a new one
+        assert len({id(a) for x, y, *_ in calls for a in (x, y)}) == 2 * len(pairs)
+        for pair in pairs.values():
+            first, (rows, _, cols) = pair[0][2], pair[0][0].shape
+            assert len(pair) == per and first[0] % per == 0
+            assert {(x.shape, y.shape) for x, y, *_ in pair} == {((rows, len(first), cols),) * 2}
+            assert all(np.array_equal(j, first + i) for i, (_, _, j, _, _) in enumerate(pair))
+            assert all(a[1] is b[0] for a, b in zip(pair, pair[1:]))
+            assert len({r0 for *_, r0, _ in pair}) == 1
+            # the group's first column starts at 1 in row c0 - r0 of its identity
+            r0, identity = pair[0][3], pair[0][4]
+            c0 = r0 + int(np.argmax(identity[:, 0]))
+            assert np.array_equal(identity, np.eye(rows, cols, r0 - c0))
+            chains.setdefault(first[0], []).append((c0, c0 + cols, r0, r0 + rows))
+        w = dim if reach is None else reach
+        width = w + 1 if 3 * w + 1 < dim else dim
+        groups = [(c0, min(c0 + width, dim)) for c0 in range(0, dim, width)]
+        for windows in chains.values():
+            # the groups tile the columns, and each window is the reach around its group
+            assert sorted(windows) == [(c0, c1, max(c0 - w, 0), min(c1 + w, dim))
+                                       for c0, c1 in groups]
+        segments = [pair[0][2] // per for pair in pairs.values()]
         assert all(np.array_equal(seg, seg[0] + np.arange(len(seg))) for seg in segments)
-        assert sorted(np.concatenate(segments)) == list(range(32))
+        assert sorted(np.concatenate(segments)) == sorted(list(range(32)) * len(groups))
         return len(chains)
 
     # the sweep steps its half span [0, t1] through the same build in one chain: m rounded
@@ -344,7 +367,13 @@ def test_cycle_map_steps_half_a_cycle(monkeypatch):
         calls.clear()
         evolve_lattice(params, cfg)
         chains = forced or dynamics._chain_count(dim)
-        assert chain_count(step_grid(params, cfg), dim) == chains
+        m = step_grid(params, cfg)
+        # exact-run's point: 5 groups of 13 columns on windows of 25, 37, 37, 37, 25 rows
+        reach = dynamics._reach(0.25, params.bloch_period / 64, dim) if cutoff == 32 else None
+        assert chain_count(m, dim, reach) == chains
+        if cutoff == 32:
+            first_steps = [len(x) for x, _, j, *_ in calls if j[0] == 0]  # chain 0's first step
+            assert reach == 12 and sorted(first_steps) == [25, 25, 37, 37, 37]
     # cycle_map(params, cutoff, m) steps exactly the m it is given (4 chains, as forced
     # last).  A dt = T_B / (2m) would not say it: at f0 = 0.383, T_B / 2 / dt lands a few
     # ulps above each of these m, and step_grid rounds it up to m + 32
@@ -426,58 +455,131 @@ def test_chain_count_follows_the_gemm_work_up_to_the_cpus(monkeypatch):
 
 def test_chain_count_leaves_maps_and_traces_bit_identical(monkeypatch):
     # the segments are independent: at 1, 2, 3 (16, 8 and 8 segments) and 4 chains the
-    # segment maps G_j, the cycle map M, a lattice trace and the sweep agree bit for bit
-    params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=8, dt=0.01, n_cycles=3)
-    m = step_grid(params, cfg)
+    # segment maps G_j, the cycle map M, a lattice trace and the sweep agree bit for bit,
+    # at cutoff 8 (one block) and at exact-run's cutoff 32 (five column groups)
+    params = LatticeParams(1.0, 0.383)
     span, sweep_dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # the chains' threads interleave as finely as they can
-    try:
-        for chains in (1, 2, 3, 4):
-            monkeypatch.setattr(dynamics, "_chain_count", lambda dim, n=chains: n)
-            cycle, _, maps = cycle_map(params, cfg.cutoff, m)
-            results.append((maps, cycle, evolve_lattice(params, cfg).amplitudes,
-                            np.array(lz_two_level_ode(1.0, 1.0, span, sweep_dt))))
-    finally:
-        sys.setswitchinterval(interval)
-    assert results[0][0].shape == (32, 17, 17)
-    for got in results[1:]:
-        assert all(np.array_equal(a, b) for a, b in zip(results[0], got))
+    for cutoff in (8, 32):
+        cfg = SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=3)
+        m = step_grid(params, cfg)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the chains' threads interleave as finely as they can
+        try:
+            for chains in (1, 2, 3, 4):
+                monkeypatch.setattr(dynamics, "_chain_count", lambda dim, n=chains: n)
+                cycle, _, maps = cycle_map(params, cfg.cutoff, m)
+                results.append((maps, cycle, evolve_lattice(params, cfg).amplitudes,
+                                np.array(lz_two_level_ode(1.0, 1.0, span, sweep_dt))))
+        finally:
+            sys.setswitchinterval(interval)
+        dim = 2 * cutoff + 1
+        assert results[0][0].shape == (32, dim, dim)
+        for got in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(results[0], got)), cutoff
 
 
 def test_an_exception_in_a_chain_reaches_the_caller(monkeypatch):
     # a chain's thread would swallow what it raises: _half_span raises it once every
-    # chain has ended, from a worker's chain or from the calling thread's own
+    # chain has ended, from a worker's chain or from the calling thread's own, and at
+    # exact-run's cutoff 32 from one column group of a worker's chain (a 37-row window)
     step = dynamics._step
     monkeypatch.setattr(dynamics, "_chain_count", lambda dim: 3)  # 16, 8, 8 segments
-    params, cfg = LatticeParams(1.0, 0.383), SolverConfig(cutoff=8, dt=0.01, n_cycles=2)
+    params = LatticeParams(1.0, 0.383)
     threads = threading.active_count()
-    for failing in ({8}, {8, 16}):
-        def fail(x, y, *args, failing=failing):
-            if x.shape[1] in failing:
+    for cutoff, failing, rows in ((8, {8}, 17), (8, {8, 16}, 17), (32, {8}, 37)):
+        def fail(x, y, *args, failing=failing, rows=rows):
+            if x.shape[1] in failing and len(x) == rows:
                 raise FloatingPointError(f"chain of {x.shape[1]} segments")
             return step(x, y, *args)
         monkeypatch.setattr(dynamics, "_step", fail)
         with pytest.raises(FloatingPointError, match="chain of (8|16) segments"):
-            evolve_lattice(params, cfg)
+            evolve_lattice(params, SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=2))
         assert threading.active_count() == threads
 
 
 def test_solver_memory_does_not_grow_with_the_step_count():
     # the build holds two blocks of segment maps whatever m is: tenfold the steps
-    # (m = 832 -> 8224 at cutoff 16, 4 cycles) leaves the traced peak within 10%
+    # (m = 832 -> 8224 at cutoff 16, 4 cycles) leaves the traced peak within 10%, and
+    # so it does at cutoff 32, where each column group holds its own pair of blocks
     params = LatticeParams(1.0, 0.383)
+    for cutoff in (16, 32):
+        peaks = []
+        for dt in (0.01, 0.001):
+            cfg = SolverConfig(cutoff=cutoff, dt=dt, n_cycles=4)
+            tracemalloc.start()
+            try:
+                evolve_lattice(params, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], (cutoff, peaks)
+
+
+def test_windowed_build_holds_no_more_than_one_block(monkeypatch):
+    # at exact-run's point the five groups' blocks and scratch blocks hold half of the one
+    # block's, and the segment maps are filled once the scratch blocks are freed: the
+    # windowed build's traced peak is no larger than the build forced to one block
+    params = LatticeParams(1.0, 0.383)
+    reach = dynamics._reach
     peaks = []
-    for dt in (0.01, 0.001):
-        cfg = SolverConfig(cutoff=16, dt=dt, n_cycles=4)
+    for forced in (False, True):
+        monkeypatch.setattr(dynamics, "_reach",
+                            (lambda coupling, seg_time, dim: dim) if forced else reach)
         tracemalloc.start()
         try:
-            evolve_lattice(params, cfg)
+            cycle_map(params, 32, 832)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert peaks[0] <= peaks[1], peaks
+
+
+# G_j and M of the windowed build against the one-block build: (v0, f0, cutoff, m)
+WINDOW_CASES = [(1.0, 0.383, 32, 832), (4.0, 0.5, 32, 2048), (2.0, 1.5, 40, 512),
+                (10.0, 4.0, 48, 256), (1.0, 0.383, 64, 832)]
+
+
+@pytest.mark.parametrize("v0, f0, cutoff, m", WINDOW_CASES)
+def test_windowed_build_matches_one_block(v0, f0, cutoff, m, monkeypatch):
+    # a window drops only entries below 2^-56: G_j and M move by reordered gemms' roundoff
+    # (up to 9e-17 and 3e-16 to cutoff 48, 2e-15 and 8e-15 at cutoff 64), within 1e-14
+    params, dim = LatticeParams(v0, f0), 2 * cutoff + 1
+    assert 3 * dynamics._reach(v0 / 4.0, params.bloch_period / 64, dim) + 1 < dim  # windowed
+    cycle, _, maps = cycle_map(params, cutoff, m)
+    monkeypatch.setattr(dynamics, "_reach", lambda coupling, seg_time, dim: dim)
+    one_cycle, _, one_maps = cycle_map(params, cutoff, m)
+    assert np.max(np.abs(maps - one_maps)) < 1e-14
+    assert np.max(np.abs(cycle - one_cycle)) < 1e-14
+
+
+def test_reach_bounds_a_segment_and_stays_finite(monkeypatch):
+    # x = |coupling| (2 W1 + |W0|) seg_time; the reach is the smallest w with
+    # x^(w+1) / (w+1)! e^(x^2) <= 2^-56, and dim once x >= dim
+    reach, x_per = dynamics._reach, 2.0 * _W1 - _W0
+    for v0, f0, m, w in ((1.0, 0.383, 832, 12), (4.0, 0.5, 2048, 18), (40.0, 30.0, 64, 11),
+                         (0.5, 3.9, 256, 7), (0.0, 0.383, 832, 0)):
+        params = LatticeParams(v0, f0)
+        assert reach(v0 / 4.0, params.bloch_period / 2.0 / m * (m // 32), 65) == w
+        if w:
+            x = v0 / 4.0 * x_per * params.bloch_period / 64
+            bound = lambda d: x ** d / math.factorial(d) * math.exp(x * x)
+            assert bound(w + 1) <= 2.0 ** -56 < bound(w)
+    # slow deep points reach every mode, and no coupling time overflows x^2
+    assert reach(10.0, LatticeParams(40.0, 0.5).bloch_period / 64, 65) == 65
+    for coupling, seg_time, dim in ((1e200, 1e200, 65), (1e300, 1.0, 2), (7.0, 1.0, 321)):
+        assert reach(coupling, seg_time, dim) == dim
+    assert reach(5.0, 1.0, 321) < 321
+    # at zero coupling the windows are one row each and the exponentials exactly I: the
+    # v0 = 0 build equals the one-block build entry for entry (a zero off the windows
+    # may carry the other sign), and so does the coupling-free sweep
+    params = LatticeParams(0.0, 0.383)
+    for cutoff in (4, 32):
+        cycle, _, maps = cycle_map(params, cutoff, 832)
+        monkeypatch.setattr(dynamics, "_reach", lambda coupling, seg_time, dim: dim)
+        one_cycle, _, one_maps = cycle_map(params, cutoff, 832)
+        monkeypatch.setattr(dynamics, "_reach", reach)
+        assert np.array_equal(maps, one_maps) and np.array_equal(cycle, one_cycle)
 
 
 @pytest.mark.parametrize("cutoff", [8, 16, 32])
