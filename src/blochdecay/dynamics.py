@@ -41,21 +41,24 @@ _half_span builds the span's coupling exponentials and returns its K = 32
 segment maps G_j and their product A.  The segments are independent, so
 _half_span splits them into chains, one per WIDE_STEP_S of gemm work in a
 wide step, at most one per CPU and 4 in all (_chain_count); each chain
-steps blocks of its own against scratch blocks of its own, on its own
-thread.  Within one segment the coupling carries amplitude only a few
-modes, its reach w (_reach, a Lieb-Robinson light cone), so the columns
-go in groups of w + 1, each stepped on its window, the rows within w of
-it; where 3w + 1 rows are not fewer than dim, one (dim, K_c, dim) block.
-A lattice segment lasts T_B / 64 whatever m is, so its reach depends on
-v0 and f0 alone.  numpy releases the GIL in the gemms and the in-place
-kinetic products, so the chains run on every core, and the G_j do not
-depend on the chain count.  cycle_map(params, cutoff, m) builds the
+steps one block of its own against a scratch block of its own, on its
+own thread.  Within one segment the coupling carries amplitude only a few
+modes, its reach w (_reach, a Lieb-Robinson light cone), so each column k
+is stepped on its window, the 2w + 1 modes k - w .. k + w of a mode axis
+padded with w zero modes at either end: a chain's block is
+(dim, 2w + 1, K_c, 1), and each substep one batched gemm of the
+exponential's windows against it.  Where 3w + 1 rows are not fewer than
+dim, one window of all dim columns on all dim rows, a (1, dim, K_c, dim)
+block.  A lattice segment lasts T_B / 64 whatever m is, so its reach
+depends on v0 and f0 alone.  numpy releases the GIL in the gemms and the
+in-place kinetic products, so the chains run on every core, and the G_j
+do not depend on the chain count.  cycle_map(params, cutoff, m) builds the
 lattice's M, psi0 and G_j from exactly the m half-cycle steps it is
 given, priced as a build alone; evolve_lattice takes m from step_grid and
 runs them: its samples, m / K steps apart, are the ends of the cycle's 2K
 segments, so every cycle boundary n T_B (k = 0) is one.  That costs one
 build of half a cycle in m / K wide steps, of at most dim^3 each and
-about dim (3w)^2 once windows engage (from cutoff 19 at v0 = 1,
+dim (2w + 1)^2 once windows engage (from cutoff 19 at v0 = 1,
 f0 = 0.383, where w = 12), plus 2K - 1 dim^2 N gemms.
 All three step counts (the sweep's, step_grid's and cycle_map's) are
 rounded up to whole segments and priced by one rule, _half_steps.
@@ -72,6 +75,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S, VALUE_BYTES,
                     VALUE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S, LatticeParams, check_band_vectors,
@@ -87,9 +91,9 @@ _SEGMENTS = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2])
 MIN_SAMPLES_PER_CYCLE = 64
 # Segments of the half cycle; their ends and their mirror images are the samples.
 _HALF_SEGMENTS = MIN_SAMPLES_PER_CYCLE // 2
-# Segments of a build's chain come in groups of 8, so a chain's gemms have 8 g t
-# columns, t those of its column group, which every zgemm kernel's column unroll (at
-# most 8) divides, as it divides the one block's 32 dim.  A remainder column takes
+# Segments of a build's chain come in groups of 8, so a chain's gemms have 8 g cols
+# columns, cols those of its window (1, or dim in one block), which every zgemm
+# kernel's column unroll (at most 8) divides, as it divides 32 dim.  A remainder column takes
 # OpenBLAS's edge kernel, which rounds differently: one-segment chains moved every G_j
 # by ~1e-15.
 _CHAIN_SEGMENTS = 8
@@ -243,8 +247,9 @@ def _half_steps(steps: float, dim: int, samples: int, step_s: float, flags: str)
     projects and writes of each) exceed the budget.  _half_span's chains
     split the two blocks and each wide step's gemms, so the price is the
     same at every chain count and a refusal depends on the input alone.
-    Where its windows engage they hold and multiply less, so the blocks
-    and the flops are upper bounds there.
+    Where its windows engage, the blocks are (dim, 2w + 1, K, 1) and a
+    wide step's gemms 24 K dim (2w + 1)^2 flops, so the price is an upper
+    bound there.
     """
     m = float(_HALF_SEGMENTS * np.ceil(steps / _HALF_SEGMENTS))
     def cost(dim, samples):
@@ -315,16 +320,23 @@ def _fold(x: np.ndarray) -> np.ndarray:
 
 def _step(x: np.ndarray, y: np.ndarray, ph: np.ndarray, b_long: np.ndarray,
           b_back: np.ndarray) -> np.ndarray:
-    """One Yoshida step of the block x (dim, K, cols) with the kinetic phases ph (4, dim, K).
+    """One Yoshida step of the block x (..., W, K, cols) with the kinetic phases ph (4, R, K).
 
     x and y are distinct C-contiguous blocks of one shape; y is scratch.
-    Block j takes the phases ph[:, :, j].  The mode axis comes first, so
-    each coupling exponential is one gemm over all K cols columns, written
-    from one buffer into the other, and each kinetic factor multiplies in
-    place.  The step ends in y, which is returned; x is left as scratch.
+    One window (W, K, cols) on all R = W rows takes exponentials (W, W); a
+    stack (n, W, K, cols) of n windows takes exponentials (n, W, W) and
+    R = n + W - 1, window a on the rows a .. a + W - 1 of ph.  Block j takes
+    the phases ph[:, :, j].  The mode axis comes first within a window, so
+    each coupling exponential is one gemm per window over all K cols
+    columns, written from one buffer into the other, and each kinetic
+    factor, one exp for all windows, multiplies in place through a strided
+    view.  The step ends in y, which is returned; x is left as scratch.
     """
-    e = np.exp(-1j * ph)[..., None]
-    flat_x, flat_y = x.reshape(len(x), -1), y.reshape(len(y), -1)
+    e = np.exp(-1j * ph)
+    s0, s1, s2 = e.strides  # a view of the fresh e: ndarray() takes 4 us less than as_strided
+    e = np.ndarray((4,) + x.shape[:-1], e.dtype, e, 0, (s0,) + (s1,) * (x.ndim - 2) + (s2,))
+    e = e[..., None]
+    flat_x, flat_y = (a.reshape(a.shape[:-2] + (-1,)) for a in (x, y))
     x *= e[0]
     np.matmul(b_long, flat_x, out=flat_y)
     y *= e[1]
@@ -373,6 +385,12 @@ def _reach(coupling: float, seg_time: float, dim: int) -> int:
                 dim)
 
 
+def _windows(a: np.ndarray, n: int, rows: int, cols: int) -> np.ndarray:
+    """View (..., n, rows, cols) of the last two axes of a: window i starts at row i, column i."""
+    s0, s1 = a.strides[-2:]
+    return as_strided(a, a.shape[:-2] + (n, rows, cols), a.strides[:-2] + (s0 + s1, s0, s1))
+
+
 def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
     """Segment maps G_j (K, dim, dim) and their product A of m steps of dt from the identity.
 
@@ -380,53 +398,46 @@ def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
     steps; phases(j) gives the kinetic phases (4, dim, len(j)) of the steps
     j.  The two exponentials of the constant coupling are built here, once.
     The segments split into _chain_count(dim) chains of contiguous groups
-    of _CHAIN_SEGMENTS segments, and the columns into groups of w + 1,
-    w = _reach of a segment: column group [c0, c1) of every G_j vanishes
-    below roundoff off its window, the rows [c0 - w, c1 + w) in [0, dim).
-    When a window of 3 w + 1 rows would not be smaller than dim, the one
-    group is all dim columns on all dim rows.  Each chain, on its own
-    thread (the first on this one), allocates for each column group its
-    identities, one (W, K_c, t) block with the window's W rows first, and a
-    scratch block of the same shape (views of two buffers, one per role),
-    and steps them on the window's sub-blocks of the exponentials and rows
-    of the phases, which it computes once per step for all groups; so
-    every coupling exponential is one (W, W) x (W, K_c t) gemm per group
-    and each kinetic factor multiplies in place, and no step allocates a
-    block.  Step i of every
-    segment j is step j m / K + i of the span.  An exception in a chain is
-    raised here once every chain has ended.  Once the chains, and their
-    scratch buffers, are gone, their blocks fill the segment maps, zero off
-    the windows, and A = G_{K-1} ... G_0.
+    of _CHAIN_SEGMENTS segments.  Column k of every G_j vanishes below
+    roundoff off its window, the 2 w + 1 modes k - w .. k + w, w = _reach
+    of a segment.  So the mode axis is padded with w zero modes at either
+    end, and each chain holds one stacked (dim, 2 w + 1, K_c, 1) block per
+    role, a view of that role's one buffer: the identity's columns on their
+    windows, and scratch.  Where 3 w + 1 rows would not be fewer than dim,
+    the one window is all dim columns on all dim rows, a (1, dim, K_c, dim)
+    block.  Each chain, on its own thread (the first on this one), takes
+    one _step per wide step, on the windows of the zero-padded exponentials
+    (strided views, not copies) and on its (4, dim + 2 w, K_c) padded
+    phases, so no step allocates a block.  The padded rows stay exactly
+    zero, as their rows and columns of the exponentials are.  Step i of
+    every segment j is step j m / K + i of the span.  An exception in a
+    chain is raised here once every chain has ended.  Once the chains, and
+    their scratch blocks, are gone, their blocks fill the segment maps,
+    zero off the windows, and A = G_{K-1} ... G_0.
     """
     per = m // _HALF_SEGMENTS
-    b_long, b_back = _coupling_exponentials(coupling, dim, dt)
     w = _reach(coupling, per * dt, dim)
-    width = w + 1 if 3 * w + 1 < dim else dim
-    columns = [(c0, min(c0 + width, dim)) for c0 in range(0, dim, width)]
-    windows = [(max(c0 - w, 0), min(c1 + w, dim)) for c0, c1 in columns]
-    exponentials = [(b_long[r0:r1, r0:r1], b_back[r0:r1, r0:r1]) for r0, r1 in windows]
+    pad, n, rows, cols = (w, dim, 2 * w + 1, 1) if 3 * w + 1 < dim else (0, 1, dim, dim)
+    b_long, b_back = (_windows(np.pad(b, pad), n, rows, rows)
+                      for b in _coupling_exponentials(coupling, dim, dt))
+    identity = _windows(np.eye(dim + 2 * pad, dim, -pad), n, rows, cols)[:, :, None]
     groups = np.arange(_HALF_SEGMENTS).reshape(-1, _CHAIN_SEGMENTS)
     segments = [chain.ravel() for chain in np.array_split(groups, _chain_count(dim))]
     blocks, errors = [None] * len(segments), []
+    # each role's blocks are views of one buffer: two buffers per chain, each below malloc's
+    # mmap threshold, raised exact-run's peak RSS by 0.5-1.2 MB
+    ends = np.cumsum([n * rows * len(chain) * cols for chain in segments])
+    roles = [np.split(np.empty(ends[-1], complex), ends[:-1]) for _ in range(2)]
 
     def step_chain(c):
         try:
-            # the groups' blocks are views of two buffers, one per role, so a chain makes two
-            # allocations: one per block raised exact-run's peak RSS by 0.3-0.8 MB.  Every
-            # group takes m / K steps, so all results end in one buffer
-            shapes = [(r1 - r0, len(segments[c]), c1 - c0)
-                      for (r0, r1), (c0, c1) in zip(windows, columns)]
-            ends = np.cumsum([math.prod(shape) for shape in shapes])
-            buffers = [np.split(np.empty(ends[-1], complex), ends[:-1]) for _ in range(2)]
-            pairs = [(a.reshape(shape), b.reshape(shape)) for a, b, shape in zip(*buffers, shapes)]
-            for (block, _), (r0, r1), (c0, c1) in zip(pairs, windows, columns):
-                block[...] = np.eye(r1 - r0, c1 - c0, r0 - c0)[:, None]  # block[:, j]: identity
-            starts = per * segments[c]
+            x, y = (role[c].reshape(n, rows, -1, cols) for role in roles)
+            x[...] = identity  # x[:, :, j]: the identity's columns on their windows
+            ph = np.zeros((4, dim + 2 * pad, len(segments[c])))
             for i in range(per):
-                ph = phases(starts + i)
-                pairs = [(_step(block, scratch, ph[:, r0:r1], *exps), block)
-                         for (block, scratch), (r0, r1), exps in zip(pairs, windows, exponentials)]
-            blocks[c] = [block for block, _ in pairs]  # the scratch buffer is freed with this frame
+                ph[:, pad:pad + dim] = phases(per * segments[c] + i)
+                x, y = _step(x, y, ph, b_long, b_back), x
+            blocks[c] = x
         except BaseException as exc:  # raised in the calling thread after the join
             errors.append(exc)
 
@@ -438,10 +449,14 @@ def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
         thread.join()
     if errors:
         raise errors[0]
-    maps = np.zeros((_HALF_SEGMENTS, dim, dim), complex)  # maps[j] = G_j
-    for chain, group_blocks in zip(segments, blocks):
-        for (r0, r1), (c0, c1), block in zip(windows, columns, group_blocks):
-            maps[chain[0]:chain[-1] + 1, r0:r1, c0:c1] = block.transpose(1, 0, 2)
+    del roles  # all chains take m / K steps, so their results end in one buffer: free the other
+    # each G_j padded by the w rows it shares with G_{j-1} and G_{j+1}, rows of theirs off every
+    # window (2 w < dim - w): only a block's zero rows land on a shared row
+    stacked = np.zeros((_HALF_SEGMENTS * dim + 2 * pad, dim), complex)
+    padded = sliding_window_view(stacked, dim + 2 * pad, 0, writeable=True)[::dim].swapaxes(1, 2)
+    for chain, block in zip(segments, blocks):
+        _windows(padded[chain[0]:chain[-1] + 1], n, rows, cols)[...] = block.transpose(2, 0, 1, 3)
+    maps = padded[:, pad:pad + dim]  # maps[j] = G_j, C-contiguous
     half_map = maps[0]
     for g in maps[1:]:
         half_map = g @ half_map

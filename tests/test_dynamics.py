@@ -298,67 +298,72 @@ def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff, f0
 def test_cycle_map_steps_half_a_cycle(monkeypatch):
     # only the identities are stepped, the m steps of k in [0, 1] once each: the mirror
     # gives the rest of the cycle, and the samples are gemms on the segment maps.  The 32
-    # segments split into chains of contiguous segments that cover each segment once, and
-    # the columns into groups of w + 1 that tile them, w the reach of a segment; each
-    # chain steps, for each group, its own (W, K_c, t) block of the identity's columns
-    # on their window, the W rows within w of the group, against one scratch block of its
-    # own, m / 32 times.  Where 3 w + 1 >= dim the one group is a (dim, K_c, dim) block
+    # segments split into chains of contiguous segments that cover each segment once; each
+    # chain steps one stacked (n, W, K_c, cols) block of the identity's columns on their
+    # windows against one scratch block of its own, m / 32 times.  Where 3 w + 1 < dim, w
+    # the reach of a segment, column k's window is the W = 2 w + 1 modes k - w .. k + w of
+    # a mode axis padded by w zero modes at either end (n = dim windows of one column);
+    # otherwise one window of all dim columns on all dim rows
     half_span, step = dynamics._half_span, dynamics._step
-    local, calls, exps = threading.local(), [], []
+    local, calls, span = threading.local(), [], {}
     def recording_span(dim, m, phases, coupling, dt):
         def recorded(j):
             local.j, local.ph = j, phases(j)  # the step indices and phases of this thread's steps
             return local.ph
-        exps[:] = _coupling_exponentials(coupling, dim, dt)
+        span.update(dim=dim, exps=_coupling_exponentials(coupling, dim, dt))
         return half_span(dim, m, recorded, coupling, dt)
     def record(x, y, ph, b_long, b_back):
-        # the window's first row r0 is where its phases start in the step's (4, dim, K_c)
-        r0 = (ph.__array_interface__["data"][0] - local.ph.__array_interface__["data"][0]) \
-            // local.ph.strides[1]
-        r1 = r0 + len(x)
-        assert np.shares_memory(ph, local.ph) and np.array_equal(ph, local.ph[:, r0:r1])
-        assert all(np.array_equal(b, e[r0:r1, r0:r1]) for b, e in zip((b_long, b_back), exps))
-        calls.append((x, y, local.j, r0, x[:, 0].copy()))  # x and y held: no id is reused
-        return step(x, y, ph, b_long, b_back)
+        (n, rows, k_c, cols), dim = x.shape, span["dim"]
+        pad = (ph.shape[1] - dim) // 2
+        assert ph.shape == (4, dim + 2 * pad, k_c) and (n, rows, cols) in (
+            (dim, 2 * pad + 1, 1), (1, dim, dim))
+        # the step's phases on the padded mode axis, and each window's sub-blocks of the
+        # padded exponentials, strided views of one (dim + 2 pad)^2 matrix each
+        assert np.array_equal(ph[:, pad:pad + dim], local.ph) and not ph[:, :pad].any() \
+            and not ph[:, pad + dim:].any()
+        for b, e in zip((b_long, b_back), span["exps"]):
+            e = np.pad(e, pad)
+            assert np.array_equal(b, [e[i:i + rows, i:i + rows] for i in range(n)])
+            assert n == 1 or rows == 1 or np.shares_memory(b[0], b[1])
+        calls.append((x, y, local.j, x[:, :, 0].copy()))  # x and y held: no id is reused
+        out = step(x, y, ph, b_long, b_back)
+        # a window's rows off the basis, i + a - pad outside [0, dim), stay exactly zero
+        modes = np.arange(rows) + np.arange(n)[:, None] - pad
+        assert not out[(modes < 0) | (modes >= dim)].any()
+        return out
     monkeypatch.setattr(dynamics, "_half_span", recording_span)
     monkeypatch.setattr(dynamics, "_step", record)
 
     def chain_count(m, dim, reach=None):
         """Chains of the recorded calls, after checking their buffers, steps and windows."""
-        per, chains, pairs = m // 32, {}, {}
-        for x, y, j, r0, first_x in calls:
-            pairs.setdefault(frozenset((id(x), id(y))), []).append((x, y, j, r0, first_x))
-        # the two buffers of a group trade places every step; no step gets a new one
+        per, pairs = m // 32, {}
+        for x, y, j, first_x in calls:
+            pairs.setdefault(frozenset((id(x), id(y))), []).append((x, y, j, first_x))
+        # the two blocks of a chain trade places every step; no step gets a new one
         assert len({id(a) for x, y, *_ in calls for a in (x, y)}) == 2 * len(pairs)
-        for pair in pairs.values():
-            first, (rows, _, cols) = pair[0][2], pair[0][0].shape
-            assert len(pair) == per and first[0] % per == 0
-            assert {(x.shape, y.shape) for x, y, *_ in pair} == {((rows, len(first), cols),) * 2}
-            assert all(np.array_equal(j, first + i) for i, (_, _, j, _, _) in enumerate(pair))
-            assert all(a[1] is b[0] for a, b in zip(pair, pair[1:]))
-            assert len({r0 for *_, r0, _ in pair}) == 1
-            # the group's first column starts at 1 in row c0 - r0 of its identity
-            r0, identity = pair[0][3], pair[0][4]
-            c0 = r0 + int(np.argmax(identity[:, 0]))
-            assert np.array_equal(identity, np.eye(rows, cols, r0 - c0))
-            chains.setdefault(first[0], []).append((c0, c0 + cols, r0, r0 + rows))
         w = dim if reach is None else reach
-        width = w + 1 if 3 * w + 1 < dim else dim
-        groups = [(c0, min(c0 + width, dim)) for c0 in range(0, dim, width)]
-        for windows in chains.values():
-            # the groups tile the columns, and each window is the reach around its group
-            assert sorted(windows) == [(c0, c1, max(c0 - w, 0), min(c1 + w, dim))
-                                       for c0, c1 in groups]
+        n, rows, cols, pad = (dim, 2 * w + 1, 1, w) if 3 * w + 1 < dim else (1, dim, dim, 0)
+        # window a's row i is mode a + i - pad, its column a cols + c: the identity there
+        modes = np.arange(rows)[:, None] + np.arange(n)[:, None, None] - pad
+        identity = (modes == np.arange(cols) + cols * np.arange(n)[:, None, None]).astype(complex)
+        for pair in pairs.values():
+            first = pair[0][2]
+            assert len(pair) == per and first[0] % per == 0
+            assert {(x.shape, y.shape) for x, y, *_ in pair} == {((n, rows, len(first), cols),) * 2}
+            assert all(np.array_equal(j, first + i) for i, (_, _, j, _) in enumerate(pair))
+            assert all(a[1] is b[0] for a, b in zip(pair, pair[1:]))
+            assert np.array_equal(pair[0][3], identity)
         segments = [pair[0][2] // per for pair in pairs.values()]
         assert all(np.array_equal(seg, seg[0] + np.arange(len(seg))) for seg in segments)
-        assert sorted(np.concatenate(segments)) == sorted(list(range(32)) * len(groups))
-        return len(chains)
+        assert sorted(np.concatenate(segments)) == list(range(32))
+        return len(pairs)
 
     # the sweep steps its half span [0, t1] through the same build in one chain: m rounded
-    # up to whole segments, m / 32 steps of one (2, 32, 2) block, and the mirror for [-t1, 0]
-    span, dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
-    lz_two_level_ode(1.0, 1.0, span, dt)
-    assert chain_count(32 * math.ceil(math.ceil(span[1] / dt) / 32), 2) == 1
+    # up to whole segments, m / 32 steps of one (1, 2, 32, 2) block, and the mirror for
+    # [-t1, 0]
+    span_t, dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
+    lz_two_level_ode(1.0, 1.0, span_t, dt)
+    assert chain_count(32 * math.ceil(math.ceil(span_t[1] / dt) / 32), 2) == 1
     params = LatticeParams(1.0, 0.383)
     for cutoff, forced in ((8, None), (32, None), (16, 3), (8, 4)):
         if forced:
@@ -368,12 +373,11 @@ def test_cycle_map_steps_half_a_cycle(monkeypatch):
         evolve_lattice(params, cfg)
         chains = forced or dynamics._chain_count(dim)
         m = step_grid(params, cfg)
-        # exact-run's point: 5 groups of 13 columns on windows of 25, 37, 37, 37, 25 rows
+        # exact-run's point: 65 windows of 25 rows, one column each
         reach = dynamics._reach(0.25, params.bloch_period / 64, dim) if cutoff == 32 else None
         assert chain_count(m, dim, reach) == chains
         if cutoff == 32:
-            first_steps = [len(x) for x, _, j, *_ in calls if j[0] == 0]  # chain 0's first step
-            assert reach == 12 and sorted(first_steps) == [25, 25, 37, 37, 37]
+            assert reach == 12 and {x.shape[:2] for x, *_ in calls} == {(65, 25)}
     # cycle_map(params, cutoff, m) steps exactly the m it is given (4 chains, as forced
     # last).  A dt = T_B / (2m) would not say it: at f0 = 0.383, T_B / 2 / dt lands a few
     # ulps above each of these m, and step_grid rounds it up to m + 32
@@ -456,7 +460,7 @@ def test_chain_count_follows_the_gemm_work_up_to_the_cpus(monkeypatch):
 def test_chain_count_leaves_maps_and_traces_bit_identical(monkeypatch):
     # the segments are independent: at 1, 2, 3 (16, 8 and 8 segments) and 4 chains the
     # segment maps G_j, the cycle map M, a lattice trace and the sweep agree bit for bit,
-    # at cutoff 8 (one block) and at exact-run's cutoff 32 (five column groups)
+    # at cutoff 8 (one block) and at exact-run's cutoff 32 (65 windows of 25 rows)
     params = LatticeParams(1.0, 0.383)
     span, sweep_dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
     for cutoff in (8, 32):
@@ -482,15 +486,16 @@ def test_chain_count_leaves_maps_and_traces_bit_identical(monkeypatch):
 def test_an_exception_in_a_chain_reaches_the_caller(monkeypatch):
     # a chain's thread would swallow what it raises: _half_span raises it once every
     # chain has ended, from a worker's chain or from the calling thread's own, and at
-    # exact-run's cutoff 32 from one column group of a worker's chain (a 37-row window)
+    # exact-run's cutoff 32 from a worker's windowed step (65 windows of 25 rows)
     step = dynamics._step
     monkeypatch.setattr(dynamics, "_chain_count", lambda dim: 3)  # 16, 8, 8 segments
     params = LatticeParams(1.0, 0.383)
     threads = threading.active_count()
-    for cutoff, failing, rows in ((8, {8}, 17), (8, {8, 16}, 17), (32, {8}, 37)):
-        def fail(x, y, *args, failing=failing, rows=rows):
-            if x.shape[1] in failing and len(x) == rows:
-                raise FloatingPointError(f"chain of {x.shape[1]} segments")
+    for cutoff, failing, shape in ((8, {8}, (1, 17)), (8, {8, 16}, (1, 17)),
+                                   (32, {8}, (65, 25))):
+        def fail(x, y, *args, failing=failing, shape=shape):
+            if x.shape[2] in failing and x.shape[:2] == shape:
+                raise FloatingPointError(f"chain of {x.shape[2]} segments")
             return step(x, y, *args)
         monkeypatch.setattr(dynamics, "_step", fail)
         with pytest.raises(FloatingPointError, match="chain of (8|16) segments"):
@@ -501,7 +506,7 @@ def test_an_exception_in_a_chain_reaches_the_caller(monkeypatch):
 def test_solver_memory_does_not_grow_with_the_step_count():
     # the build holds two blocks of segment maps whatever m is: tenfold the steps
     # (m = 832 -> 8224 at cutoff 16, 4 cycles) leaves the traced peak within 10%, and
-    # so it does at cutoff 32, where each column group holds its own pair of blocks
+    # so it does at cutoff 32, where each chain holds its columns' windows
     params = LatticeParams(1.0, 0.383)
     for cutoff in (16, 32):
         peaks = []
@@ -517,7 +522,7 @@ def test_solver_memory_does_not_grow_with_the_step_count():
 
 
 def test_windowed_build_holds_no_more_than_one_block(monkeypatch):
-    # at exact-run's point the five groups' blocks and scratch blocks hold half of the one
+    # at exact-run's point the windows' blocks and scratch blocks hold 25 / 65 of the one
     # block's, and the segment maps are filled once the scratch blocks are freed: the
     # windowed build's traced peak is no larger than the build forced to one block
     params = LatticeParams(1.0, 0.383)
@@ -536,8 +541,10 @@ def test_windowed_build_holds_no_more_than_one_block(monkeypatch):
 
 
 # G_j and M of the windowed build against the one-block build: (v0, f0, cutoff, m)
-WINDOW_CASES = [(1.0, 0.383, 32, 832), (4.0, 0.5, 32, 2048), (2.0, 1.5, 40, 512),
-                (10.0, 4.0, 48, 256), (1.0, 0.383, 64, 832)]
+# Cutoff 19 is the first windowed cutoff at exact-run's point, and its windows reach both
+# edges of the basis
+WINDOW_CASES = [(1.0, 0.383, 19, 832), (1.0, 0.383, 32, 832), (4.0, 0.5, 32, 2048),
+                (2.0, 1.5, 40, 512), (10.0, 4.0, 48, 256), (1.0, 0.383, 64, 832)]
 
 
 @pytest.mark.parametrize("v0, f0, cutoff, m", WINDOW_CASES)
@@ -551,6 +558,17 @@ def test_windowed_build_matches_one_block(v0, f0, cutoff, m, monkeypatch):
     one_cycle, _, one_maps = cycle_map(params, cutoff, m)
     assert np.max(np.abs(maps - one_maps)) < 1e-14
     assert np.max(np.abs(cycle - one_cycle)) < 1e-14
+
+
+def test_one_block_build_keeps_its_bits_below_the_windows(monkeypatch):
+    # at exact-run's point cutoff 18 is the last without windows (3 w + 1 = 37 = dim):
+    # its build is the one-block build, bit for bit
+    params = LatticeParams(1.0, 0.383)
+    assert 3 * dynamics._reach(0.25, params.bloch_period / 64, 37) + 1 == 37
+    cycle, _, maps = cycle_map(params, 18, 832)
+    monkeypatch.setattr(dynamics, "_reach", lambda coupling, seg_time, dim: dim)
+    one_cycle, _, one_maps = cycle_map(params, 18, 832)
+    assert np.array_equal(maps, one_maps) and np.array_equal(cycle, one_cycle)
 
 
 def test_reach_bounds_a_segment_and_stays_finite(monkeypatch):
