@@ -32,9 +32,10 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-# The CLI's one threaded kernel, the half-cycle build, runs its own chains, one per CPU
-# (dynamics._chain_count), so BLAS gets one thread unless the caller sets another: an
-# idle BLAS worker spins after every threaded call.  numpy reads these when it loads.
+# BLAS gets one thread unless the caller sets another.  On 2 cores, 2 threads made
+# evolve_lattice (10 cycles) take up to 1.5x the wall time and 2-3x the CPU of one at
+# cutoffs 16-48, and from cutoff 64 OpenBLAS's split of the dim x dim products changes
+# the bits of the files.  numpy reads these when it loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -38,30 +38,26 @@ over [-t1, t1] is A P A^T P, with A the map over [0, t1].
 
 Both solvers therefore step half their span once, on the identity:
 _half_span builds the span's coupling exponentials and returns its K = 32
-segment maps G_j and their product A.  The segments are independent, so
-_half_span splits them into chains, one per WIDE_STEP_S of gemm work in a
-wide step, at most one per CPU and 4 in all (_chain_count); each chain
-steps one block of its own against a scratch block of its own, on its
-own thread.  Within one segment the coupling carries amplitude only a few
-modes, its reach w (_reach, a Lieb-Robinson light cone), so each column k
-is stepped on its window, the 2w + 1 modes k - w .. k + w of a mode axis
-padded with w zero modes at either end: a chain's block is
-(dim, 2w + 1, K_c, 1), and each substep one batched gemm of the
-exponential's windows against it.  Where 3w + 1 rows are not fewer than
-dim, one window of all dim columns on all dim rows, a (1, dim, K_c, dim)
-block.  A lattice segment lasts T_B / 64 whatever m is, so its reach
-depends on v0 and f0 alone.  numpy releases the GIL in the gemms and the
-in-place kinetic products, so the chains run on every core, and the G_j
-do not depend on the chain count.  cycle_map(params, cutoff, m) builds the
-lattice's M, psi0 and G_j from exactly the m half-cycle steps it is
-given, priced as a build alone; evolve_lattice takes m from step_grid and
-runs them: its samples, m / K steps apart, are the ends of the cycle's 2K
-segments, so every cycle boundary n T_B (k = 0) is one.  That costs one
-build of half a cycle in m / K wide steps, of at most dim^3 each and
-dim (2w + 1)^2 once windows engage (from cutoff 19 at v0 = 1,
-f0 = 0.383, where w = 12), plus 2K - 1 dim^2 N gemms.
-All three step counts (the sweep's, step_grid's and cycle_map's) are
-rounded up to whole segments and priced by one rule, _half_steps.
+segment maps G_j and their product A.  It steps all K segments as one
+block against one scratch block, in the calling thread.  Within one
+segment the coupling carries amplitude only a few modes, its reach w
+(_reach, a Lieb-Robinson light cone), so each column k is stepped on its
+window, the 2w + 1 modes k - w .. k + w of a mode axis padded with w zero
+modes at either end: the block is (dim, 2w + 1, K, 1), and each substep
+one batched gemm of the exponential's windows against it.  Where 3w + 1
+rows are not fewer than dim, one window of all dim columns on all dim
+rows, a (1, dim, K, dim) block.  A lattice segment lasts T_B / 64
+whatever m is, so its reach depends on v0 and f0 alone.
+cycle_map(params, cutoff, m) builds the lattice's M, psi0 and G_j from
+exactly the m half-cycle steps it is given, priced as a build alone;
+evolve_lattice takes m from step_grid and runs them: its samples, m / K
+steps apart, are the ends of the cycle's 2K segments, so every cycle
+boundary n T_B (k = 0) is one.  That costs one build of half a cycle in
+m / K wide steps, of at most dim^3 each and dim (2w + 1)^2 once windows
+engage (from cutoff 19 at v0 = 1, f0 = 0.383, where w = 12), plus
+2K - 1 dim^2 N gemms.  All three step counts (the sweep's, step_grid's
+and cycle_map's) are rounded up to whole segments and priced by one
+rule, _half_steps.
 
 The survival is flat between zone-edge crossings: extract_plateaus reads
 its plateaus off a trace's cycle starts, rows 64 n at t = n T_B.
@@ -70,8 +66,6 @@ its plateaus off a trace's cycle starts, rows 64 n at t = n T_B.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,12 +85,6 @@ _SEGMENTS = np.array([_W1 / 2, (_W1 + _W0) / 2, (_W0 + _W1) / 2, _W1 / 2])
 MIN_SAMPLES_PER_CYCLE = 64
 # Segments of the half cycle; their ends and their mirror images are the samples.
 _HALF_SEGMENTS = MIN_SAMPLES_PER_CYCLE // 2
-# Segments of a build's chain come in groups of 8, so a chain's gemms have 8 g cols
-# columns, cols those of its window (1, or dim in one block), which every zgemm
-# kernel's column unroll (at most 8) divides, as it divides 32 dim.  A remainder column takes
-# OpenBLAS's edge kernel, which rounds differently: one-segment chains moved every G_j
-# by ~1e-15.
-_CHAIN_SEGMENTS = 8
 # A segment map's entries past the reach (_reach) are dropped: 2^-56 is a sixteenth of
 # an ulp of 1, so what a window drops is below the roundoff of an O(1) entry.
 _REACH_TOLERANCE = 2.0 ** -56
@@ -244,12 +232,10 @@ def _half_steps(steps: float, dim: int, samples: int, step_s: float, flags: str)
     bands.check_work refuses, naming flags, a build whose two (dim, K, dim)
     blocks (16 K dim^2 bytes each), m / K wide steps (step_s + 24 K dim^3
     flops each) and samples (16 dim + 24 bytes, plus the 5 values run
-    projects and writes of each) exceed the budget.  _half_span's chains
-    split the two blocks and each wide step's gemms, so the price is the
-    same at every chain count and a refusal depends on the input alone.
-    Where its windows engage, the blocks are (dim, 2w + 1, K, 1) and a
-    wide step's gemms 24 K dim (2w + 1)^2 flops, so the price is an upper
-    bound there.
+    projects and writes of each) exceed the budget, so a refusal depends on
+    the input alone.  Where _half_span's windows engage, the blocks are
+    (dim, 2w + 1, K, 1) and a wide step's gemms 24 K dim (2w + 1)^2 flops,
+    so the price is an upper bound there.
     """
     m = float(_HALF_SEGMENTS * np.ceil(steps / _HALF_SEGMENTS))
     def cost(dim, samples):
@@ -347,23 +333,6 @@ def _step(x: np.ndarray, y: np.ndarray, ph: np.ndarray, b_long: np.ndarray,
     return y
 
 
-def _chain_count(dim: int) -> int:
-    """Chains of a half-span build: one per WIDE_STEP_S of a wide step's gemm, at most one per CPU.
-
-    A wide step's 24 K dim^3 flops are priced at WIDE_STEP_FLOP_RATE, as
-    the lattice prices its steps: the sweep (dim = 2) and cutoffs up to 12
-    take one chain, which runs in the calling thread; from cutoff 13 on
-    every CPU the process may use runs one, up to K / 8 = 4 chains of
-    _CHAIN_SEGMENTS-segment groups.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        cpus = os.cpu_count() or 1
-    gemm_s = 24.0 * _HALF_SEGMENTS * dim * dim * dim / WIDE_STEP_FLOP_RATE
-    return min(cpus, _HALF_SEGMENTS // _CHAIN_SEGMENTS, math.ceil(gemm_s / WIDE_STEP_S))
-
-
 def _reach(coupling: float, seg_time: float, dim: int) -> int:
     """Reach w of a segment of seg_time: G_j's entries over w modes off its diagonal are dropped.
 
@@ -397,65 +366,40 @@ def _half_span(dim: int, m: int, phases, coupling: float, dt: float):
     The m steps (a multiple of K = 32) are K contiguous segments of m / K
     steps; phases(j) gives the kinetic phases (4, dim, len(j)) of the steps
     j.  The two exponentials of the constant coupling are built here, once.
-    The segments split into _chain_count(dim) chains of contiguous groups
-    of _CHAIN_SEGMENTS segments.  Column k of every G_j vanishes below
-    roundoff off its window, the 2 w + 1 modes k - w .. k + w, w = _reach
-    of a segment.  So the mode axis is padded with w zero modes at either
-    end, and each chain holds one stacked (dim, 2 w + 1, K_c, 1) block per
-    role, a view of that role's one buffer: the identity's columns on their
-    windows, and scratch.  Where 3 w + 1 rows would not be fewer than dim,
-    the one window is all dim columns on all dim rows, a (1, dim, K_c, dim)
-    block.  Each chain, on its own thread (the first on this one), takes
-    one _step per wide step, on the windows of the zero-padded exponentials
-    (strided views, not copies) and on its (4, dim + 2 w, K_c) padded
-    phases, so no step allocates a block.  The padded rows stay exactly
-    zero, as their rows and columns of the exponentials are.  Step i of
-    every segment j is step j m / K + i of the span.  An exception in a
-    chain is raised here once every chain has ended.  Once the chains, and
-    their scratch blocks, are gone, their blocks fill the segment maps,
-    zero off the windows, and A = G_{K-1} ... G_0.
+    Column k of every G_j vanishes below roundoff off its window, the
+    2 w + 1 modes k - w .. k + w, w = _reach of a segment.  So the mode
+    axis is padded with w zero modes at either end, and all K segments are
+    stepped as one stacked (dim, 2 w + 1, K, 1) block, the identity's
+    columns on their windows, against one scratch block of the same shape.
+    Where 3 w + 1 rows would not be fewer than dim, the one window is all
+    dim columns on all dim rows, a (1, dim, K, dim) block.  Each wide step
+    is one _step, on the windows of the zero-padded exponentials (strided
+    views, not copies) and on the (4, dim + 2 w, K) padded phases, so no
+    step allocates a block.  The padded rows stay exactly zero, as their
+    rows and columns of the exponentials are.  Step i of every segment j
+    is step j m / K + i of the span.  Once the scratch block is freed, the
+    block fills the segment maps, zero off the windows, and
+    A = G_{K-1} ... G_0.
     """
     per = m // _HALF_SEGMENTS
     w = _reach(coupling, per * dt, dim)
     pad, n, rows, cols = (w, dim, 2 * w + 1, 1) if 3 * w + 1 < dim else (0, 1, dim, dim)
     b_long, b_back = (_windows(np.pad(b, pad), n, rows, rows)
                       for b in _coupling_exponentials(coupling, dim, dt))
-    identity = _windows(np.eye(dim + 2 * pad, dim, -pad), n, rows, cols)[:, :, None]
-    groups = np.arange(_HALF_SEGMENTS).reshape(-1, _CHAIN_SEGMENTS)
-    segments = [chain.ravel() for chain in np.array_split(groups, _chain_count(dim))]
-    blocks, errors = [None] * len(segments), []
-    # each role's blocks are views of one buffer: two buffers per chain, each below malloc's
-    # mmap threshold, raised exact-run's peak RSS by 0.5-1.2 MB
-    ends = np.cumsum([n * rows * len(chain) * cols for chain in segments])
-    roles = [np.split(np.empty(ends[-1], complex), ends[:-1]) for _ in range(2)]
-
-    def step_chain(c):
-        try:
-            x, y = (role[c].reshape(n, rows, -1, cols) for role in roles)
-            x[...] = identity  # x[:, :, j]: the identity's columns on their windows
-            ph = np.zeros((4, dim + 2 * pad, len(segments[c])))
-            for i in range(per):
-                ph[:, pad:pad + dim] = phases(per * segments[c] + i)
-                x, y = _step(x, y, ph, b_long, b_back), x
-            blocks[c] = x
-        except BaseException as exc:  # raised in the calling thread after the join
-            errors.append(exc)
-
-    threads = [threading.Thread(target=step_chain, args=(c,)) for c in range(1, len(segments))]
-    for thread in threads:
-        thread.start()
-    step_chain(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    del roles  # all chains take m / K steps, so their results end in one buffer: free the other
+    x, y = (np.empty((n, rows, _HALF_SEGMENTS, cols), complex) for _ in range(2))
+    # x[:, :, j]: the identity's columns on their windows
+    x[...] = _windows(np.eye(dim + 2 * pad, dim, -pad), n, rows, cols)[:, :, None]
+    starts = per * np.arange(_HALF_SEGMENTS)
+    ph = np.zeros((4, dim + 2 * pad, _HALF_SEGMENTS))
+    for i in range(per):
+        ph[:, pad:pad + dim] = phases(starts + i)
+        x, y = _step(x, y, ph, b_long, b_back), x
+    del y
     # each G_j padded by the w rows it shares with G_{j-1} and G_{j+1}, rows of theirs off every
     # window (2 w < dim - w): only a block's zero rows land on a shared row
     stacked = np.zeros((_HALF_SEGMENTS * dim + 2 * pad, dim), complex)
     padded = sliding_window_view(stacked, dim + 2 * pad, 0, writeable=True)[::dim].swapaxes(1, 2)
-    for chain, block in zip(segments, blocks):
-        _windows(padded[chain[0]:chain[-1] + 1], n, rows, cols)[...] = block.transpose(2, 0, 1, 3)
+    _windows(padded, n, rows, cols)[...] = x.transpose(2, 0, 1, 3)
     maps = padded[:, pad:pad + dim]  # maps[j] = G_j, C-contiguous
     half_map = maps[0]
     for g in maps[1:]:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -297,35 +296,34 @@ def test_cycle_map_solver_matches_stepwise_oracle(k0, v0, dt, cycles, cutoff, f0
 
 def test_cycle_map_steps_half_a_cycle(monkeypatch):
     # only the identities are stepped, the m steps of k in [0, 1] once each: the mirror
-    # gives the rest of the cycle, and the samples are gemms on the segment maps.  The 32
-    # segments split into chains of contiguous segments that cover each segment once; each
-    # chain steps one stacked (n, W, K_c, cols) block of the identity's columns on their
-    # windows against one scratch block of its own, m / 32 times.  Where 3 w + 1 < dim, w
-    # the reach of a segment, column k's window is the W = 2 w + 1 modes k - w .. k + w of
-    # a mode axis padded by w zero modes at either end (n = dim windows of one column);
+    # gives the rest of the cycle, and the samples are gemms on the segment maps.  All 32
+    # segments are stepped as one stacked (n, W, 32, cols) block of the identity's columns
+    # on their windows against one scratch block, m / 32 times.  Where 3 w + 1 < dim, w the
+    # reach of a segment, column k's window is the W = 2 w + 1 modes k - w .. k + w of a
+    # mode axis padded by w zero modes at either end (n = dim windows of one column);
     # otherwise one window of all dim columns on all dim rows
     half_span, step = dynamics._half_span, dynamics._step
-    local, calls, span = threading.local(), [], {}
+    last, calls, span = {}, [], {}
     def recording_span(dim, m, phases, coupling, dt):
         def recorded(j):
-            local.j, local.ph = j, phases(j)  # the step indices and phases of this thread's steps
-            return local.ph
+            last.update(j=j, ph=phases(j))  # the step indices and phases of the next step
+            return last["ph"]
         span.update(dim=dim, exps=_coupling_exponentials(coupling, dim, dt))
         return half_span(dim, m, recorded, coupling, dt)
     def record(x, y, ph, b_long, b_back):
-        (n, rows, k_c, cols), dim = x.shape, span["dim"]
+        (n, rows, k, cols), dim = x.shape, span["dim"]
         pad = (ph.shape[1] - dim) // 2
-        assert ph.shape == (4, dim + 2 * pad, k_c) and (n, rows, cols) in (
+        assert ph.shape == (4, dim + 2 * pad, k) and (n, rows, cols) in (
             (dim, 2 * pad + 1, 1), (1, dim, dim))
         # the step's phases on the padded mode axis, and each window's sub-blocks of the
         # padded exponentials, strided views of one (dim + 2 pad)^2 matrix each
-        assert np.array_equal(ph[:, pad:pad + dim], local.ph) and not ph[:, :pad].any() \
+        assert np.array_equal(ph[:, pad:pad + dim], last["ph"]) and not ph[:, :pad].any() \
             and not ph[:, pad + dim:].any()
         for b, e in zip((b_long, b_back), span["exps"]):
             e = np.pad(e, pad)
             assert np.array_equal(b, [e[i:i + rows, i:i + rows] for i in range(n)])
             assert n == 1 or rows == 1 or np.shares_memory(b[0], b[1])
-        calls.append((x, y, local.j, x[:, :, 0].copy()))  # x and y held: no id is reused
+        calls.append((x, y, last["j"], None if calls else x.copy()))  # x, y held: no id reused
         out = step(x, y, ph, b_long, b_back)
         # a window's rows off the basis, i + a - pad outside [0, dim), stay exactly zero
         modes = np.arange(rows) + np.arange(n)[:, None] - pad
@@ -334,59 +332,49 @@ def test_cycle_map_steps_half_a_cycle(monkeypatch):
     monkeypatch.setattr(dynamics, "_half_span", recording_span)
     monkeypatch.setattr(dynamics, "_step", record)
 
-    def chain_count(m, dim, reach=None):
-        """Chains of the recorded calls, after checking their buffers, steps and windows."""
-        per, pairs = m // 32, {}
-        for x, y, j, first_x in calls:
-            pairs.setdefault(frozenset((id(x), id(y))), []).append((x, y, j, first_x))
-        # the two blocks of a chain trade places every step; no step gets a new one
-        assert len({id(a) for x, y, *_ in calls for a in (x, y)}) == 2 * len(pairs)
+    def check_block(m, dim, reach=None):
+        """Check the recorded calls: one block pair, m / 32 steps of all 32 segments."""
         w = dim if reach is None else reach
         n, rows, cols, pad = (dim, 2 * w + 1, 1, w) if 3 * w + 1 < dim else (1, dim, dim, 0)
-        # window a's row i is mode a + i - pad, its column a cols + c: the identity there
+        # the block and its scratch block trade places every step; no step gets a new one
+        assert len(calls) == m // 32
+        assert len({id(a) for x, y, *_ in calls for a in (x, y)}) == 2
+        assert {(x.shape, y.shape) for x, y, *_ in calls} == {((n, rows, 32, cols),) * 2}
+        assert all(a[1] is b[0] for a, b in zip(calls, calls[1:]))
+        # step i of segment j is step j m / 32 + i of the span, for all 32 segments
+        assert all(np.array_equal(j, m // 32 * np.arange(32) + i)
+                   for i, (_, _, j, _) in enumerate(calls))
+        # window a's row i is mode a + i - pad, its column a cols + c: the identity there,
+        # in every segment
         modes = np.arange(rows)[:, None] + np.arange(n)[:, None, None] - pad
         identity = (modes == np.arange(cols) + cols * np.arange(n)[:, None, None]).astype(complex)
-        for pair in pairs.values():
-            first = pair[0][2]
-            assert len(pair) == per and first[0] % per == 0
-            assert {(x.shape, y.shape) for x, y, *_ in pair} == {((n, rows, len(first), cols),) * 2}
-            assert all(np.array_equal(j, first + i) for i, (_, _, j, _) in enumerate(pair))
-            assert all(a[1] is b[0] for a, b in zip(pair, pair[1:]))
-            assert np.array_equal(pair[0][3], identity)
-        segments = [pair[0][2] // per for pair in pairs.values()]
-        assert all(np.array_equal(seg, seg[0] + np.arange(len(seg))) for seg in segments)
-        assert sorted(np.concatenate(segments)) == list(range(32))
-        return len(pairs)
+        assert np.array_equal(calls[0][3], np.broadcast_to(identity[:, :, None], calls[0][3].shape))
 
-    # the sweep steps its half span [0, t1] through the same build in one chain: m rounded
-    # up to whole segments, m / 32 steps of one (1, 2, 32, 2) block, and the mirror for
-    # [-t1, 0]
+    # the sweep steps its half span [0, t1] through the same build: m rounded up to whole
+    # segments, m / 32 steps of one (1, 2, 32, 2) block, and the mirror for [-t1, 0]
     span_t, dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
     lz_two_level_ode(1.0, 1.0, span_t, dt)
-    assert chain_count(32 * math.ceil(math.ceil(span_t[1] / dt) / 32), 2) == 1
+    check_block(32 * math.ceil(math.ceil(span_t[1] / dt) / 32), 2)
     params = LatticeParams(1.0, 0.383)
-    for cutoff, forced in ((8, None), (32, None), (16, 3), (8, 4)):
-        if forced:
-            monkeypatch.setattr(dynamics, "_chain_count", lambda dim, n=forced: n)
+    for cutoff in (8, 16, 32):
         cfg, dim = SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=2), 2 * cutoff + 1
         calls.clear()
         evolve_lattice(params, cfg)
-        chains = forced or dynamics._chain_count(dim)
         m = step_grid(params, cfg)
         # exact-run's point: 65 windows of 25 rows, one column each
         reach = dynamics._reach(0.25, params.bloch_period / 64, dim) if cutoff == 32 else None
-        assert chain_count(m, dim, reach) == chains
+        check_block(m, dim, reach)
         if cutoff == 32:
             assert reach == 12 and {x.shape[:2] for x, *_ in calls} == {(65, 25)}
-    # cycle_map(params, cutoff, m) steps exactly the m it is given (4 chains, as forced
-    # last).  A dt = T_B / (2m) would not say it: at f0 = 0.383, T_B / 2 / dt lands a few
-    # ulps above each of these m, and step_grid rounds it up to m + 32
+    # cycle_map(params, cutoff, m) steps exactly the m it is given.  A dt = T_B / (2m) would
+    # not say it: at f0 = 0.383, T_B / 2 / dt lands a few ulps above each of these m, and
+    # step_grid rounds it up to m + 32
     for m in (416, 832, 928, 1664):
         assert step_grid(params, SolverConfig(cutoff=8, dt=params.bloch_period / (2 * m))) \
             == m + 32
         calls.clear()
         cycle_map(params, 8, m)
-        assert chain_count(m, 17) == 4
+        check_block(m, 17)
 
 
 def test_cycle_map_iterates_to_the_trace_cycle_starts():
@@ -443,70 +431,34 @@ def test_cycle_map_prices_no_trace():
     assert abs(np.linalg.norm(cycle @ psi0) - 1.0) < 1e-12
 
 
-def test_chain_count_follows_the_gemm_work_up_to_the_cpus(monkeypatch):
-    # one chain per WIDE_STEP_S of a wide step's 24 * 32 dim^3 gemm flops, at most one per
-    # CPU and one per group of 8 segments: one for the sweep and to cutoff 12, two on two
-    # CPUs from 13
-    count = dynamics._chain_count
-    for cpus in (1, 2, 3, 64):
-        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
-                            raising=False)
-        assert count(2) == 1
-        assert count(25) == 1  # cutoff 12
-        assert count(27) == min(cpus, 2)  # cutoff 13
-        assert count(65) == min(cpus, 4)  # cutoff 32: 15 by the work
-
-
-def test_chain_count_leaves_maps_and_traces_bit_identical(monkeypatch):
-    # the segments are independent: at 1, 2, 3 (16, 8 and 8 segments) and 4 chains the
-    # segment maps G_j, the cycle map M, a lattice trace and the sweep agree bit for bit,
-    # at cutoff 8 (one block) and at exact-run's cutoff 32 (65 windows of 25 rows)
-    params = LatticeParams(1.0, 0.383)
-    span, sweep_dt = span_for(1.0, 1.0), dt_for(1.0, 1.0)
-    for cutoff in (8, 32):
-        cfg = SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=3)
-        m = step_grid(params, cfg)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the chains' threads interleave as finely as they can
-        try:
-            for chains in (1, 2, 3, 4):
-                monkeypatch.setattr(dynamics, "_chain_count", lambda dim, n=chains: n)
-                cycle, _, maps = cycle_map(params, cfg.cutoff, m)
-                results.append((maps, cycle, evolve_lattice(params, cfg).amplitudes,
-                                np.array(lz_two_level_ode(1.0, 1.0, span, sweep_dt))))
-        finally:
-            sys.setswitchinterval(interval)
-        dim = 2 * cutoff + 1
-        assert results[0][0].shape == (32, dim, dim)
-        for got in results[1:]:
-            assert all(np.array_equal(a, b) for a, b in zip(results[0], got)), cutoff
-
-
-def test_an_exception_in_a_chain_reaches_the_caller(monkeypatch):
-    # a chain's thread would swallow what it raises: _half_span raises it once every
-    # chain has ended, from a worker's chain or from the calling thread's own, and at
-    # exact-run's cutoff 32 from a worker's windowed step (65 windows of 25 rows)
+def test_a_failing_step_reaches_the_caller_and_no_build_starts_a_thread(monkeypatch):
+    # the build runs in the calling thread: a windowed step that fails at exact-run's
+    # cutoff 32 (65 windows of 25 rows) raises through evolve_lattice, and the thread count
+    # read inside every step, at cutoffs 8 and 32 and in the sweep, is the caller's
     step = dynamics._step
-    monkeypatch.setattr(dynamics, "_chain_count", lambda dim: 3)  # 16, 8, 8 segments
     params = LatticeParams(1.0, 0.383)
-    threads = threading.active_count()
-    for cutoff, failing, shape in ((8, {8}, (1, 17)), (8, {8, 16}, (1, 17)),
-                                   (32, {8}, (65, 25))):
-        def fail(x, y, *args, failing=failing, shape=shape):
-            if x.shape[2] in failing and x.shape[:2] == shape:
-                raise FloatingPointError(f"chain of {x.shape[2]} segments")
-            return step(x, y, *args)
-        monkeypatch.setattr(dynamics, "_step", fail)
-        with pytest.raises(FloatingPointError, match="chain of (8|16) segments"):
-            evolve_lattice(params, SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=2))
-        assert threading.active_count() == threads
+    def fail(x, y, *args):
+        if x.shape[:2] == (65, 25):
+            raise FloatingPointError("windowed step")
+        return step(x, y, *args)
+    monkeypatch.setattr(dynamics, "_step", fail)
+    with pytest.raises(FloatingPointError, match="windowed step"):
+        evolve_lattice(params, SolverConfig(cutoff=32, dt=0.01, n_cycles=2))
+    threads, counts = threading.active_count(), []
+    def count(*args):
+        counts.append(threading.active_count())
+        return step(*args)
+    monkeypatch.setattr(dynamics, "_step", count)
+    for cutoff in (8, 32):
+        evolve_lattice(params, SolverConfig(cutoff=cutoff, dt=0.01, n_cycles=2))
+    lz_two_level_ode(1.0, 1.0, span_for(1.0, 1.0), dt_for(1.0, 1.0))
+    assert counts and set(counts) == {threads}
 
 
 def test_solver_memory_does_not_grow_with_the_step_count():
     # the build holds two blocks of segment maps whatever m is: tenfold the steps
     # (m = 832 -> 8224 at cutoff 16, 4 cycles) leaves the traced peak within 10%, and
-    # so it does at cutoff 32, where each chain holds its columns' windows
+    # so it does at cutoff 32, where the block holds its columns' windows
     params = LatticeParams(1.0, 0.383)
     for cutoff in (16, 32):
         peaks = []
