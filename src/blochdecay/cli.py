@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -50,6 +51,9 @@ from .stepmodel import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, DegenerateSpec
                         StepIngredients, compare_models, evolve_steps, fit_exponential,
                         gamma_asymptotic, renorm_fit, ret_resonances, spectral_decompose,
                         step_operator, z_exact, z_first_order)
+
+# Exit collections re-scanned the ~21.6k objects the imports leave: 17-19 ms, 4-5 ms frozen.
+gc.freeze()
 
 OUTDIR_ENV = "BLOCHDECAY_OUTDIR"
 # Values _write_csv formats at a time: 4,096 rows of 4 columns.

@@ -218,6 +218,18 @@ def test_cli_pins_blas_to_one_thread_unless_the_caller_sets_it(tmp_path):
     assert done.stdout.split() == ["3", "1", "1"]
 
 
+def test_cli_freezes_its_import_heap_and_a_library_caller_keeps_its_gc(tmp_path):
+    # the freeze comes after numpy and the package load: more objects frozen than left
+    done = run_python(tmp_path, "-c", "import gc, blochdecay.cli\n"
+                      "print(gc.get_freeze_count(), len(gc.get_objects()))")
+    frozen, tracked = map(int, done.stdout.split())
+    assert frozen > tracked > 0, (frozen, tracked)
+    done = run_python(tmp_path, "-c", "import gc, blochdecay\n"
+                      "blochdecay.mean_band_gap(blochdecay.LatticeParams(1.0, 1.0))\n"
+                      "print(gc.get_freeze_count())")
+    assert done.stdout.split() == ["0"]
+
+
 def test_every_export_resolves_and_the_cli_module_runs_without_warnings(tmp_path):
     script = """if True:
         import blochdecay
