@@ -172,22 +172,12 @@ def test_run_and_bands_files_byte_identical(tmp_path, monkeypatch):
         assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "6",
                      "--fit-window", "5:6", "--out-prefix", "r"]) == 0
         assert main(["bands", "--v0", "1", "--grid", "64", "--out", "b.csv"]) == 0
-    for name in ("r_trace.csv", "r_steps.csv", "r_compare.csv", "r_fit.json", "b.csv"):
+        assert main(["scaling", "--n-points", "50"]) == 0
+        assert main(["ret", "--n-points", "20"]) == 0
+    # whole files, the runspec and the sweeps' comment lines included
+    for name in ("r_trace.csv", "r_steps.csv", "r_compare.csv", "r_fit.json", "b.csv",
+                 "scaling.csv", "ret.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-def test_run_files_byte_identical_across_blas_threads(tmp_path):
-    # the wide gemms of the exact solver may run on two BLAS threads; the artifacts
-    # must not depend on it
-    for threads in ("1", "2"):
-        (tmp_path / threads).mkdir()
-        done = subprocess.run([sys.executable, "-m", "blochdecay.cli", "run", "--v0", "1",
-                               "--f0", "0.383", "--cycles", "6", "--fit-window", "5:6"],
-                              cwd=tmp_path / threads, env=package_env(OPENBLAS_NUM_THREADS=threads),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-    for name in ("run_trace.csv", "run_steps.csv", "run_compare.csv", "run_fit.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -202,6 +192,29 @@ def run_python(tmp_path, *args, **env):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done
+
+
+@pytest.mark.parametrize("args", [
+    "--v0 1 --f0 0.383 --cycles 6 --fit-window 5:6",
+    "--v0 1 --f0 0.383 --cycles 6 --cutoff 32 --fit-window 5:6",
+    "--v0 1 --f0 0.383 --cycles 6 --cutoff 48 --fit-window 5:6",
+    "--v0 1 --f0 0.383 --cycles 20 --cutoff 32",
+    "--v0 40 --f0 0.5 --cutoff 32 --fit-window 1:5",
+], ids=["default", "cutoff-32", "cutoff-48", "exact-run", "deep"])
+def test_run_files_byte_identical_across_blas_threads(tmp_path, args):
+    # the build's batched gemms and the trace's products may run on two BLAS threads; the
+    # artifacts must not depend on it.  Cutoff 48 is the largest at which they agree (from
+    # 64 on, OpenBLAS splits the dense dim x dim products); the deep point's one-block gemms
+    # are dim x 32 dim wide, the shape OpenBLAS is likeliest to split.  Unset, the thread
+    # variables take the CLI's own pin of one BLAS thread
+    for threads in ("1", "2", "unset"):
+        (tmp_path / threads).mkdir()
+        env = {} if threads == "unset" else {"OPENBLAS_NUM_THREADS": threads}
+        run_python(tmp_path / threads, "-m", "blochdecay.cli", "run", *args.split(), **env)
+    for name in ("run_trace.csv", "run_steps.csv", "run_compare.csv", "run_fit.json"):
+        want = (tmp_path / "unset" / name).read_bytes()
+        for threads in ("1", "2"):
+            assert (tmp_path / threads / name).read_bytes() == want, (threads, name)
 
 
 def test_package_import_loads_no_numpy(tmp_path):
@@ -254,9 +267,11 @@ def test_run_free_lattice_trace_collapses(tmp_path):
     t_half = 0.5 * 2 * np.pi / 0.383
     late = trace[trace[:, 0] > t_half + 0.5]
     assert np.all(late[:, 1] < 1e-10)
+    # every hamiltonian is diagonal: the mean gap is exactly 2
+    assert json.loads((tmp_path / "free_fit.json").read_text())["mean_gap"] == 2.0
 
 
-def test_scaling_sweep_and_determinism(tmp_path):
+def test_scaling_sweep_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"
     args = ["scaling", "--v0", "1", "--f0-min", "0.9", "--f0-max", "2.4",
@@ -271,6 +286,17 @@ def test_scaling_sweep_and_determinism(tmp_path):
     assert len(rows) == 40
     # Z - 1 changes sign within the swept window
     assert rows[:, 3].min() < 0 < rows[:, 3].max()
+    # at v0 = 0 every point is degenerate: a nan row each, and one line on stderr naming
+    # it, while the sweep goes on to the finite rows of v0 = 1
+    capsys.readouterr()
+    assert main(["scaling", "--v0", "0,1", "--n-points", "50", "--out", str(out1)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    _, _, rows = read_csv(out1)
+    free, shallow = rows[rows[:, 0] == 0], rows[rows[:, 0] == 1]
+    assert len(free) == len(shallow) == 50
+    assert np.isnan(free[:, 2:]).all() and np.isfinite(shallow[:, 2:]).all()
+    assert err == [f"point v0=0.0 f0={f0!r} failed: eigenvalue moduli coincide"
+                   for f0 in free[:, 1].tolist()]
 
 
 def test_ret_resonance_report(tmp_path):
@@ -342,6 +368,11 @@ def test_config_file_overrides_defaults(tmp_path, capsys):
     _, header, rows = read_csv(out)
     assert header == ["k", "E1", "E2"]
     assert len(rows) == 32
+    # the same rows as the same flags
+    flagged = tmp_path / "flag.csv"
+    assert main(["bands", "--v0", "0", "--grid", "32", "--n-bands", "2",
+                 "--out", str(flagged)]) == 0
+    assert out.read_text().splitlines()[1:] == flagged.read_text().splitlines()[1:]
     # explicit flag beats the config value
     assert main(["bands", "--v0", "0", "--config", str(cfg), "--grid", "48",
                  "--out", str(out)]) == 0
@@ -459,8 +490,8 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("fast*"))
     # runs whose half cycle would take ~18 s or more (m = 820,288 at --dt 1e-5, forces of
     # 1e-300 and 1e-303) or whose solver would hold gigabytes (64e7 samples, 4 GB of
-    # segment maps) are refused before any of it is allocated, and without a numpy
-    # overflow warning
+    # segment maps) are refused before any of it is allocated, without a numpy overflow
+    # warning and with nothing on stdout
     budget = re.compile(r"error: parameters: .* need ~\S+ bytes / ~\S+ s \(limit "
                         r"268435456 bytes / 3 s\); reduce ")
     solver = "the cutoff, the cycles and the steps per cycle"
@@ -472,8 +503,8 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
                       ["--f0", "1e-303"]):  # m dim^3 would overflow a numpy float
             argv = ["run", "--v0", "1", *flags, "--out-prefix", str(tmp_path / "big")]
             assert main(argv) == 2, argv
-            err = capsys.readouterr().err
-            assert budget.search(err) and solver in err, argv
+            out, err = capsys.readouterr()
+            assert out == "" and budget.search(err) and solver in err, argv
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
@@ -483,8 +514,8 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "evolve_lattice", None)
     assert main(["run", "--v0", "1", "--f0", "0.383", "--cycles", "3", "--cutoff", "160",
                  "--out-prefix", str(tmp_path / "slow")]) == 2
-    err = capsys.readouterr().err
-    assert budget.search(err) and solver in err
+    out, err = capsys.readouterr()
+    assert out == "" and budget.search(err) and solver in err
     assert not list(tmp_path.glob("slow*"))
     # a --grid, --cutoff, --n-points or --j-max whose band table, mean gap, sweep or
     # resonance list would hold gigabytes or take minutes is refused before any
@@ -539,10 +570,10 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
     tracemalloc.start()
     try:
         for argv, what in refusals:
-            out = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "huge")]
-            assert main(argv + out) == 2, argv
-            err = capsys.readouterr().err
-            assert budget.search(err) and what in err, (argv, err)
+            dest = ["--out-prefix" if argv[0] == "run" else "--out", str(tmp_path / "huge")]
+            assert main(argv + dest) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and budget.search(err) and what in err, (argv, out, err)
         assert tracemalloc.get_traced_memory()[1] < 2 ** 20
     finally:
         tracemalloc.stop()
@@ -559,9 +590,9 @@ def test_invalid_arguments_exit_two(tmp_path, capsys, monkeypatch):
         assert "error: band-structure:" in capsys.readouterr().err, argv
 
 
-# Every documented command: the README quickstart, the scipy-free CI step, the CLI calls
-# of test_acceptance.py and perfbench's workloads at seed 0 (exact-run, z-scaling and
-# depth-scan's 16-depth scaling and ret).
+# Every documented command: the README quickstart, this module's sweep and BLAS-thread
+# cases, the CLI calls of test_acceptance.py and perfbench's workloads at seed 0
+# (exact-run, z-scaling and depth-scan's 16-depth scaling and ret).
 _DOCUMENTED = [
     "bands --v0 1", "run --v0 1 --f0 0.383 --cycles 10",
     "scaling --v0 1,2,3,4 --f0-min 0.5 --f0-max 4 --n-points 200",
@@ -569,6 +600,8 @@ _DOCUMENTED = [
     "run --v0 1 --f0 0.383 --cycles 6 --fit-window 5:6", "scaling --n-points 50",
     "scaling --v0 0,1 --n-points 50", "ret --n-points 20",
     "run --v0 1 --f0 0.383 --cycles 6 --cutoff 32 --fit-window 5:6",
+    "run --v0 1 --f0 0.383 --cycles 6 --cutoff 48 --fit-window 5:6",
+    "run --v0 40 --f0 0.5 --cutoff 32 --fit-window 1:5",
     "ret --v0 1 --f0-min 0.8 --f0-max 2.6 --n-points 14 --j-max 2",
     "run --v0 1 --f0 0.383 --cycles 20 --cutoff 32", "scaling --v0 1,2,3,4 --n-points 5000",
     "scaling --v0 " + ",".join(f"{0.5 * i:g}" for i in range(1, 17)) + " --n-points 200",
@@ -730,6 +763,11 @@ def test_gap_check_exits_three_naming_stage_and_cutoff(tmp_path, capsys):
     # the overflow is in the depth, not the basis: the advice names the depth
     assert "increase the cutoff" not in err and "v0=1e+308" in err
     assert main(["scaling", "--v0", "100"] + out) == 0
+    # run's mean gap takes the same check
+    assert main(["run", "--v0", "1e308", "--f0", "1", "--cycles", "6", "--fit-window", "1:5",
+                 "--out-prefix", str(tmp_path / "deep")]) == 3
+    err = capsys.readouterr().err
+    assert "error: band-structure:" in err and "cutoff 10" in err and "v0=1e+308" in err
 
 
 def test_runtime_needs_no_scipy(tmp_path):

@@ -420,7 +420,7 @@ def test_cycle_map_refuses_bad_input_before_any_step(monkeypatch):
 
 
 def test_cycle_map_prices_no_trace():
-    # CI's refused 14,000-cycle trace at v0 = 40, f0 = 0.5, cutoff 8: step_grid refuses
+    # the CLI's refused 14,000-cycle trace at v0 = 40, f0 = 0.5, cutoff 8: step_grid refuses
     # its 896,001 samples, while the build of the same m alone is admitted
     params = LatticeParams(40.0, 0.5)
     with pytest.raises(ValueError, match="reduce the cutoff, the cycles"):
