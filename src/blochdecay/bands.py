@@ -17,6 +17,7 @@ and refines every vector it returns.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,7 @@ def build_bloch_hamiltonian(params: LatticeParams, k: float | np.ndarray,
     bad = k[~(np.abs(k) <= 1.0)]  # nan fails the comparison too
     if bad.size:
         raise ValueError(f"quasimomentum must be finite and in [-1, 1], got k={bad[0]}")
-    if cutoff < MIN_CUTOFF:
-        raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
-    i = np.arange(2 * cutoff + 1)
+    i = np.arange(2 * check_count("cutoff", cutoff, MIN_CUTOFF) + 1)
     h = np.zeros(k.shape + (len(i), len(i)))
     h[..., i, i] = (k[..., None] + 2.0 * (i - cutoff)) ** 2
     h[..., i[:-1], i[1:]] = h[..., i[1:], i[:-1]] = params.v0 / 4.0
@@ -160,6 +159,21 @@ def lowest_bands(params: LatticeParams, k: np.ndarray, cutoff: int, n: int,
     return np.concatenate(parts)
 
 
+def check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """value as an int, or a ValueError naming it unless it is an integer in [low, high].
+
+    operator.index decides what is an integer: a float, 8.0 included, is never truncated.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= count <= (math.inf if high is None else high):
+        raise ValueError(f"{name} >= {low} required, got {value}" if high is None
+                         else f"need {low} <= {name} <= {high}, got {name}={value}")
+    return count
+
+
 def check_work(flags: str, cost, *sizes: int) -> None:
     """Raise ValueError unless cost(*sizes), an estimate (bytes, seconds), fits the budget.
 
@@ -196,12 +210,8 @@ def check_band_grid(n_bands: int, grid_size: int, cutoff: int, n_depths: int = 1
     and the n_bands + 1 values of each of the rows bands writes (a mean gap
     writes none), priced as README's calibration table gives.
     """
-    if cutoff < MIN_CUTOFF:
-        raise ValueError(f"cutoff >= {MIN_CUTOFF} required for a usable basis, got {cutoff}")
-    if n_bands < 1 or n_bands > cutoff:
-        raise ValueError(f"need 1 <= n_bands <= cutoff, got n_bands={n_bands}, cutoff={cutoff}")
-    if grid_size < 16:
-        raise ValueError(f"grid_size >= 16 required, got {grid_size}")
+    check_count("n_bands", n_bands, 1, check_count("cutoff", cutoff, MIN_CUTOFF))
+    check_count("grid_size", grid_size, 16)
     def cost(grid, dim, bands, depths, rows):
         return (8.0 * grid * (dim + bands + 1.0) + 16.0 * max(_CHUNK_ELEMENTS, dim * dim),
                 depths * grid * (BAND_SOLVE_S + 4.0 / 3.0 * dim * dim * dim / BAND_SOLVE_FLOP_RATE)

@@ -44,7 +44,7 @@ import numpy as np  # noqa: E402  (after the BLAS thread defaults)
 
 from . import __version__
 from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, VALUE_BYTES, VALUE_S, LatticeParams,
-                    band_energies, check_band_grid, check_work, mean_band_gap)
+                    band_energies, check_band_grid, check_count, check_work, mean_band_gap)
 from .dynamics import (MIN_CYCLES, SolverConfig, evolve_lattice, extract_plateaus, step_grid,
                        trace_rows)
 from .stepmodel import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, DegenerateSpectrumError,
@@ -372,8 +372,7 @@ def cmd_ret(opts: dict) -> int:
     runspec = _runspec_json("ret", opts)
     with _stage("parameters"):
         f0_grid = _force_grid(opts)
-        if opts["j_max"] < 1:  # needs no gap: refused before the band structure
-            raise ValueError(f"j_max >= 1 required, got {opts['j_max']}")
+        check_count("j_max", opts["j_max"], 1)  # needs no gap: refused before the band structure
         # each resonance's 4 fields are written twice, to the CSV and to stdout
         check_work("--j-max", lambda j: (8.0 * j * VALUE_BYTES, 8.0 * j * VALUE_S),
                    opts["j_max"])

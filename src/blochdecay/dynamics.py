@@ -73,7 +73,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S, VALUE_BYTES,
                     VALUE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S, LatticeParams, check_band_vectors,
-                    check_work, lowest_bands, lowest_eigenpairs)
+                    check_count, check_work, lowest_bands, lowest_eigenpairs)
 from .stepmodel import SurvivalSeries, _check_sweep
 
 # Yoshida composition weights for the fourth-order splitting.
@@ -111,12 +111,10 @@ class SolverConfig:
     n_cycles: int = 10
 
     def __post_init__(self):
-        if self.cutoff < MIN_CUTOFF:
-            raise ValueError(f"cutoff >= {MIN_CUTOFF} required, got {self.cutoff}")
+        check_count("cutoff", self.cutoff, MIN_CUTOFF)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.n_cycles < 1:
-            raise ValueError(f"n_cycles >= 1 required, got {self.n_cycles}")
+        check_count("n_cycles", self.n_cycles, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,14 +246,10 @@ def _half_steps(steps: float, dim: int, samples: int, step_s: float, flags: str)
 
 
 def _check_lattice(params: LatticeParams, cutoff: int) -> None:
-    """Raise ValueError unless one lattice build can take params and cutoff.
-
-    A build needs one force, not an array of them, and cutoff >= MIN_CUTOFF.
-    """
+    """Raise ValueError unless one lattice build can take params (one force) and cutoff."""
     if np.ndim(params.f0):
         raise ValueError(f"one force required for a lattice build, got f0={params.f0}")
-    if cutoff < MIN_CUTOFF:
-        raise ValueError(f"cutoff >= {MIN_CUTOFF} required, got {cutoff}")
+    check_count("cutoff", cutoff, MIN_CUTOFF)
 
 
 def step_grid(params: LatticeParams, cfg: SolverConfig) -> int:
@@ -414,10 +408,10 @@ def cycle_map(params: LatticeParams, cutoff: int, m: int):
     k from 0 to 1, on the dim = 2 cutoff + 1 modes: _half_span gives the
     G_j (K, dim, dim) and A; psi0 is band 1 at k = 0, from bands.lowest_bands.
     Before any step, raises ValueError for an m that is not a positive
-    multiple of K, a cutoff below MIN_CUTOFF, an array force, or a build
-    that _half_steps prices beyond the work budget: its two blocks and
-    m / K wide steps, with no samples (an m past 1e300, which no float
-    holds, is priced as 1e300).
+    multiple of K, a cutoff that is not an integer >= MIN_CUTOFF, an array
+    force, or a build that _half_steps prices beyond the work budget: its
+    two blocks and m / K wide steps, with no samples (an m past 1e300,
+    which no float holds, is priced as 1e300).
     """
     _check_lattice(params, cutoff)
     if not (isinstance(m, (int, np.integer)) and m > 0 and m % _HALF_SEGMENTS == 0):
@@ -501,9 +495,8 @@ def band_projections(states: HoustonState, params: LatticeParams, n_bands: int =
     it, at 41 bytes per sample against the stack's 16 (2c + 1).
     """
     c = states.cutoff
-    b = min(band_cutoff, c)
-    if n_bands < 1 or n_bands > b:
-        raise ValueError(f"need 1 <= n_bands <= band cutoff={b}, got {n_bands}")
+    b = min(check_count("band_cutoff", band_cutoff, MIN_CUTOFF), c)
+    check_count("n_bands", n_bands, 1, b)
     k, inverse = np.unique(states.quasimomentum, return_inverse=True)
     inverse = inverse.ravel()  # some numpy versions shape it like the input
     check_band_vectors(len(inverse), len(k), b, n_bands)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import STEP_PRODUCT_S, LatticeParams, bloch_phase, check_work, mean_band_gap
+from .bands import (STEP_PRODUCT_S, LatticeParams, bloch_phase, check_count, check_work,
+                    mean_band_gap)
 
 MODULUS_TIE_TOL = 1e-12
 # renorm_fit's Z_N has converged when it moves by less than this in the last step.
@@ -196,8 +197,17 @@ class ExpFit:
 
 
 def default_window(n_plateaus: int) -> tuple[int, int]:
-    """Cycles 6 through min(14, last); late enough to be asymptotic."""
-    return (DEFAULT_WINDOW_START, min(DEFAULT_WINDOW_END, n_plateaus - 1))
+    """Cycles 6 through min(14, last), late enough to be asymptotic; needs >= 8 plateaus."""
+    last = check_count("n_plateaus", n_plateaus, DEFAULT_WINDOW_START + 2) - 1
+    return (DEFAULT_WINDOW_START, min(DEFAULT_WINDOW_END, last))
+
+
+def _window_bounds(window: tuple[int, int], length: int) -> tuple[int, int]:
+    """The counts (lo, hi) of window, refused unless 0 <= lo <= hi < length."""
+    lo, hi = window
+    if not 0 <= lo <= hi < length:
+        raise ValueError(f"window {window} outside series of length {length}")
+    return check_count("window start", lo, 0), check_count("window end", hi, lo)
 
 
 def step_operator(ing: StepIngredients) -> np.ndarray:
@@ -225,8 +235,7 @@ def evolve_steps(u: np.ndarray, n_steps: int, t_bloch: float = 1.0) -> SurvivalS
     n_steps, a series whose n_steps + 1 floats and n_steps products
     (STEP_PRODUCT_S each) would not fit the work budget.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps >= 1 required, got {n_steps}")
+    check_count("n_steps", n_steps, 1)
     if not (math.isfinite(t_bloch) and t_bloch > 0):
         raise ValueError(f"t_bloch must be > 0, got {t_bloch}")
     check_work("n_steps", lambda n: (8.0 * (n + 1.0), n * STEP_PRODUCT_S), n_steps)
@@ -314,11 +323,7 @@ def z_running_estimate(series: SurvivalSeries, n: int) -> float:
 
     Converges to z_exact geometrically with ratio |e2/e1|.
     """
-    if n < 1:
-        raise ValueError(f"N >= 1 required, got {n}")
-    if n + 1 >= len(series):
-        raise ValueError(
-            f"series too short: need at least N + 2 = {n + 2} entries, have {len(series)}")
+    check_count("N", n, 1, len(series) - 2)  # Z_N reads P_0 .. P_{N+1}
     rates, truncated = gamma_sequence(series)
     if truncated and len(rates) <= n:
         raise ValueError("survival vanished before step N; Z_N undefined")
@@ -329,13 +334,12 @@ def ret_resonances(params: LatticeParams, mean_gap: float, j_max: int) -> np.nda
     """Forces f0 = <dE>/j, j = 1..j_max, where the per-cycle phase winds by -2 pi j.
 
     At these forces the interference between successive crossings is
-    constructive and the decay rate is resonantly enhanced.
+    constructive and the decay rate is resonantly enhanced.  params is
+    unused; it stays while perfbench's traced CLI wraps the CLI's call.
     """
     if not (math.isfinite(mean_gap) and mean_gap > 0):
         raise ValueError(f"mean_gap must be > 0, got {mean_gap}")
-    if j_max < 1:
-        raise ValueError(f"j_max >= 1 required, got {j_max}")
-    return mean_gap / np.arange(1, j_max + 1, dtype=float)
+    return mean_gap / np.arange(1, check_count("j_max", j_max, 1) + 1, dtype=float)
 
 
 def renorm_fit(u: np.ndarray, series: SurvivalSeries) -> RenormFit:
@@ -359,10 +363,8 @@ def renorm_fit(u: np.ndarray, series: SurvivalSeries) -> RenormFit:
 
 def fit_exponential(series: SurvivalSeries, window: tuple[int, int]) -> ExpFit:
     """Fit P_n ~ z exp(-gamma t) in log space over plateaus window[0]..window[1]."""
-    lo, hi = int(window[0]), int(window[1])
-    if lo < 0 or hi >= len(series) or hi < lo:
-        raise ValueError(f"window {window} outside series of length {len(series)}")
-    if hi - lo + 1 < 2:
+    lo, hi = _window_bounds(window, len(series))
+    if hi == lo:
         raise ValueError("at least 2 plateaus required for a fit")
     p = series.probabilities[lo:hi + 1]
     if np.any(p <= 0):
@@ -387,10 +389,5 @@ def compare_models(full: SurvivalSeries, eff: SurvivalSeries,
         raise ValueError(f"length mismatch: {len(full)} vs {len(eff)}")
     with np.errstate(divide="ignore", invalid="ignore"):
         devs = np.abs(full.probabilities - eff.probabilities) / eff.probabilities
-    if window is None:
-        lo, hi = 0, len(devs) - 1
-    else:
-        lo, hi = int(window[0]), int(window[1])
-        if lo < 0 or hi >= len(devs) or hi < lo:
-            raise ValueError(f"window {window} outside series of length {len(devs)}")
+    lo, hi = (0, len(devs) - 1) if window is None else _window_bounds(window, len(devs))
     return devs, float(np.max(devs[lo:hi + 1]))

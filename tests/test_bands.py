@@ -52,18 +52,31 @@ def test_build_rejects_bad_inputs():
         build_bloch_hamiltonian(params, k=np.array([0.0, 1.0, -1.5]), cutoff=8)
     with pytest.raises(ValueError):
         build_bloch_hamiltonian(params, k=0.0, cutoff=3)
+    with pytest.raises(ValueError, match=r"^cutoff must be an integer, got 8\.0$"):
+        build_bloch_hamiltonian(params, k=0.0, cutoff=8.0)
     with pytest.raises(ValueError):
         LatticeParams(-1.0, 1.0)
     with pytest.raises(ValueError):
         LatticeParams(1.0, 0.0)
 
 
-def test_band_energies_rejects_bad_inputs():
+def test_band_energies_rejects_bad_inputs(monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+    monkeypatch.setattr(bands, "lowest_eigenpairs", no_eigensolve)
     params = LatticeParams(1.0, 1.0)
     with pytest.raises(ValueError):
         band_energies(params, n_bands=9, grid_size=32, cutoff=8)
     with pytest.raises(ValueError):
         band_energies(params, n_bands=2, grid_size=8, cutoff=8)
+    # a float count is refused by name, never truncated: grid 16.5 gave a mean gap of 2.228
+    # at v0 = 1, where grids 16 and 17 give 2.111 and 2.104
+    for name, value in (("cutoff", 8.0), ("n_bands", 2.0), ("grid_size", 16.5)):
+        counts = {"n_bands": 2, "grid_size": 32, "cutoff": 8, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            band_energies(params, **counts)
+    with pytest.raises(ValueError, match=r"^grid_size must be an integer, got 16\.5$"):
+        mean_band_gap(LatticeParams(1.0, 0.383), grid_size=16.5)
 
 
 def test_free_bands_fold_analytically():

@@ -259,6 +259,71 @@ def test_every_export_resolves_and_the_cli_module_runs_without_warnings(tmp_path
     assert "Warning" not in done.stderr, done.stderr
 
 
+def test_a_float_count_is_refused_and_numpy_integers_change_no_bit(monkeypatch):
+    # a count is an integer by operator.index: at every public entry point that takes one, a
+    # float, 8.0 included, is refused naming it before any eigensolve or step (grid 16.5 gave
+    # a mean gap of 2.228 at v0 = 1, where grids 16 and 17 give 2.111 and 2.104), and numpy
+    # integers give the same bits as Python ints
+    bd, i = blochdecay, np.int64
+    params = LatticeParams(1.0, 0.383)
+    trace = bd.evolve_lattice(params, bd.SolverConfig(cutoff=8, n_cycles=3))
+    series = bd.extract_plateaus(trace, params)
+    op = bd.step_operator(bd.StepIngredients(0.8, 0.1, 0.1))
+    refusals = [
+        ("cutoff", lambda: bd.build_bloch_hamiltonian(params, 0.0, cutoff=8.0)),
+        ("n_bands", lambda: bd.band_energies(params, n_bands=2.0)),
+        ("grid_size", lambda: bd.band_energies(params, grid_size=64.0)),
+        ("cutoff", lambda: bd.band_energies(params, cutoff=10.0)),
+        ("grid_size", lambda: bd.mean_band_gap(params, grid_size=16.5)),
+        ("cutoff", lambda: bd.mean_band_gap(params, cutoff=10.0)),
+        ("n_bands", lambda: bd.bands.check_band_grid(2.0, 64, 10)),
+        ("cutoff", lambda: bd.SolverConfig(cutoff=8.0)),
+        ("n_cycles", lambda: bd.SolverConfig(n_cycles=3.0)),
+        ("cutoff", lambda: bd.dynamics.cycle_map(params, 8.0, 832)),
+        ("m", lambda: bd.dynamics.cycle_map(params, 8, 832.0)),
+        ("n_bands", lambda: bd.band_projections(trace, params, n_bands=2.0)),
+        ("band_cutoff", lambda: bd.band_projections(trace, params, band_cutoff=6.0)),
+        ("band_cutoff", lambda: bd.trace_rows(trace, params, 6.5)),
+        ("band_cutoff", lambda: bd.extract_plateaus(trace, params, band_cutoff=6.0)),
+        ("n_steps", lambda: bd.evolve_steps(op, 3.0)),
+        ("N", lambda: bd.z_running_estimate(series, 1.0)),
+        ("j_max", lambda: bd.ret_resonances(params, 2.0, 2.5)),
+        ("n_plateaus", lambda: bd.default_window(11.0)),
+        ("window start", lambda: bd.fit_exponential(series, (1.5, 3))),
+        ("window end", lambda: bd.fit_exponential(series, (1, 3.0))),
+        ("window start", lambda: bd.compare_models(series, series, (0.0, 3))),
+    ]
+    with monkeypatch.context() as mp:
+        def no_work(*args, **kwargs):
+            raise AssertionError("an eigensolve or a step ran")
+        mp.setattr(bd.bands, "lowest_eigenpairs", no_work)
+        mp.setattr(bd.dynamics, "_step", no_work)
+        for name, refused in refusals:
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                refused()
+
+    def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert same_bits(bd.mean_band_gap(params, i(512), i(10)), bd.mean_band_gap(params, 512, 10))
+    tables = [bd.band_energies(params, *counts) for counts in ((3, 64, 10), (i(3), i(64), i(10)))]
+    assert same_bits(tables[0].energies, tables[1].energies)
+    assert same_bits(tables[0].k_grid, tables[1].k_grid)
+    traces = [trace, bd.evolve_lattice(params, bd.SolverConfig(cutoff=i(8), n_cycles=i(3)))]
+    for field in ("amplitudes", "time", "quasimomentum"):
+        assert same_bits(*(getattr(t, field) for t in traces)), field
+    assert same_bits(bd.trace_rows(trace, params, i(10)), bd.trace_rows(trace, params, 10))
+    assert same_bits(bd.evolve_steps(op, i(5)).probabilities,
+                     bd.evolve_steps(op, 5).probabilities)
+    assert same_bits(bd.ret_resonances(params, 2.0, i(3)), bd.ret_resonances(params, 2.0, 3))
+    assert bd.default_window(i(11)) == (6, 10)
+    fits = [bd.fit_exponential(series, window) for window in ((1, 3), (i(1), i(3)))]
+    assert fits[0].window == fits[1].window == (1, 3)
+    assert all(type(bound) is int for bound in fits[1].window)
+    for field in ("z", "gamma", "residual"):
+        assert same_bits(*(getattr(fit, field) for fit in fits)), field
+
+
 def test_run_free_lattice_trace_collapses(tmp_path):
     prefix = tmp_path / "free"
     assert main(["run", "--v0", "0", "--f0", "0.383", "--cycles", "3",
@@ -719,7 +784,8 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
 _STAGED_CALLS = {
     "LatticeParams": ("bands", "parameters"), "check_band_grid": ("bands", "parameters"),
     "band_energies": ("bands", "band-structure"), "_write_csv": ("bands", "write"),
-    "check_work": ("ret", "parameters"), "ret_resonances": ("ret", "parameters"),
+    "check_work": ("ret", "parameters"), "check_count": ("ret", "parameters"),
+    "ret_resonances": ("ret", "parameters"),
     "gamma_asymptotic": ("ret", "sweep"), "spectral_decompose": ("scaling", "sweep"),
     "z_exact": ("scaling", "sweep"), "mean_band_gap": ("run", "band-structure"),
     "SolverConfig": ("run", "parameters"), "step_grid": ("run", "parameters"),

@@ -404,6 +404,12 @@ def test_cycle_map_refuses_bad_input_before_any_step(monkeypatch):
             cycle_map(params, 8, m)
     with pytest.raises(ValueError, match="cutoff >= 4 required, got 3"):
         cycle_map(params, 3, 832)
+    # a float count is refused by name, by cycle_map and by the solver's settings
+    for refused, message in ((lambda: cycle_map(params, 8.0, 832), "cutoff .* got 8.0"),
+                             (lambda: SolverConfig(cutoff=8.0), "cutoff .* got 8.0"),
+                             (lambda: SolverConfig(n_cycles=3.5), "n_cycles .* got 3.5")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            refused()
     # one build takes one force: an array, even of one element, is refused by cycle_map and,
     # through the same check, by step_grid and so by evolve_lattice
     forces, cfg = LatticeParams(1.0, np.array([0.383])), SolverConfig(cutoff=8)
@@ -701,7 +707,7 @@ def test_projections_complete_and_consistent(trace_v1, paper_params):
     assert float(all_bands.sum()) == pytest.approx(state.norm ** 2, abs=1e-10)
     assert band_survival(state, paper_params) == pytest.approx(all_bands[0], abs=1e-15)
     for n_bands in (0, 11):  # the band cutoff is min(10, 16)
-        with pytest.raises(ValueError, match="need 1 <= n_bands <= band cutoff=10"):
+        with pytest.raises(ValueError, match=f"need 1 <= n_bands <= 10, got n_bands={n_bands}$"):
             band_projections(state, paper_params, n_bands=n_bands)
 
 

@@ -143,6 +143,11 @@ def test_fit_validates_window_and_values():
 def test_default_window_clamps():
     assert default_window(20) == (6, 14)
     assert default_window(11) == (6, 10)
+    assert default_window(8) == (6, 7)
+    # fewer plateaus leave no two from cycle 6: refused naming the series, not the window
+    for n_plateaus in (5, 7):
+        with pytest.raises(ValueError, match=f"^n_plateaus >= 8 required, got {n_plateaus}$"):
+            default_window(n_plateaus)
 
 
 # -------------------------------------------------------------- comparison

@@ -11,7 +11,7 @@ from blochdecay import (DegenerateSpectrumError, LatticeParams,
                         gamma_asymptotic, gamma_sequence, lz_probability,
                         mean_band_gap,
                         p_lz_12, renorm_fit, ret_resonances,
-                        spectral_decompose, step_operator, z_exact,
+                        spectral_decompose, step_operator, stepmodel, z_exact,
                         z_first_order, z_running_estimate)
 from blochdecay.stepmodel import MODULUS_TIE_TOL
 
@@ -191,6 +191,8 @@ def test_long_series_is_refused_before_any_allocation():
     try:
         with pytest.raises(ValueError, match=r"n_steps need ~8e\+08 bytes / ~350 s .*; reduce n_steps"):
             evolve_steps(op, 10 ** 8)
+        with pytest.raises(ValueError, match=r"^n_steps must be an integer, got 2\.5$"):
+            evolve_steps(op, 2.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -471,12 +473,16 @@ def test_z_running_converges_fast(operator_v1):
     assert abs(z_running_estimate(series, 8) - z) < 1e-4
 
 
-def test_z_running_length_check():
+def test_z_running_length_check(monkeypatch):
     series = evolve_steps(make_op(0.8, 0.1, 0.1), 4)
     with pytest.raises(ValueError):
         z_running_estimate(series, 4)
     with pytest.raises(ValueError):
         z_running_estimate(series, 0)
+    with monkeypatch.context() as mp:  # refused before any rate is computed
+        mp.setattr(stepmodel, "gamma_sequence", None)
+        with pytest.raises(ValueError, match=r"^N must be an integer, got 2\.0$"):
+            z_running_estimate(series, 2.0)
     # P_2 = 0 leaves one rate: Z_2 needs gamma_2
     vanished = SurvivalSeries(probabilities=np.array([1.0, 0.5, 0.0, 0.0, 0.0]), t_bloch=1.0)
     with pytest.raises(ValueError, match="survival vanished before step N"):
@@ -507,6 +513,8 @@ def test_ret_resonance_ladder():
         ret_resonances(LatticeParams(1.0, 1.0), mean_gap=-1.0, j_max=2)
     with pytest.raises(ValueError):
         ret_resonances(LatticeParams(1.0, 1.0), mean_gap=2.0, j_max=0)
+    with pytest.raises(ValueError, match=r"^j_max must be an integer, got 2\.5$"):
+        ret_resonances(LatticeParams(1.0, 1.0), mean_gap=2.0, j_max=2.5)
 
 
 def test_ret_resonances_wind_full_turns(mean_gap_v1):
