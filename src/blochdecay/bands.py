@@ -16,7 +16,9 @@ and refines every vector it returns.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -62,10 +64,8 @@ class LatticeParams:
     f0: float | np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.v0) and self.v0 >= 0):
-            raise ValueError(f"lattice depth must be finite and >= 0, got v0={self.v0}")
-        if not np.all(np.isfinite(self.f0) & (self.f0 > 0)):
-            raise ValueError(f"force must be finite and > 0, got f0={self.f0}")
+        check_real("v0", self.v0, 0)
+        check_real("f0", self.f0, 0, strict=True)
 
     @property
     def bloch_period(self) -> float | np.ndarray:
@@ -84,10 +84,9 @@ class BandTable:
 def build_bloch_hamiltonian(params: LatticeParams, k: float | np.ndarray,
                             cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Dense Hamiltonians (..., dim, dim) at every quasimomentum of k, each validated."""
-    k = np.asarray(k, dtype=float)
-    bad = k[~(np.abs(k) <= 1.0)]  # nan fails the comparison too
-    if bad.size:
-        raise ValueError(f"quasimomentum must be finite and in [-1, 1], got k={bad[0]}")
+    with contextlib.suppress(TypeError, ValueError):  # what fails to convert is refused below
+        k = np.asarray(k, dtype=float)
+    check_real("k", k, -1, 1)
     i = np.arange(2 * check_count("cutoff", cutoff, MIN_CUTOFF) + 1)
     h = np.zeros(k.shape + (len(i), len(i)))
     h[..., i, i] = (k[..., None] + 2.0 * (i - cutoff)) ** 2
@@ -102,9 +101,10 @@ def lowest_eigenpairs(h: np.ndarray, n: int, vectors: bool = False):
     With vectors=True returns (eigenvalues, eigenvectors as columns), the
     lowest min(n + 1, dim) vectors refined by _separate_neighbours: the
     band-1 and band-2 vectors came within 1e-14 of 40-digit ones at every k
-    and v0 (0.1 to 30) checked, k = 0 and -+1 included.  Raises
-    EigensolverError when LAPACK fails.
+    and v0 (0.1 to 30) checked, k = 0 and -+1 included.  Raises a ValueError
+    naming n unless 1 <= n <= dim, and EigensolverError when LAPACK fails.
     """
+    check_count("n", n, 1, h.shape[-1])
     try:
         if not vectors:
             return np.linalg.eigvalsh(h)[..., :n]
@@ -151,6 +151,7 @@ def lowest_bands(params: LatticeParams, k: np.ndarray, cutoff: int, n: int,
 
     Diagonalizes in chunks of at most _CHUNK_ELEMENTS matrix elements.
     """
+    check_count("n", n, 1, 2 * check_count("cutoff", cutoff, MIN_CUTOFF) + 1)
     chunk = max(1, _CHUNK_ELEMENTS // (2 * cutoff + 1) ** 2)
     parts = [lowest_eigenpairs(build_bloch_hamiltonian(params, k[i:i + chunk], cutoff), n, vectors)
              for i in range(0, len(k), chunk)]
@@ -172,6 +173,31 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
         raise ValueError(f"{name} >= {low} required, got {value}" if high is None
                          else f"need {low} <= {name} <= {high}, got {name}={value}")
     return count
+
+
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+               strict: bool = False) -> None:
+    """Raise a ValueError naming value unless it is real, finite and in [low, high].
+
+    strict=True refuses low itself.  value is a number or a real ndarray,
+    checked elementwise, and the message names its first bad element.
+    Nothing is converted: a str, a complex, None or a list is refused.
+    """
+    if not (value.dtype.kind in "biuf" if isinstance(value, (np.ndarray, np.generic))
+            else isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    with contextlib.suppress(OverflowError):  # an int past the float range is refused below
+        x = np.asarray(value, dtype=float)
+        ok = np.isfinite(x) & (x > low if strict else x >= low) & (x <= high)
+        if ok.all():
+            return
+        value = value[~ok][0] if isinstance(value, np.ndarray) else value
+    if high < math.inf:
+        raise ValueError(f"need {low} {'<' if strict else '<='} {name} <= {high}, "
+                         f"got {name}={value}")
+    if low > -math.inf:
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {low}, got {value}")
+    raise ValueError(f"{name} must be finite, got {value}")
 
 
 def check_work(flags: str, cost, *sizes: int) -> None:
@@ -349,6 +375,5 @@ def bloch_phase(params: LatticeParams, mean_gap: float) -> float:
 
     Returned unwrapped (not reduced mod 2 pi); consumers reduce when needed.
     """
-    if not (math.isfinite(mean_gap) and mean_gap > 0):
-        raise ValueError(f"mean_gap must be finite and > 0, got {mean_gap}")
+    check_real("mean_gap", mean_gap, 0, strict=True)
     return -2.0 * math.pi * mean_gap / params.f0

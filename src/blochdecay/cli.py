@@ -44,7 +44,8 @@ import numpy as np  # noqa: E402  (after the BLAS thread defaults)
 
 from . import __version__
 from .bands import (DEFAULT_CUTOFF, DEFAULT_GRID_SIZE, VALUE_BYTES, VALUE_S, LatticeParams,
-                    band_energies, check_band_grid, check_count, check_work, mean_band_gap)
+                    band_energies, bloch_phase, check_band_grid, check_count, check_real,
+                    check_work, mean_band_gap)
 from .dynamics import (MIN_CYCLES, SolverConfig, evolve_lattice, extract_plateaus, step_grid,
                        trace_rows)
 from .stepmodel import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, DegenerateSpectrumError,
@@ -70,11 +71,9 @@ class StageError(RuntimeError):
 
 @contextlib.contextmanager
 def _stage(name: str):
-    """Run a block as the stage name: its exceptions, but a StageError, become StageErrors."""
+    """Run a block as the stage name: its exceptions become StageErrors."""
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(f"{name}: {exc}", stage=name) from exc
 
@@ -311,7 +310,7 @@ def _sweep(params: LatticeParams, gap: float, quantity):
     Degenerate points get nan in both and one stderr line each.
     """
     with _stage("parameters"), np.errstate(over="ignore"):  # an overflowing phase: bad force
-        if not math.isfinite(-2.0 * math.pi * gap / params.f0.min(initial=math.inf)):
+        if not np.all(np.isfinite(bloch_phase(params, gap))):
             raise ValueError(f"f0={params.f0.min()} too small at v0={params.v0}: "
                              "the phase per cycle overflows")
     with _stage("sweep"):
@@ -331,10 +330,9 @@ def _force_grid(opts: dict, n_depths: int = 1) -> np.ndarray:
     step-model values and writes about 2 (its text), and each output row
     holds and writes 4, priced as README's calibration table gives.
     """
-    if opts["n_points"] < 0 or not 0 < opts["f0_min"] <= opts["f0_max"] < math.inf:
-        raise ValueError("need n-points >= 0 and 0 < f0-min <= f0-max < inf, got "
-                         f"n-points {opts['n_points']}, f0-min {opts['f0_min']}, "
-                         f"f0-max {opts['f0_max']}")
+    check_count("n_points", opts["n_points"], 0)
+    check_real("f0_min", opts["f0_min"], 0, strict=True)
+    check_real("f0_max", opts["f0_max"], opts["f0_min"])
     check_work("--n-points and the depths",
                lambda n, depths: (n * (16.0 + 4.0 * depths) * VALUE_BYTES,
                                   n * (2.0 + 4.0 * depths) * VALUE_S),

@@ -73,8 +73,8 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .bands import (_CHUNK_ELEMENTS, DEFAULT_CUTOFF, MIN_CUTOFF, SWEEP_STEP_S, VALUE_BYTES,
                     VALUE_S, WIDE_STEP_FLOP_RATE, WIDE_STEP_S, LatticeParams, check_band_vectors,
-                    check_count, check_work, lowest_bands, lowest_eigenpairs)
-from .stepmodel import SurvivalSeries, _check_sweep
+                    check_count, check_real, check_work, lowest_bands, lowest_eigenpairs)
+from .stepmodel import SurvivalSeries
 
 # Yoshida composition weights for the fourth-order splitting.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -112,8 +112,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_count("cutoff", self.cutoff, MIN_CUTOFF)
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        check_real("dt", self.dt, 0, strict=True)
         check_count("n_cycles", self.n_cycles, 1)
 
 
@@ -164,9 +163,10 @@ def lz_two_level_ode(alpha: float, delta: float, t_span: tuple[float, float],
     lowest_eigenpairs call on the hamiltonians [[-alpha t, delta],
     [delta, alpha t]] at -+t_edge.
     """
-    _check_sweep(alpha, delta)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be > 0, got dt={dt}")
+    check_real("alpha", alpha, 0, strict=True)
+    check_real("delta", delta, 0)
+    check_real("dt", dt, 0, strict=True)
+    check_real("t_span", np.array(t_span[:2]))  # a str end too, which float() would read
     t0, t1 = float(t_span[0]), float(t_span[1])
     width = t1 - t0
     if width <= 0:

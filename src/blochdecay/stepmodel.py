@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (STEP_PRODUCT_S, LatticeParams, bloch_phase, check_count, check_work,
-                    mean_band_gap)
+from .bands import (STEP_PRODUCT_S, LatticeParams, bloch_phase, check_count, check_real,
+                    check_work, mean_band_gap)
 
 MODULUS_TIE_TOL = 1e-12
 # renorm_fit's Z_N has converged when it moves by less than this in the last step.
@@ -47,14 +47,6 @@ class DegenerateSpectrumError(ValueError):
     """Step-operator eigenvalues have equal moduli; asymptotics undefined."""
 
 
-def _check_sweep(alpha: float, delta: float) -> None:
-    """The two-level sweep's inputs: a rate alpha > 0 and a coupling delta >= 0, both finite."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"sweep rate must be > 0, got alpha={alpha}")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"coupling must be >= 0, got delta={delta}")
-
-
 def lz_probability(alpha: float, delta: float) -> float:
     """Two-level sweep transition probability exp(-pi delta^2 / alpha), hbar = 1.
 
@@ -62,7 +54,8 @@ def lz_probability(alpha: float, delta: float) -> float:
     divides by alpha first: 0 at alpha = 1, ~8.5e-4 at alpha = 1e308,
     delta = 1.5e154.
     """
-    _check_sweep(alpha, delta)
+    check_real("alpha", alpha, 0, strict=True)
+    check_real("delta", delta, 0)
     try:
         exponent = math.pi * delta ** 2
     except OverflowError:  # delta^2 itself is past the float range
@@ -106,12 +99,9 @@ class StepIngredients:
     phi: float | np.ndarray
 
     def __post_init__(self):
-        if not np.all((self.s12 >= 0.0) & (self.s12 <= 1.0)):
-            raise ValueError(f"need 0 <= s12 <= 1, got {self.s12}")
-        if not np.all((self.s23 >= 0.0) & (self.s23 <= 1.0)):
-            raise ValueError(f"need 0 <= s23 <= 1, got {self.s23}")
-        if not np.all(np.isfinite(self.phi)):
-            raise ValueError(f"phase must be finite, got {self.phi}")
+        check_real("s12", self.s12, 0, 1)
+        check_real("s23", self.s23, 0, 1)
+        check_real("phi", self.phi)
 
     @property
     def p12(self) -> float | np.ndarray:
@@ -236,8 +226,7 @@ def evolve_steps(u: np.ndarray, n_steps: int, t_bloch: float = 1.0) -> SurvivalS
     (STEP_PRODUCT_S each) would not fit the work budget.
     """
     check_count("n_steps", n_steps, 1)
-    if not (math.isfinite(t_bloch) and t_bloch > 0):
-        raise ValueError(f"t_bloch must be > 0, got {t_bloch}")
+    check_real("t_bloch", t_bloch, 0, strict=True)
     check_work("n_steps", lambda n: (8.0 * (n + 1.0), n * STEP_PRODUCT_S), n_steps)
     v = np.array([1.0 + 0.0j, 0.0 + 0.0j])
     probs = np.empty(n_steps + 1)
@@ -337,8 +326,7 @@ def ret_resonances(params: LatticeParams, mean_gap: float, j_max: int) -> np.nda
     constructive and the decay rate is resonantly enhanced.  params is
     unused; it stays while perfbench's traced CLI wraps the CLI's call.
     """
-    if not (math.isfinite(mean_gap) and mean_gap > 0):
-        raise ValueError(f"mean_gap must be > 0, got {mean_gap}")
+    check_real("mean_gap", mean_gap, 0, strict=True)
     return mean_gap / np.arange(1, check_count("j_max", j_max, 1) + 1, dtype=float)
 
 

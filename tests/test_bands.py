@@ -345,6 +345,23 @@ def test_chunked_band_table_matches_one_call(monkeypatch):
     assert calls == [7] * 14 + [2]
     assert np.array_equal(chunked.k_grid, whole.k_grid)
     assert np.array_equal(chunked.energies, whole.energies)
+    # mean_band_gap's Newton steps split their half-zone points into chunks: at cutoff 10,
+    # from grid 1,310 the cutoff + 2 step's (655 points) and from grid 1,560 the cutoff's too
+    # (780 points); one chunk of 2^22 elements holds each grid whole
+    monkeypatch.undo()
+    steps = []
+    newton_step = bands._newton_step
+    monkeypatch.setattr(bands, "_newton_step",
+                        lambda v0, k, *args: steps.append(len(k)) or newton_step(v0, k, *args))
+    for grid, split in ((1600, [801, 780, 21, 801, 655, 146]),
+                        (4096, [2049, 780, 780, 489, 2049, 655, 655, 655, 84])):
+        for v0 in (0.1, 1.0, 4.0):
+            steps.clear()
+            chunked = mean_band_gap(LatticeParams(v0, 1.0), grid_size=grid)
+            assert steps == split
+            with monkeypatch.context() as mp:
+                mp.setattr(bands, "_CHUNK_ELEMENTS", 2 ** 22)
+                assert mean_band_gap(LatticeParams(v0, 1.0), grid_size=grid) == chunked, (grid, v0)
 
 
 def test_gap_check_names_unconverged_cutoff():

@@ -269,8 +269,12 @@ def test_a_float_count_is_refused_and_numpy_integers_change_no_bit(monkeypatch):
     trace = bd.evolve_lattice(params, bd.SolverConfig(cutoff=8, n_cycles=3))
     series = bd.extract_plateaus(trace, params)
     op = bd.step_operator(bd.StepIngredients(0.8, 0.1, 0.1))
+    h, eigenpairs = bd.build_bloch_hamiltonian(params, np.zeros(1), 8), bd.bands.lowest_eigenpairs
     refusals = [
         ("cutoff", lambda: bd.build_bloch_hamiltonian(params, 0.0, cutoff=8.0)),
+        ("n", lambda: eigenpairs(h, 2.0)),
+        ("cutoff", lambda: bd.bands.lowest_bands(params, np.zeros(3), 8.0, 2)),
+        ("n", lambda: bd.bands.lowest_bands(params, np.zeros(3), 8, 2.0)),
         ("n_bands", lambda: bd.band_energies(params, n_bands=2.0)),
         ("grid_size", lambda: bd.band_energies(params, grid_size=64.0)),
         ("cutoff", lambda: bd.band_energies(params, cutoff=10.0)),
@@ -301,6 +305,13 @@ def test_a_float_count_is_refused_and_numpy_integers_change_no_bit(monkeypatch):
         for name, refused in refusals:
             with pytest.raises(ValueError, match=f"^{name} must be "):
                 refused()
+        # a count out of range is refused too: n = -1 sliced off the top eigenvalue, n = 0
+        # returned none
+        for n in (-1, 0, 18):
+            with pytest.raises(ValueError, match=f"^need 1 <= n <= 17, got n={n}$"):
+                eigenpairs(h, n)
+            with pytest.raises(ValueError, match=f"^need 1 <= n <= 17, got n={n}$"):
+                bd.bands.lowest_bands(params, np.zeros(3), 8, n)
 
     def same_bits(a, b):
         a, b = np.asarray(a), np.asarray(b)
@@ -323,6 +334,99 @@ def test_a_float_count_is_refused_and_numpy_integers_change_no_bit(monkeypatch):
     for field in ("z", "gamma", "residual"):
         assert same_bits(*(getattr(fit, field) for fit in fits)), field
 
+
+def test_a_bad_real_is_refused_by_name_before_any_work(monkeypatch, capsys, tmp_path):
+    # every real input goes through one rule: a nan, an out-of-range value and a non-real are
+    # refused with a ValueError naming the input (an array's first bad element) before any
+    # eigensolve or step; a list force raised a bare TypeError, and an infinite sweep span
+    # was advised to take dt below 0
+    bd, nan, inf = blochdecay, math.nan, math.inf
+    params, span = LatticeParams(1.0, 0.383), (-20.0, 20.0)
+    def forces(f0_min, f0_max, n_points=5):
+        return cli._force_grid({"n_points": n_points, "f0_min": f0_min, "f0_max": f0_max})
+    refusals = [
+        ("v0 must be finite and >= 0, got nan", lambda: LatticeParams(nan, 1.0)),
+        ("v0 must be finite and >= 0, got -1.0", lambda: LatticeParams(-1.0, 1.0)),
+        ("v0 must be a real number, got '1'", lambda: LatticeParams("1", 1.0)),
+        ("v0 must be finite and >= 0, got 1" + "0" * 400, lambda: LatticeParams(10 ** 400, 1)),
+        ("f0 must be finite and > 0, got nan", lambda: LatticeParams(1.0, np.array([1.0, nan]))),
+        ("f0 must be finite and > 0, got 0", lambda: LatticeParams(1.0, np.array([2, 0, -1]))),
+        ("f0 must be a real number, got [0.5, 1.0]", lambda: LatticeParams(1.0, [0.5, 1.0])),
+        ("need -1 <= k <= 1, got k=nan", lambda: bd.build_bloch_hamiltonian(params, nan)),
+        ("need -1 <= k <= 1, got k=-1.5",
+         lambda: bd.build_bloch_hamiltonian(params, [0.0, 1.0, -1.5])),
+        ("k must be a real number, got 1j", lambda: bd.build_bloch_hamiltonian(params, 1j)),
+        ("mean_gap must be finite and > 0, got nan", lambda: bd.bloch_phase(params, nan)),
+        ("mean_gap must be finite and > 0, got 0.0", lambda: bd.bloch_phase(params, 0.0)),
+        ("mean_gap must be a real number, got None", lambda: bd.bloch_phase(params, None)),
+        ("dt must be finite and > 0, got nan", lambda: bd.SolverConfig(dt=nan)),
+        ("dt must be finite and > 0, got -0.01", lambda: bd.SolverConfig(dt=-0.01)),
+        ("dt must be a real number, got '0.01'", lambda: bd.SolverConfig(dt="0.01")),
+        ("alpha must be finite and > 0, got nan", lambda: bd.lz_two_level_ode(nan, 1, span, 0.01)),
+        ("delta must be finite and >= 0, got -1", lambda: bd.lz_two_level_ode(1, -1, span, 0.01)),
+        ("dt must be finite and > 0, got 0", lambda: bd.lz_two_level_ode(1, 1, span, 0)),
+        ("alpha must be a real number, got 1j", lambda: bd.lz_two_level_ode(1j, 1, span, 0.01)),
+        ("t_span must be finite, got -inf", lambda: bd.lz_two_level_ode(1, 1, (-inf, inf), 0.01)),
+        ("t_span must be finite, got nan", lambda: bd.lz_two_level_ode(1, 1, (nan, nan), 0.01)),
+        ("t_span must be a real number, got array(['x', '20'], dtype='<U2')",
+         lambda: bd.lz_two_level_ode(1, 1, ("x", "20"), 0.01)),
+        ("alpha must be finite and > 0, got inf", lambda: bd.lz_probability(inf, 1.0)),
+        ("delta must be finite and >= 0, got -0.5", lambda: bd.lz_probability(1.0, -0.5)),
+        ("delta must be a real number, got None", lambda: bd.lz_probability(1.0, None)),
+        ("need 0 <= s12 <= 1, got s12=nan", lambda: bd.StepIngredients(nan, 0.1, 0.1)),
+        ("need 0 <= s23 <= 1, got s23=1.5",
+         lambda: bd.StepIngredients(0.5, np.array([0.1, 1.5]), 0.1)),
+        ("phi must be finite, got inf", lambda: bd.StepIngredients(0.5, 0.1, inf)),
+        ("s12 must be a real number, got [0.5]", lambda: bd.StepIngredients([0.5], 0.1, 0.1)),
+        ("t_bloch must be finite and > 0, got nan", lambda: bd.evolve_steps(np.eye(2), 3, nan)),
+        ("t_bloch must be finite and > 0, got 0", lambda: bd.evolve_steps(np.eye(2), 3, 0)),
+        ("t_bloch must be a real number, got None", lambda: bd.evolve_steps(np.eye(2), 3, None)),
+        ("mean_gap must be finite and > 0, got nan", lambda: bd.ret_resonances(params, nan, 2)),
+        ("mean_gap must be finite and > 0, got -2.0", lambda: bd.ret_resonances(params, -2.0, 2)),
+        ("mean_gap must be a real number, got '2'", lambda: bd.ret_resonances(params, "2", 2)),
+        ("f0_min must be finite and > 0, got nan", lambda: forces(nan, 1.0)),
+        ("f0_max must be finite and >= 1.0, got 0.5", lambda: forces(1.0, 0.5)),
+        ("f0_max must be finite and >= 1.0, got inf", lambda: forces(1.0, inf)),
+        ("f0_min must be a real number, got '1'", lambda: forces("1", 2.0)),
+        ("n_points >= 0 required, got -1", lambda: forces(1.0, 2.0, -1)),
+        ("n_points must be an integer, got 5.0", lambda: forces(1.0, 2.0, 5.0)),
+    ]
+    with monkeypatch.context() as mp:
+        def no_work(*args, **kwargs):
+            raise AssertionError("an eigensolve or a step ran")
+        mp.setattr(blochdecay.bands, "lowest_eigenpairs", no_work)
+        mp.setattr(blochdecay.dynamics, "_step", no_work)
+        for message, refused in refusals:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                refused()
+    # the command line's force range refuses by the same rule, in the parameters stage
+    for flags, message in ((["--f0-min", "nan"], "f0_min must be finite and > 0, got nan"),
+                           (["--f0-max", "0.4"], "f0_max must be finite and >= 0.5, got 0.4")):
+        assert main(["scaling", "--v0", "1", *flags, "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f"error: parameters: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+    # nothing is converted: a float32 scalar or an integer array is stored as given and
+    # gives the bits of the equal Python float
+    def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    f32 = np.float32
+    assert type(LatticeParams(f32(1.0), 0.383).v0) is f32
+    assert same_bits(bd.mean_band_gap(LatticeParams(f32(1.0), 0.383)), bd.mean_band_gap(params))
+    sweeps = [bd.StepIngredients.from_lattice(LatticeParams(2.0, f0), 2.5)
+              for f0 in (np.arange(1, 6), np.arange(1.0, 6.0))]
+    for field in ("s12", "s23", "phi"):
+        assert same_bits(*(getattr(ing, field) for ing in sweeps)), field
+    assert same_bits(bd.build_bloch_hamiltonian(params, np.array([0, 1])),
+                     bd.build_bloch_hamiltonian(params, [0.0, 1.0]))
+    traces = [bd.evolve_lattice(params, bd.SolverConfig(cutoff=8, dt=dt, n_cycles=3))
+              for dt in (f32(0.125), 0.125)]
+    for field in ("amplitudes", "time", "quasimomentum"):
+        assert same_bits(*(getattr(t, field) for t in traces)), field
+    op = bd.step_operator(bd.StepIngredients(0.8, 0.1, 0.1))
+    assert same_bits(bd.evolve_steps(op, 5, f32(3.0)).times, bd.evolve_steps(op, 5, 3.0).times)
+    assert same_bits(bd.ret_resonances(params, f32(2.0), 3), bd.ret_resonances(params, 2.0, 3))
 
 def test_run_free_lattice_trace_collapses(tmp_path):
     prefix = tmp_path / "free"
@@ -785,7 +889,8 @@ _STAGED_CALLS = {
     "LatticeParams": ("bands", "parameters"), "check_band_grid": ("bands", "parameters"),
     "band_energies": ("bands", "band-structure"), "_write_csv": ("bands", "write"),
     "check_work": ("ret", "parameters"), "check_count": ("ret", "parameters"),
-    "ret_resonances": ("ret", "parameters"),
+    "check_real": ("ret", "parameters"), "ret_resonances": ("ret", "parameters"),
+    "bloch_phase": ("scaling", "parameters"),
     "gamma_asymptotic": ("ret", "sweep"), "spectral_decompose": ("scaling", "sweep"),
     "z_exact": ("scaling", "sweep"), "mean_band_gap": ("run", "band-structure"),
     "SolverConfig": ("run", "parameters"), "step_grid": ("run", "parameters"),

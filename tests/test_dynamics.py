@@ -59,7 +59,7 @@ def test_sweep_validates_span_and_inputs():
         lz_two_level_ode(1.0, 1.0, (-30.0, 20.0), 1e-3)  # asymmetric
     with pytest.raises(ValueError):
         lz_two_level_ode(-1.0, 1.0, (-20.0, 20.0), 1e-3)
-    with pytest.raises(ValueError, match="coupling must be >= 0"):
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
         lz_two_level_ode(1.0, -1.0, (-20.0, 20.0), 1e-3)
     with pytest.raises(ValueError, match="empty time span"):
         lz_two_level_ode(1.0, 1.0, (20.0, -20.0), 1e-3)

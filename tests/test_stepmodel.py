@@ -178,7 +178,7 @@ def test_step_times_ladder():
     with pytest.raises(ValueError, match="n_steps >= 1"):
         evolve_steps(make_op(0.7, 0.1, 0.2), 0)
     for t_bloch in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="t_bloch must be > 0"):
+        with pytest.raises(ValueError, match="t_bloch must be finite and > 0"):
             evolve_steps(make_op(0.7, 0.1, 0.2), 4, t_bloch=t_bloch)
 
 
